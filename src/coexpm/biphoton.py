@@ -176,13 +176,20 @@ _SIGMA_Y2 = np.kron(
 
 
 def concurrence(state) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix.
+
+    The lambda_i (square roots of the eigenvalues of rho rho_tilde) are taken
+    as the singular values of tau = W^T (sigma_y x sigma_y) W, where
+    rho = W W^dagger with W = V diag(sqrt(p)) from the eigendecomposition of
+    rho: tau^dagger tau has the nonzero spectrum of rho rho_tilde, and its
+    singular values keep full precision near zero, where the square roots of
+    the eigenvalues of rho rho_tilde lose half the digits.
+    """
     rho = as_density_matrix(state).matrix
-    rho_tilde = _SIGMA_Y2 @ rho.conj() @ _SIGMA_Y2
-    evals = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.real(evals), 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    p, v = np.linalg.eigh(rho)
+    w = v * np.sqrt(np.clip(p, 0.0, None))
+    lam = np.linalg.svd(w.T @ _SIGMA_Y2 @ w, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def fidelity(state, target) -> float:
@@ -481,6 +488,16 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
 # --- source quality vs fabrication errors ------------------------------------
 
 
+def _pair_state_metrics(r_birefringent, r_grating, relative_phase_rad):
+    """Concurrence and Bell fidelity of state_from_efficiencies, elementwise."""
+    total = r_birefringent + r_grating
+    if np.any(total == 0):
+        raise ValidationError("at least one channel efficiency must be positive")
+    # C <= 1 (AM-GM); the clip removes a one-ulp overshoot near balance
+    conc = np.minimum(2.0 * np.sqrt(r_birefringent * r_grating) / total, 1.0)
+    return conc, 0.5 * (1.0 + conc * np.cos(relative_phase_rad))
+
+
 def entanglement_vs_fabrication(
     period_mm: float,
     duty_cycle: float,
@@ -495,12 +512,19 @@ def entanglement_vs_fabrication(
 
     Per realization the grating channel efficiency is reduced by the realized
     eta while the birefringent channel is unaffected (its mismatch is zero, so
-    wall errors add no phase); the pair state is rebuilt from the two channel
-    efficiencies and scored against the ideal Bell state.
+    wall errors add no phase). The emitted state_from_efficiencies(r1, r2 eta,
+    phi) is pure, so with rg = r2 eta its concurrence has the closed form
+    (Wootters, PRL 80, 2245 (1998)) C = 2 |a_HH a_VV - a_HV a_VH| =
+    2 sqrt(r1 rg) / (r1 + rg), and its fidelity with the Bell state is
+    F = |sqrt(r1) + e^{i phi} sqrt(rg)|^2 / (2 (r1 + rg)) = (1 + C cos phi) / 2;
+    both are evaluated over all samples of a sigma at once.
+
+    Grid position idx draws eta from the stream spawn_rng(seed, idx), the one
+    monte_carlo_efficiency uses, so at the same seed, geometry and qpm order 1
+    both report the same mean_eta for each sigma.
     """
     r_bire = efficiency_ratio(duty_cycle, 0)
     r_grating = efficiency_ratio(duty_cycle, 1)
-    target = bell_psi_plus()
     rows = []
     for idx, sigma in enumerate(np.asarray(sigma_z_grid_um, dtype=float)):
         eta = efficiency_samples(
@@ -509,16 +533,11 @@ def entanglement_vs_fabrication(
             num_domains,
             float(sigma),
             samples,
-            spawn_rng(seed, idx, 1),
+            spawn_rng(seed, idx),
             qpm_order=1,
             reorder=reorder,
         )
-        conc = np.empty(samples)
-        fid = np.empty(samples)
-        for j, e in enumerate(eta):
-            state = state_from_efficiencies(r_bire, r_grating * e, relative_phase_rad)
-            conc[j] = concurrence(state)
-            fid[j] = fidelity(state, target)
+        conc, fid = _pair_state_metrics(r_bire, r_grating * eta, relative_phase_rad)
         rows.append(
             {
                 "sigma_z_um": float(sigma),

@@ -195,10 +195,7 @@ def _validated_state_config(value, keypath):
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

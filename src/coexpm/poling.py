@@ -45,6 +45,11 @@ __all__ = [
     "monte_carlo_efficiency",
 ]
 
+# Phasor-sum cells (samples x domains) evaluated per block in
+# efficiency_samples: bounds its complex temporaries to about 1 MB whatever
+# the sample count.
+_BLOCK_CELLS = 1 << 16
+
 
 def _check_duty(duty_cycle: float) -> float:
     d = float(duty_cycle)
@@ -264,6 +269,9 @@ def efficiency_samples(
 
     The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
     efficiency is then error-independent and identically 1 at zero detuning).
+    The phasor sums are evaluated in blocks of rows, so the complex
+    temporaries stay bounded as samples x num_domains grows; each row's sum
+    is the same as evaluating all rows at once.
     """
     period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
     if samples < 1:
@@ -293,8 +301,13 @@ def efficiency_samples(
                 err[bad] = _draw_errors(rng, (nbad, n), sigma_z_um, truncation_sigmas)
                 bad[bad] = ~_ordered(nominal + err[bad])
                 attempts += 1
-    phi = dk * err + detuning_rad_per_um * nominal
-    return np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
+    detune = detuning_rad_per_um * nominal
+    rows = max(1, _BLOCK_CELLS // n)
+    eta = np.empty(samples)
+    for i in range(0, samples, rows):
+        phi = dk * err[i : i + rows] + detune
+        eta[i : i + rows] = np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
+    return eta
 
 
 def monte_carlo_efficiency(

@@ -41,17 +41,14 @@ def fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:
     half = y[ipk] / 2.0
 
     def cross(idx_range) -> float:
-        prev = None
         for i in idx_range:
             if y[i] <= half:
-                j = prev if prev is not None else i
                 # interpolate between i (below) and its peak-side neighbor (above)
                 k = i + (1 if idx_range.step < 0 else -1)
                 if k < 0 or k >= y.size or y[k] == y[i]:
                     return x[i]
                 t = (half - y[i]) / (y[k] - y[i])
                 return x[i] + t * (x[k] - x[i])
-            prev = i
         raise ValueError("profile does not fall to half maximum on one side")
 
     left = cross(range(ipk, -1, -1))

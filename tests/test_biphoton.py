@@ -53,7 +53,7 @@ def test_concurrence_closed_form_across_imbalance():
     for r0, r1 in [(0.5, 0.5), (0.2, 0.1), (1.0, 0.98), (0.3, 0.003)]:
         st = bp.state_from_efficiencies(r0, r1)
         want = 2.0 * math.sqrt(r0 * r1) / (r0 + r1)
-        assert bp.concurrence(st) == pytest.approx(want, abs=1e-7)
+        assert bp.concurrence(st) == pytest.approx(want, abs=1e-12)
 
 
 def test_fidelity_closed_form_across_imbalance():
@@ -77,16 +77,28 @@ def test_relative_phase_does_not_change_concurrence():
         bp.concurrence(bp.state_from_efficiencies(0.3, 0.2, relative_phase_rad=phi))
         for phi in (0.0, 0.7, 2.0, math.pi)
     ]
-    # general (non-hermitian) eigensolve limits agreement to ~1e-8
-    assert np.ptp(vals) < 1e-7
+    assert np.ptp(vals) < 1e-12
 
 
 def test_werner_metrics_closed_form():
-    for p in (0.0, 1.0 / 3.0, 0.5, 0.9, 0.977, 1.0):
+    for p in (*np.linspace(0.0, 1.0, 21), 1.0 / 3.0, 0.977):
         w = bp.werner_state(p)
-        assert bp.concurrence(w) == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-10)
+        assert bp.concurrence(w) == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12)
         assert bp.fidelity(w, bp.bell_psi_plus()) == pytest.approx((3.0 * p + 1.0) / 4.0, abs=1e-12)
         assert bp.purity(w) == pytest.approx((1.0 + 3.0 * p * p) / 4.0, abs=1e-12)
+
+
+def test_concurrence_of_random_pure_states_matches_closed_form():
+    rng = spawn_rng(23)
+    for _ in range(2000):
+        a = _random_pure_state(rng)
+        want = 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+        assert bp.concurrence(bp.PolarizationState(a)) == pytest.approx(want, abs=1e-12)
+
+
+def test_balanced_state_with_phase_has_unit_concurrence():
+    st = bp.state_from_efficiencies(1.0, 1.0, relative_phase_rad=0.7)
+    assert bp.concurrence(st) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_concurrence_of_random_product_states_is_zero():
@@ -290,11 +302,24 @@ def test_entanglement_survives_fabrication_noise():
     rows = bp.entanglement_vs_fabrication(
         2.0, duty, 8, [0.0, 50.0, 100.0], samples=200, seed=1
     )
-    assert rows[0]["mean_concurrence"] == pytest.approx(1.0, abs=1e-9)
-    assert rows[0]["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
+    assert rows[0]["mean_concurrence"] == rows[0]["mean_fidelity"] == 1.0
     c_means = [r["mean_concurrence"] for r in rows]
     f_means = [r["mean_fidelity"] for r in rows]
     assert all(a >= b for a, b in zip(c_means, c_means[1:]))
     assert all(a >= b for a, b in zip(f_means, f_means[1:]))
     assert c_means[-1] > 0.95
     assert f_means[-1] > 0.99
+
+
+def test_entanglement_closed_form_matches_density_matrix_path():
+    from coexpm.poling import efficiency_ratio
+
+    bell = bp.bell_psi_plus()
+    r_bire, r_grating = efficiency_ratio(0.7, 0), efficiency_ratio(0.7, 1)
+    eta = np.array([0.0, 0.3, 0.9, 1.0])
+    for phi in (0.0, 0.7):
+        conc, fid = bp._pair_state_metrics(r_bire, r_grating * eta, phi)
+        for e, c, f in zip(eta, conc, fid):
+            st = bp.state_from_efficiencies(r_bire, r_grating * e, phi)
+            assert c == pytest.approx(bp.concurrence(st), abs=1e-12)
+            assert f == pytest.approx(bp.fidelity(st, bell), abs=1e-12)

@@ -82,6 +82,17 @@ def test_montecarlo_entanglement_artifact(tmp_path):
     assert float(first["mean_concurrence"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_montecarlo_tables_share_their_eta_draws(tmp_path):
+    assert cli.main(["montecarlo", "--out", str(tmp_path)]) == 0
+
+    def mean_eta(name):
+        lines = (tmp_path / name).read_text().strip().splitlines()
+        col = lines[0].split(",").index("mean_eta")
+        return [line.split(",")[col] for line in lines[1:]]
+
+    assert mean_eta("montecarlo.csv") == mean_eta("montecarlo_entanglement.csv")
+
+
 def test_jspd_grating_process_requires_period(tmp_path):
     cfg = {
         "schema_version": 1,

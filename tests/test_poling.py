@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf, wofz
 
 from coexpm import poling
 from coexpm.errors import SolverError, ValidationError
@@ -215,6 +216,57 @@ def test_efficiency_samples_uses_caller_stream():
     assert np.array_equal(s1, s2)
     assert s1.shape == (32,)
     assert np.all((s1 >= 0.0) & (s1 <= 1.0 + 1e-12))
+
+
+def _truncated_gaussian_cf(s, c=3.0):
+    """Characteristic function E[exp(-i s u)] of a unit Gaussian truncated to
+    +/- c, in a form that stays finite at large s (the exp * erf form
+    overflows)."""
+    tail = np.exp(-c * c / 2.0 - 1j * c * s) * wofz((1j * c - s) / math.sqrt(2.0))
+    return (np.exp(-s * s / 2.0) - np.real(tail)) / erf(c / math.sqrt(2.0))
+
+
+def test_truncated_gaussian_cf_is_finite_far_out():
+    assert _truncated_gaussian_cf(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert np.isfinite(_truncated_gaussian_cf(60.0))
+    assert abs(_truncated_gaussian_cf(60.0)) < 1e-3
+
+
+@pytest.mark.parametrize("period_mm, domains", [(2.0, 8), (0.015, 1066)])
+def test_monte_carlo_mean_matches_analytic_expectation(period_mm, domains):
+    # Mean subtraction is a global phase of the phasor sum, so for i.i.d.
+    # truncated-Gaussian walls E[eta] = 1/N + (1 - 1/N) |chi(dk sigma)|^2.
+    sigmas = [1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
+    samples = 2000
+    rows = poling.monte_carlo_efficiency(
+        period_mm, 0.735, domains, sigmas, samples=samples, seed=42, reorder="allow"
+    )
+    dk = 2.0 * math.pi / (period_mm * 1e3)
+    for r in rows:
+        chi = _truncated_gaussian_cf(dk * r["sigma_z_um"])
+        want = 1.0 / domains + (1.0 - 1.0 / domains) * chi**2
+        standard_error = r["std_eta"] / math.sqrt(samples)
+        assert abs(r["mean_eta"] - want) < 4.0 * standard_error, r
+
+
+@pytest.mark.parametrize("period_mm, domains", [(2.0, 8), (0.015, 1066)])
+def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
+    # 300 samples span several row blocks at 1066 domains
+    samples, sigma, detuning = 300, 10.0, 1e-4
+    eta = poling.efficiency_samples(
+        period_mm,
+        0.735,
+        domains,
+        sigma,
+        samples,
+        spawn_rng(5, 2),
+        detuning_rad_per_um=detuning,
+        reorder="allow",
+    )
+    err = poling._draw_errors(spawn_rng(5, 2), (samples, domains), sigma, 3.0)
+    nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
+    phi = 2.0 * math.pi / (period_mm * 1e3) * err + detuning * nominal
+    assert np.array_equal(eta, np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
 
 
 def test_resample_policy_gives_up_on_hopeless_geometry():
