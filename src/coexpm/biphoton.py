@@ -362,10 +362,21 @@ def simulate_tomography_counts(
 
 @dataclass(frozen=True)
 class TomographyResult:
+    """Reconstructed state and how the maximum-likelihood refinement ran.
+
+    iterations and converged report the L-BFGS-B run (its iteration count and
+    success flag) whichever candidate is returned; linear_inversion_nll scores
+    the projected linear-inversion start point on the same likelihood as
+    neg_log_likelihood.
+    """
+
     rho: DensityMatrix4
     method: str
     neg_log_likelihood: float
     flux: float
+    iterations: int
+    converged: bool
+    linear_inversion_nll: float
 
 
 def _projected_physical(rho_raw: np.ndarray) -> np.ndarray:
@@ -380,35 +391,47 @@ def _projected_physical(rho_raw: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_params(rho: np.ndarray) -> np.ndarray:
-    """Parameter vector for rho ~ M M^dagger with M lower triangular."""
+    """Parameter vector (real parts, then imaginary parts) of a factor M with
+    rho ~ M M^dagger: the Cholesky factor of rho mixed with a little white
+    noise, so that every p_k starts positive."""
     eps = 1e-7
-    safe = (1.0 - eps) * rho + eps * np.eye(4) / 4.0
-    m = np.linalg.cholesky(safe)
-    params = list(np.real(np.diag(m)))
-    for r in range(4):
-        for c in range(r):
-            params.extend([np.real(m[r, c]), np.imag(m[r, c])])
-    return np.array(params)
+    m = np.linalg.cholesky((1.0 - eps) * rho + eps * np.eye(4) / 4.0).ravel()
+    return np.concatenate([m.real, m.imag])
+
+
+def _factor_from_params(t: np.ndarray) -> np.ndarray:
+    return (t[:16] + 1j * t[16:]).reshape(4, 4)
 
 
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(m, t[:4])
-    idx = 4
-    for r in range(4):
-        for c in range(r):
-            m[r, c] = t[idx] + 1j * t[idx + 1]
-            idx += 2
+    m = _factor_from_params(t)
     rho = m @ m.conj().T
-    tr = np.real(np.trace(rho))
-    if tr <= 0 or not np.isfinite(tr):
-        raise FloatingPointError("degenerate Cholesky factor")
-    return rho / tr
+    return rho / np.real(np.trace(rho))
 
 
-def _poisson_nll(mu: np.ndarray, counts: np.ndarray) -> float:
-    mu = np.clip(mu, 1e-12, None)
-    return float(np.sum(mu - counts * np.log(mu)))
+def _profiled_nll(t, amat, freqs, weights):
+    """Profiled Poisson NLL per count, f(M)/N = log S - sum_k nu_k log p_k,
+    and its gradient in the parameters of M.
+
+    A = M M^dagger, p_k = Tr(P_k A), S = sum_k w_k p_k, nu_k = n_k/N; row k
+    of amat is conj(P_k) flattened, so p = Re(amat @ vec(A)). f does not
+    change when A is rescaled. Its gradient in M is 2 G M with
+    G = sum_k (w_k/S - nu_k/p_k) P_k (James, Kwiat, Munro & White, PRA 64,
+    052312 (2001)); the MLE satisfies G rho = 0 and G >= 0.
+
+    M is a full complex 4x4 matrix, not a triangular one: on Poisson counts
+    of a pure state the MLE is (nearly) rank-deficient, and a triangular
+    factor reaches such states only by driving its diagonal to zero, where
+    L-BFGS-B stalls short of the optimum.
+    """
+    m = _factor_from_params(t)
+    p = np.real(amat @ (m @ m.conj().T).ravel())
+    s = weights @ p
+    seen = freqs > 0
+    f = np.log(s) - freqs[seen] @ np.log(p[seen])
+    coef = weights / s - np.divide(freqs, p, out=np.zeros_like(p), where=seen)
+    gm = (2.0 * (coef @ amat.conj()).reshape(4, 4) @ m).ravel()
+    return f, np.concatenate([gm.real, gm.imag])
 
 
 def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) -> TomographyResult:
@@ -416,22 +439,26 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
 
     Pipeline: accidental subtraction (optional, floored at zero) -> linear
     inversion from count fractions -> projection onto the physical set ->
-    Cholesky-parameterized Poisson maximum-likelihood refinement with the
+    Poisson maximum-likelihood refinement over rho ~ M M^dagger with the
     total-flux scale profiled out analytically (the likelihood is then the
-    multinomial one, so a noisy flux estimate cannot distort the state).
-    Returns whichever of the projected linear inversion and the MLE scores
-    the better likelihood, so exact (noise-free) data reproduces its state
-    exactly.
+    multinomial one, so a noisy flux estimate cannot distort the state),
+    minimized by L-BFGS-B on its exact gradient from the Cholesky factor of
+    the projected linear inversion. Returns the MLE unless the projected
+    linear inversion scores as well up to rounding, so exact (noise-free)
+    data reproduces its state exactly.
 
     Each record needs keys setting_signal, setting_idler, coincidences,
     integration_time_s; accidentals is optional (expected accidental counts in
-    the same integration window).
+    the same integration window). Analyzer labels are case-insensitive. The
+    settings must determine the state: their projectors must span all 16
+    dimensions of the 4x4 Hermitian matrices.
     """
-    if len(records) < 16:
-        raise ValidationError(f"need at least 16 settings, got {len(records)}")
-    labels = [(r["setting_signal"], r["setting_idler"]) for r in records]
-    if len(set(labels)) < 16:
-        raise ValidationError("tomography settings are not informationally complete (duplicates)")
+    labels = [(r["setting_signal"].upper(), r["setting_idler"].upper()) for r in records]
+    projectors = np.array([setting_projector(s, i) for s, i in labels])
+    amat = projectors.conj().reshape(-1, 16)
+    rank = np.linalg.matrix_rank(amat)
+    if rank < 16:
+        raise ValidationError(f"tomography settings span {rank} of 16 dimensions; need all 16")
     counts = np.array([float(r["coincidences"]) for r in records])
     times = np.array([float(r["integration_time_s"]) for r in records])
     if np.any(counts < 0) or np.any(times <= 0):
@@ -442,9 +469,8 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
 
     # Per-unit-time rates on a common exposure scale.
     t_ref = times[0]
+    weights = times / t_ref
     rates = counts * (t_ref / times)
-
-    projectors = np.array([setting_projector(s, i) for s, i in labels])
 
     # Flux from the rectilinear subset, which resolves the identity.
     rect = [k for k, (s, i) in enumerate(labels) if s in "HV" and i in "HV"]
@@ -454,35 +480,37 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     if flux <= 0:
         raise FitError("no counts in the rectilinear settings; flux scale undefined")
 
-    probs = rates / flux
-    amat = projectors.conj().reshape(len(labels), 16)
-    rho_li, *_ = np.linalg.lstsq(amat, probs.astype(complex), rcond=None)
+    rho_li, *_ = np.linalg.lstsq(amat, (rates / flux).astype(complex), rcond=None)
     rho_li = _projected_physical(rho_li.reshape(4, 4))
 
     def nll_of(rho: np.ndarray) -> float:
         # Poisson likelihood with the flux scale profiled out: at fixed shape
         # the optimal scale is total counts over total predicted weight.
-        shape = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None) * (
-            times / t_ref
-        )
-        scale = counts.sum() / shape.sum()
-        return _poisson_nll(scale * shape, counts)
+        shape = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None) * weights
+        mu = np.clip(counts.sum() / shape.sum() * shape, 1e-12, None)
+        return float(np.sum(mu - counts * np.log(mu)))
 
-    x0 = _cholesky_params(rho_li)
-
-    def objective(t):
-        try:
-            return nll_of(_rho_from_params(t))
-        except FloatingPointError:
-            return 1e12
-
-    res = minimize(objective, x0, method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-12})
-    candidates = [("linear_inversion", rho_li, nll_of(rho_li))]
-    if res.success or np.isfinite(res.fun):
-        rho_mle = _rho_from_params(res.x)
-        candidates.append(("mle", rho_mle, nll_of(rho_mle)))
-    method, rho, nll = min(candidates, key=lambda c: c[2])
-    return TomographyResult(DensityMatrix4(rho), method, float(nll), flux / t_ref)
+    res = minimize(
+        _profiled_nll,
+        _cholesky_params(rho_li),
+        args=(amat, counts / counts.sum(), weights),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 1000, "ftol": 0.0, "gtol": 1e-8},
+    )
+    rho_mle = _rho_from_params(res.x)
+    li_nll, mle_nll = nll_of(rho_li), nll_of(rho_mle)
+    # The white noise mixed into the start point lingers along directions the
+    # data leave flat to first order (exact counts of a pure state), where it
+    # moves the likelihood by less than rounding: keep the linear inversion
+    # unless the MLE scores better by more than that.
+    if mle_nll < li_nll - 1e-12 * abs(li_nll):
+        method, rho, nll = "mle", rho_mle, mle_nll
+    else:
+        method, rho, nll = "linear_inversion", rho_li, li_nll
+    return TomographyResult(
+        DensityMatrix4(rho), method, nll, flux / t_ref, int(res.nit), bool(res.success), li_nll
+    )
 
 
 # --- source quality vs fabrication errors ------------------------------------
@@ -507,24 +535,27 @@ def entanglement_vs_fabrication(
     seed: int = 0,
     relative_phase_rad: float = 0.0,
     reorder: str = "allow",
+    qpm_order: int = 1,
 ) -> list[dict]:
     """Concurrence/fidelity statistics of the emitted state vs wall errors.
 
-    Per realization the grating channel efficiency is reduced by the realized
-    eta while the birefringent channel is unaffected (its mismatch is zero, so
-    wall errors add no phase). The emitted state_from_efficiencies(r1, r2 eta,
-    phi) is pure, so with rg = r2 eta its concurrence has the closed form
+    The grating channel converts through Fourier order m = qpm_order with
+    efficiency |c_m|^2. Per realization that efficiency is reduced by the
+    realized order-m eta while the birefringent channel is unaffected (its
+    mismatch is zero, so wall errors add no phase). The emitted
+    state_from_efficiencies(r1, r2 eta, phi) is pure, so with rg = r2 eta its
+    concurrence has the closed form
     (Wootters, PRL 80, 2245 (1998)) C = 2 |a_HH a_VV - a_HV a_VH| =
     2 sqrt(r1 rg) / (r1 + rg), and its fidelity with the Bell state is
     F = |sqrt(r1) + e^{i phi} sqrt(rg)|^2 / (2 (r1 + rg)) = (1 + C cos phi) / 2;
     both are evaluated over all samples of a sigma at once.
 
     Grid position idx draws eta from the stream spawn_rng(seed, idx), the one
-    monte_carlo_efficiency uses, so at the same seed, geometry and qpm order 1
+    monte_carlo_efficiency uses, so at the same seed, geometry and qpm order
     both report the same mean_eta for each sigma.
     """
     r_bire = efficiency_ratio(duty_cycle, 0)
-    r_grating = efficiency_ratio(duty_cycle, 1)
+    r_grating = efficiency_ratio(duty_cycle, qpm_order)
     rows = []
     for idx, sigma in enumerate(np.asarray(sigma_z_grid_um, dtype=float)):
         eta = efficiency_samples(
@@ -534,7 +565,7 @@ def entanglement_vs_fabrication(
             float(sigma),
             samples,
             spawn_rng(seed, idx),
-            qpm_order=1,
+            qpm_order=qpm_order,
             reorder=reorder,
         )
         conc, fid = _pair_state_metrics(r_bire, r_grating * eta, relative_phase_rad)

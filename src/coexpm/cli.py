@@ -380,6 +380,7 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             samples=samples,
             seed=seed,
             reorder=reorder,
+            qpm_order=order,
         )
         artifacts.append(
             _emit_table(
@@ -629,6 +630,9 @@ def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "method": result.method,
         "neg_log_likelihood": result.neg_log_likelihood,
         "flux_pairs_per_s": result.flux,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "linear_inversion_nll": result.linear_inversion_nll,
         "metrics": {
             "fidelity_bell": biphoton.fidelity(rho, target),
             "concurrence": biphoton.concurrence(rho),

@@ -283,6 +283,113 @@ def test_reconstruction_input_validation():
         bp.reconstruct_state(dup)
 
 
+def test_rank_deficient_setting_set_is_rejected():
+    # {H,V,D,A} x {H,V,D,A}: 16 distinct labels, but with no circular
+    # analyzer the projectors are real and span only 9 of the 16 dimensions,
+    # so the sign of Im(rho) is invisible: (|HH> + i|VV>)/sqrt(2) and its
+    # conjugate give identical counts.
+    st = bp.PolarizationState(np.array([1.0, 0.0, 0.0, 1.0j]))
+    settings = [(s, i) for s in "HVDA" for i in "HVDA"]
+    counts = bp.simulate_tomography_counts(
+        st, 1000.0, 10.0, poisson=False, settings=settings
+    )
+    with pytest.raises(ValidationError, match="span 9 of 16"):
+        bp.reconstruct_state(counts)
+
+
+def test_lowercase_labels_reconstruct_like_uppercase():
+    st = bp.state_from_efficiencies(0.5, 0.45, relative_phase_rad=0.4)
+    upper = bp.simulate_tomography_counts(st, 439.0, 10.0, seed=3)
+    lower = [
+        dict(
+            r,
+            setting_signal=r["setting_signal"].lower(),
+            setting_idler=r["setting_idler"].lower(),
+        )
+        for r in upper
+    ]
+    a = bp.reconstruct_state(upper)
+    b = bp.reconstruct_state(lower)
+    assert b.method == a.method
+    assert b.neg_log_likelihood == a.neg_log_likelihood
+    np.testing.assert_array_equal(b.rho.matrix, a.rho.matrix)
+
+
+def test_profiled_nll_gradient_matches_central_differences():
+    rng = spawn_rng(31)
+    st = bp.werner_state(0.9)
+    records = bp.simulate_tomography_counts(st, 439.0, 10.0, seed=4)
+    amat = np.array(
+        [bp.setting_projector(r["setting_signal"], r["setting_idler"]) for r in records]
+    ).conj().reshape(16, 16)
+    counts = np.array([r["coincidences"] for r in records])
+    freqs = counts / counts.sum()
+    weights = rng.uniform(0.5, 2.0, size=16)  # unequal integration times
+    h = 1e-6
+    for _ in range(5):
+        t = rng.normal(size=32)
+        _, grad = bp._profiled_nll(t, amat, freqs, weights)
+        fd = np.empty(32)
+        for j in range(32):
+            e = np.zeros(32)
+            e[j] = h
+            fd[j] = (
+                bp._profiled_nll(t + e, amat, freqs, weights)[0]
+                - bp._profiled_nll(t - e, amat, freqs, weights)[0]
+            ) / (2 * h)
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+
+def _kkt_residuals(result, records):
+    """||G rho||_F / N and lambda_min(G) / N at the returned state, with
+    G = (N/S) sum_k w_k P_k - sum_k (n_k/p_k) P_k over accidental-subtracted
+    counts n_k; the MLE has G rho = 0 and G >= 0."""
+    counts = np.clip(
+        [r["coincidences"] - r.get("accidentals", 0.0) for r in records], 0.0, None
+    )
+    times = np.array([r["integration_time_s"] for r in records])
+    weights = times / times[0]
+    proj = np.array(
+        [bp.setting_projector(r["setting_signal"], r["setting_idler"]) for r in records]
+    )
+    rho = result.rho.matrix
+    p = np.real(np.einsum("kij,ji->k", proj, rho))
+    total = counts.sum()
+    n_over_p = np.where(counts > 0, counts / np.maximum(p, 1e-300), 0.0)
+    coef = total * weights / (weights @ p) - n_over_p
+    g = np.einsum("k,kij->ij", coef, proj)
+    return np.linalg.norm(g @ rho) / total, np.linalg.eigvalsh(g)[0] / total
+
+
+@pytest.mark.parametrize("p", [1.0, 0.97, 0.9])
+def test_maximum_likelihood_state_meets_the_kkt_conditions(p):
+    st = bp.werner_state(p)
+    for seed in range(10):
+        records = bp.simulate_tomography_counts(
+            st, 439.0, 10.0, seed=seed, accidental_rate_hz=0.0 if p == 1.0 else 2.0
+        )
+        result = bp.reconstruct_state(records)
+        stationarity, lam_min = _kkt_residuals(result, records)
+        assert stationarity < 1e-6
+        assert lam_min > -1e-6
+        assert result.converged
+        assert result.neg_log_likelihood <= result.linear_inversion_nll
+
+
+def test_tomography_result_reports_the_mle_run():
+    bell = bp.bell_psi_plus()
+    noisy = bp.reconstruct_state(bp.simulate_tomography_counts(bell, 439.0, 10.0, seed=2))
+    assert noisy.method == "mle" and noisy.converged and noisy.iterations > 0
+    assert noisy.neg_log_likelihood < noisy.linear_inversion_nll
+    # exact counts: the linear inversion is already the MLE and is kept exactly
+    exact = bp.reconstruct_state(
+        bp.simulate_tomography_counts(bell, 439.0, 10.0, poisson=False)
+    )
+    assert exact.method == "linear_inversion"
+    assert exact.neg_log_likelihood == exact.linear_inversion_nll
+    assert bp.fidelity(exact.rho, bell) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_simulated_counts_reproducible():
     st = bp.bell_psi_plus()
     a = bp.simulate_tomography_counts(st, 439.0, 10.0, seed=5)

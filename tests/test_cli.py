@@ -93,6 +93,27 @@ def test_montecarlo_tables_share_their_eta_draws(tmp_path):
     assert mean_eta("montecarlo.csv") == mean_eta("montecarlo_entanglement.csv")
 
 
+def test_montecarlo_entanglement_follows_the_qpm_order(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "montecarlo": {
+            "qpm_order": 3,
+            "sigma_z_um": [0.0, 100.0],
+            "samples": 50,
+            "comparison": None,
+        },
+    }
+    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["montecarlo", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "montecarlo.csv").read_text().strip().splitlines()
+    ent = (tmp_path / "montecarlo_entanglement.csv").read_text().strip().splitlines()
+    header = ent[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in ent[1:]]
+    # the duty cycle balances orders 0 and 3, so the ideal grating is maximally entangled
+    assert float(rows[0]["mean_concurrence"]) == pytest.approx(1.0, abs=1e-12)
+    assert [r["mean_eta"] for r in rows] == [line.split(",")[1] for line in lines[1:]]
+
+
 def test_jspd_grating_process_requires_period(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -153,6 +174,9 @@ def test_tomography_roundtrip_through_counts_csv(tmp_path):
         first["metrics"]["fidelity_bell"], abs=1e-9
     )
     assert first["metrics"]["fidelity_bell"] > 0.95
+    assert first["method"] == "mle" and first["converged"] is True
+    assert first["iterations"] > 0
+    assert first["linear_inversion_nll"] > first["neg_log_likelihood"]
 
 
 def test_tomography_rejects_malformed_counts(tmp_path):
