@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
-from .poling import efficiency_ratio, efficiency_samples
+from .poling import _eta_grid, efficiency_ratio
 from .util import spawn_rng
 
 __all__ = [
@@ -554,29 +554,34 @@ def entanglement_vs_fabrication(
     monte_carlo_efficiency uses, so at the same seed, geometry and qpm order
     both report the same mean_eta for each sigma.
     """
+    etas = _eta_grid(
+        period_mm,
+        duty_cycle,
+        num_domains,
+        sigma_z_grid_um,
+        samples,
+        seed,
+        qpm_order=qpm_order,
+        reorder=reorder,
+    )
+    return _entanglement_rows(sigma_z_grid_um, etas, duty_cycle, qpm_order, relative_phase_rad)
+
+
+def _entanglement_rows(sigma_z_grid_um, etas, duty_cycle, qpm_order=1, relative_phase_rad=0.0):
+    """entanglement_vs_fabrication rows from the eta samples of each sigma."""
     r_bire = efficiency_ratio(duty_cycle, 0)
     r_grating = efficiency_ratio(duty_cycle, qpm_order)
     rows = []
-    for idx, sigma in enumerate(np.asarray(sigma_z_grid_um, dtype=float)):
-        eta = efficiency_samples(
-            period_mm,
-            duty_cycle,
-            num_domains,
-            float(sigma),
-            samples,
-            spawn_rng(seed, idx),
-            qpm_order=qpm_order,
-            reorder=reorder,
-        )
+    for sigma, eta in zip(np.asarray(sigma_z_grid_um, dtype=float), etas):
         conc, fid = _pair_state_metrics(r_bire, r_grating * eta, relative_phase_rad)
         rows.append(
             {
                 "sigma_z_um": float(sigma),
                 "mean_eta": float(eta.mean()),
                 "mean_concurrence": float(conc.mean()),
-                "std_concurrence": float(conc.std(ddof=1) if samples > 1 else 0.0),
+                "std_concurrence": float(conc.std(ddof=1) if eta.size > 1 else 0.0),
                 "mean_fidelity": float(fid.mean()),
-                "std_fidelity": float(fid.std(ddof=1) if samples > 1 else 0.0),
+                "std_fidelity": float(fid.std(ddof=1) if eta.size > 1 else 0.0),
             }
         )
     return rows

@@ -339,16 +339,11 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     sigmas = [float(s) for s in c["sigma_z_um"]]
     samples = int(c["samples"])
     reorder = str(c["reorder"])
-    primary = poling.monte_carlo_efficiency(
-        float(c["period_mm"]),
-        duty,
-        int(c["num_domains"]),
-        sigmas,
-        samples=samples,
-        seed=seed,
-        qpm_order=order,
-        reorder=reorder,
+    # one eta grid feeds both the efficiency and the entanglement table
+    etas = poling._eta_grid(
+        float(c["period_mm"]), duty, int(c["num_domains"]), sigmas, samples, seed, qpm_order=order, reorder=reorder
     )
+    primary = poling._efficiency_rows(sigmas, etas)
     artifacts = []
     comp_rows = None
     if c["comparison"] is not None:
@@ -372,16 +367,7 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         ]
     artifacts.append(_emit_table(outdir, "montecarlo", header, rows, fmt).name)
     if c["entanglement"]:
-        ent = biphoton.entanglement_vs_fabrication(
-            float(c["period_mm"]),
-            duty,
-            int(c["num_domains"]),
-            sigmas,
-            samples=samples,
-            seed=seed,
-            reorder=reorder,
-            qpm_order=order,
-        )
+        ent = biphoton._entanglement_rows(sigmas, etas, duty, order)
         artifacts.append(
             _emit_table(
                 outdir,

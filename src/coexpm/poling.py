@@ -23,6 +23,9 @@ at the operating point) and d(delta_k) an optional detuning from it.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +48,19 @@ __all__ = [
     "monte_carlo_efficiency",
 ]
 
-# Phasor-sum cells (samples x domains) evaluated per block in
-# efficiency_samples: bounds its complex temporaries to about 1 MB whatever
-# the sample count.
-_BLOCK_CELLS = 1 << 16
+# Cells (samples x domains) of the wall-error array processed per block by
+# the Monte Carlo kernels. A phasor-sum block holds a float phase array and
+# two complex arrays of this size, about 0.6 MB in all, and the truncation
+# scan and the ordering check hold a few arrays of this size, whatever the
+# sample count.
+_BLOCK_CELLS = 1 << 14
+
+
+def _check_sigma(sigma_z_um) -> float:
+    s = float(sigma_z_um)
+    if not (np.isfinite(s) and s >= 0.0):
+        raise ValidationError(f"sigma_z_um must be finite and >= 0, got {s}")
+    return s
 
 
 def _check_duty(duty_cycle: float) -> float:
@@ -140,8 +152,7 @@ class ErrorModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma_z_um < 0:
-            raise ValidationError("sigma_z_um must be >= 0")
+        _check_sigma(self.sigma_z_um)
         if self.reorder not in ("resample", "allow"):
             raise ValidationError("reorder must be 'resample' or 'allow'")
         if self.truncation_sigmas <= 0:
@@ -188,22 +199,66 @@ def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int)
     return z
 
 
-def _draw_errors(rng, shape, sigma, trunc):
-    """Truncated (+/- trunc sigma), then per-row mean-subtracted Gaussians."""
-    err = rng.normal(0.0, sigma, size=shape)
-    if sigma > 0:
-        bound = trunc * sigma
-        bad = np.abs(err) > bound
+def _draw_errors(rng, err, sigma, trunc):
+    """Fill err with Gaussians truncated to +/- trunc sigma, then subtract
+    each row's mean; returns err.
+
+    The draws are those of rng.normal(0, sigma, err.shape), which scales the
+    same standard-normal stream. Cells outside the bound are redrawn by
+    index. The indices ascend, so the draws come off the stream in the order
+    of a whole-array masked redraw, and no temporary as large as err is made.
+    """
+    rng.standard_normal(out=err)
+    err *= sigma
+    flat = err.reshape(-1)
+    bound = trunc * sigma
+    bad = np.concatenate(
+        [
+            np.flatnonzero(np.abs(flat[i : i + _BLOCK_CELLS]) > bound) + i
+            for i in range(0, flat.size, _BLOCK_CELLS)
+        ]
+    )
+    while bad.size:
+        flat[bad] = rng.normal(0.0, sigma, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > bound]
+    err -= err.mean(axis=-1, keepdims=True)
+    return err
+
+
+def _ordered(nominal, err) -> np.ndarray:
+    """Row mask: walls nominal + err strictly increasing and past the crystal
+    entrance, checked in row blocks."""
+    rows = max(1, _BLOCK_CELLS // nominal.size)
+    ok = np.empty(len(err), dtype=bool)
+    for i in range(0, len(err), rows):
+        z = nominal + err[i : i + rows]
+        ok[i : i + rows] = (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)
+    return ok
+
+
+def _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts):
+    """Fill the (samples, N) array err with wall errors at sigma > 0; returns err.
+
+    Under "resample" the rows whose walls cross are redrawn, all together,
+    until every row is ordered or max_attempts rounds have been drawn.
+    """
+    _draw_errors(rng, err, sigma, trunc)
+    if reorder == "resample":
+        bad = ~_ordered(nominal, err)
+        attempts = 1
         while np.any(bad):
-            err[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(err) > bound
-    return err - err.mean(axis=-1, keepdims=True)
-
-
-def _ordered(z_rows) -> np.ndarray:
-    """Row mask: boundaries strictly increasing and past the crystal entrance."""
-    rows = np.atleast_2d(z_rows)
-    return (rows[:, 0] > 0.0) & np.all(np.diff(rows, axis=-1) > 0.0, axis=-1)
+            if attempts >= max_attempts:
+                shortest = min(nominal[0], nominal[1] - nominal[0])
+                raise SolverError(
+                    f"{int(bad.sum())} of {len(err)} realizations still unordered after "
+                    f"{max_attempts} resampling rounds (sigma_z = {sigma} um vs shortest "
+                    f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
+                    "efficiency sum regardless"
+                )
+            err[bad] = _draw_errors(rng, np.empty((int(bad.sum()), nominal.size)), sigma, trunc)
+            bad[bad] = ~_ordered(nominal, err[bad])
+            attempts += 1
+    return err
 
 
 def realize_structure(
@@ -222,19 +277,9 @@ def realize_structure(
         if rng is None:
             rng = spawn_rng(error_model.seed) if error_model.seed is not None else np.random.default_rng()
         em = error_model
-        err = _draw_errors(rng, (n,), em.sigma_z_um, em.truncation_sigmas)
-        if em.reorder == "resample":
-            attempts = 1
-            while not _ordered(nominal + err)[0]:
-                if attempts >= em.max_attempts:
-                    raise SolverError(
-                        f"could not draw ordered boundaries after {em.max_attempts} attempts "
-                        f"(sigma_z = {em.sigma_z_um} um vs shortest domain "
-                        f"{min(d, 1 - d) * period_mm * 1e3:.3g} um); "
-                        "use reorder='allow' to evaluate the efficiency sum regardless"
-                    )
-                err = _draw_errors(rng, (n,), em.sigma_z_um, em.truncation_sigmas)
-                attempts += 1
+        err = _sample_errors(
+            rng, np.empty((1, n)), nominal, em.sigma_z_um, em.truncation_sigmas, em.reorder, em.max_attempts
+        )[0]
     return PolingStructure(period_mm, d, n, nominal, err)
 
 
@@ -250,6 +295,125 @@ def conversion_efficiency(
     )
     amp = np.exp(-1j * phi).sum() / structure.num_domains
     return float(np.abs(amp) ** 2)
+
+
+def _check_monte_carlo(
+    period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+):
+    """Validated Monte Carlo inputs: (nominal walls, operating mismatch, detuning)."""
+    period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    if reorder not in ("resample", "allow"):
+        raise ValidationError("reorder must be 'resample' or 'allow'")
+    if not truncation_sigmas > 0:
+        raise ValidationError("truncation_sigmas must be > 0")
+    detuning = float(detuning_rad_per_um)
+    if not np.isfinite(detuning):
+        raise ValidationError(f"detuning_rad_per_um must be finite, got {detuning}")
+    lam_um = period_mm * 1e3
+    dk = qpm_order * 2.0 * np.pi / lam_um
+    return nominal_boundaries_um(period_mm, d, n), dk, detuning
+
+
+def _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, trunc, max_attempts):
+    """eta of len(err) realizations at one validated sigma; err is the
+    (samples, N) array the wall errors are drawn into.
+
+    Runs only private code and numpy, so it may run on a worker thread. The
+    phasor sums are evaluated in row blocks; each row's sum is the same as
+    evaluating all rows at once.
+    """
+    samples = len(err)
+    if sigma == 0.0:
+        if detuning == 0.0:
+            return np.ones(samples)
+        err.fill(0.0)
+    else:
+        _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts)
+    detune = detuning * nominal
+    rows = max(1, _BLOCK_CELLS // nominal.size)
+    eta = np.empty(samples)
+    for i in range(0, samples, rows):
+        phi = dk * err[i : i + rows] + detune
+        eta[i : i + rows] = np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
+    return eta
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _grid_workers(points: int) -> int:
+    """Threads a grid of `points` sigma values runs on: the CPUs this process
+    may use, at most one per point."""
+    return max(1, min(_usable_cpus(), points))
+
+
+def _eta_grid(
+    period_mm,
+    duty_cycle,
+    num_domains,
+    sigma_z_grid_um,
+    samples,
+    seed,
+    qpm_order=1,
+    detuning_rad_per_um=0.0,
+    reorder="resample",
+    truncation_sigmas=3.0,
+    max_attempts=1000,
+) -> list[np.ndarray]:
+    """eta samples for each sigma of the grid, in grid order.
+
+    Grid position idx draws from spawn_rng(seed, idx) whichever thread
+    evaluates it, so the result does not depend on the number of workers.
+    Inputs are validated, and the streams and error arrays created, on the
+    calling thread. The sigma values then run on a thread pool (numpy
+    releases the GIL in its draws and array kernels), or inline with one CPU
+    or one sigma.
+
+    Each running task borrows one of the `workers` error arrays, which are
+    allocated here in one block. With glibc, arrays that worker threads
+    allocate themselves land in per-thread malloc arenas, where small
+    allocations that outlive a task fragment the space a freed array leaves;
+    over repeated calls peak RSS then grew in steps of one error array.
+    """
+    sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
+    nominal, dk, detuning = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+    )
+    rngs = [spawn_rng(seed, idx) for idx in range(len(sigmas))]
+    workers = _grid_workers(len(sigmas))
+    free = queue.SimpleQueue()
+    for err in np.empty((workers, samples, nominal.size)):
+        free.put(err)
+
+    def run(sigma, rng):
+        err = free.get()
+        try:
+            return _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, truncation_sigmas, max_attempts)
+        finally:
+            free.put(err)
+
+    if workers == 1:
+        return list(map(run, sigmas, rngs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, sigmas, rngs))
+
+
+def _efficiency_rows(sigma_z_grid_um, etas) -> list[dict]:
+    """monte_carlo_efficiency rows from the eta samples of each sigma."""
+    return [
+        {
+            "sigma_z_um": float(sigma),
+            "mean_eta": float(eta.mean()),
+            "std_eta": float(eta.std(ddof=1) if eta.size > 1 else 0.0),
+        }
+        for sigma, eta in zip(np.asarray(sigma_z_grid_um, dtype=float), etas)
+    ]
 
 
 def efficiency_samples(
@@ -270,44 +434,14 @@ def efficiency_samples(
     The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
     efficiency is then error-independent and identically 1 at zero detuning).
     The phasor sums are evaluated in blocks of rows, so the complex
-    temporaries stay bounded as samples x num_domains grows; each row's sum
-    is the same as evaluating all rows at once.
+    temporaries stay bounded as samples x num_domains grows.
     """
-    period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if sigma_z_um < 0:
-        raise ValidationError("sigma_z_um must be >= 0")
-    if reorder not in ("resample", "allow"):
-        raise ValidationError("reorder must be 'resample' or 'allow'")
-    lam_um = period_mm * 1e3
-    dk = qpm_order * 2.0 * np.pi / lam_um
-    nominal = nominal_boundaries_um(period_mm, d, n)
-    if sigma_z_um == 0.0:
-        err = np.zeros((samples, n))
-    else:
-        err = _draw_errors(rng, (samples, n), sigma_z_um, truncation_sigmas)
-        if reorder == "resample":
-            bad = ~_ordered(nominal + err)
-            attempts = 1
-            while np.any(bad):
-                if attempts >= max_attempts:
-                    raise SolverError(
-                        f"{int(bad.sum())} of {samples} realizations still unordered "
-                        f"after {max_attempts} resampling rounds at sigma_z = {sigma_z_um} um; "
-                        "use reorder='allow'"
-                    )
-                nbad = int(bad.sum())
-                err[bad] = _draw_errors(rng, (nbad, n), sigma_z_um, truncation_sigmas)
-                bad[bad] = ~_ordered(nominal + err[bad])
-                attempts += 1
-    detune = detuning_rad_per_um * nominal
-    rows = max(1, _BLOCK_CELLS // n)
-    eta = np.empty(samples)
-    for i in range(0, samples, rows):
-        phi = dk * err[i : i + rows] + detune
-        eta[i : i + rows] = np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
-    return eta
+    sigma = _check_sigma(sigma_z_um)
+    nominal, dk, detuning = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+    )
+    err = np.empty((samples, nominal.size))
+    return _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, truncation_sigmas, max_attempts)
 
 
 def monte_carlo_efficiency(
@@ -328,28 +462,19 @@ def monte_carlo_efficiency(
     Returns one row per sigma value: {"sigma_z_um", "mean_eta", "std_eta"}.
     Each grid position draws from its own derived random stream keyed by
     (seed, index), so a rerun with the same seed and grid reproduces every
-    row exactly.
+    row exactly, whether the sigma values run in parallel or not.
     """
-    rows = []
-    for idx, sigma in enumerate(np.asarray(sigma_z_grid_um, dtype=float)):
-        eta = efficiency_samples(
-            period_mm,
-            duty_cycle,
-            num_domains,
-            float(sigma),
-            samples,
-            spawn_rng(seed, idx),
-            qpm_order=qpm_order,
-            detuning_rad_per_um=detuning_rad_per_um,
-            reorder=reorder,
-            truncation_sigmas=truncation_sigmas,
-            max_attempts=max_attempts,
-        )
-        rows.append(
-            {
-                "sigma_z_um": float(sigma),
-                "mean_eta": float(eta.mean()),
-                "std_eta": float(eta.std(ddof=1) if samples > 1 else 0.0),
-            }
-        )
-    return rows
+    etas = _eta_grid(
+        period_mm,
+        duty_cycle,
+        num_domains,
+        sigma_z_grid_um,
+        samples,
+        seed,
+        qpm_order=qpm_order,
+        detuning_rad_per_um=detuning_rad_per_um,
+        reorder=reorder,
+        truncation_sigmas=truncation_sigmas,
+        max_attempts=max_attempts,
+    )
+    return _efficiency_rows(sigma_z_grid_um, etas)

@@ -114,6 +114,31 @@ def test_montecarlo_entanglement_follows_the_qpm_order(tmp_path):
     assert [r["mean_eta"] for r in rows] == [line.split(",")[1] for line in lines[1:]]
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_montecarlo_sigma_exits_2(tmp_path, capsys, bad):
+    # Python's json reads NaN and Infinity; the sampler must reject them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1, "montecarlo": {"sigma_z_um": [0.0, %s]}}' % bad)
+    assert cli.main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma_z_um" in err and "Traceback" not in err
+
+
+def test_montecarlo_tables_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    from coexpm import poling
+
+    cfg = {"schema_version": 1, "montecarlo": {"samples": 200}}
+    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+    trees = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(poling, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["montecarlo", "--config", cfg_path, "--out", str(out)]) == 0
+        trees.append(_tree_bytes(out))
+    assert {"montecarlo.csv", "montecarlo_entanglement.csv"} <= set(trees[0])
+    assert trees[0] == trees[1] == trees[2]
+
+
 def test_jspd_grating_process_requires_period(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -7,6 +7,9 @@ reconstructing the profile from partial sums.
 
 import cmath
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,7 +266,7 @@ def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
         detuning_rad_per_um=detuning,
         reorder="allow",
     )
-    err = poling._draw_errors(spawn_rng(5, 2), (samples, domains), sigma, 3.0)
+    err = _reference_draw_errors(spawn_rng(5, 2), (samples, domains), sigma, 3.0)
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
     phi = 2.0 * math.pi / (period_mm * 1e3) * err + detuning * nominal
     assert np.array_equal(eta, np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
@@ -272,7 +275,7 @@ def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
 def test_resample_policy_gives_up_on_hopeless_geometry():
     # 50 um errors on a 15 um period cannot keep walls ordered
     model = poling.ErrorModel(sigma_z_um=50.0, reorder="resample", max_attempts=5, seed=0)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="use reorder='allow'"):
         poling.realize_structure(0.015, 0.7, 32, model)
 
 
@@ -299,3 +302,219 @@ def test_validation():
         poling.realize_structure(2.0, 0.7, 7, poling.ErrorModel(sigma_z_um=0.0))
     with pytest.raises(ValidationError):
         poling.solve_balanced_duty_cycle(0)
+
+
+def _reference_draw_errors(rng, shape, sigma, trunc):
+    """The whole-array sampler the in-place one replaced: masked redraws of
+    every out-of-bound cell, then a mean-subtracted copy."""
+    err = rng.normal(0.0, sigma, size=shape)
+    if sigma > 0:
+        bound = trunc * sigma
+        bad = np.abs(err) > bound
+        while np.any(bad):
+            err[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
+            bad = np.abs(err) > bound
+    return err - err.mean(axis=-1, keepdims=True)
+
+
+def _reference_realization(period_mm, duty, domains, model):
+    """realize_structure's own resample loop before it shared the sampler."""
+    nominal = poling.nominal_boundaries_um(period_mm, duty, domains)
+    rng = spawn_rng(model.seed)
+    for _ in range(model.max_attempts):
+        err = _reference_draw_errors(rng, (domains,), model.sigma_z_um, model.truncation_sigmas)
+        z = nominal + err
+        if model.reorder == "allow" or (z[0] > 0.0 and np.all(np.diff(z) > 0.0)):
+            return err
+    raise AssertionError("reference gave up")
+
+
+@pytest.mark.parametrize("trunc", [3.0, 0.5, 0.1])
+@pytest.mark.parametrize("shape", [(1, 8), (7, 130), (300, 1066)])
+def test_in_place_draw_equals_the_whole_array_draw(shape, trunc):
+    # trunc 0.5 and 0.1 keep only 38% and 8% of each round's draws, so the
+    # redraw loop runs for tens of rounds
+    got_rng, want_rng = spawn_rng(3, *shape), spawn_rng(3, *shape)
+    got = poling._draw_errors(got_rng, np.empty(shape), 20.0, trunc)
+    want = _reference_draw_errors(want_rng, shape, 20.0, trunc)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, sigma, trunc",
+    [(2.0, 8, 30.0, 3.0), (2.0, 8, 400.0, 3.0), (0.015, 64, 1.5, 3.0), (0.015, 64, 1.5, 0.5)],
+)
+def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, sigma, trunc):
+    # sigma 400 um on 2 mm and 1.5 um on 15 um make walls cross, so these
+    # realizations are resampled
+    model = poling.ErrorModel(sigma_z_um=sigma, truncation_sigmas=trunc, seed=17)
+    got = poling.realize_structure(period_mm, 0.735, domains, model).boundary_error_um
+    assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, model))
+
+
+@pytest.fixture(params=[1, 3], ids=["inline", "pool"])
+def grid_cpus(request, monkeypatch):
+    """Runs the sigma grid inline (one CPU) or on a three-thread pool,
+    whatever the machine has."""
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("detuning", [0.0, 1e-4])
+@pytest.mark.parametrize(
+    "period_mm, domains, reorder, sigmas",
+    [
+        (2.0, 8, "allow", [0.0, 10.0, 50.0, 100.0, 400.0]),
+        (2.0, 8, "resample", [0.0, 10.0, 50.0, 100.0, 400.0]),
+        (0.015, 1066, "allow", [0.0, 1.0, 10.0, 100.0]),
+        (0.015, 1066, "resample", [0.0, 0.3, 0.6, 0.9]),
+    ],
+)
+def test_grid_equals_serial_efficiency_samples(grid_cpus, period_mm, domains, reorder, sigmas, detuning):
+    samples = 300 if domains > 8 else 2000
+    kwargs = dict(detuning_rad_per_um=detuning, reorder=reorder)
+    grid = poling._eta_grid(period_mm, 0.735, domains, sigmas, samples, 9, **kwargs)
+    assert len(grid) == len(sigmas)
+    for idx, sigma in enumerate(sigmas):
+        want = poling.efficiency_samples(period_mm, 0.735, domains, sigma, samples, spawn_rng(9, idx), **kwargs)
+        assert np.array_equal(grid[idx], want), sigma
+
+
+@pytest.mark.parametrize("cpus, sigmas", [(1, [5.0, 10.0, 20.0]), (4, [10.0])])
+def test_grid_runs_inline_with_one_cpu_or_one_sigma(monkeypatch, cpus, sigmas):
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: cpus)
+    threads = []
+    sigma_eta = poling._sigma_eta
+    monkeypatch.setattr(
+        poling, "_sigma_eta", lambda *a: threads.append(threading.current_thread()) or sigma_eta(*a)
+    )
+    poling.monte_carlo_efficiency(2.0, 0.735, 8, sigmas, samples=20)
+    assert threads == [threading.current_thread()] * len(sigmas)
+
+
+def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
+    # eight workers on fewer cores and a 1 us switch interval: two tasks
+    # writing one borrowed error array would change some sigma's eta
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: 8)
+    sigmas = [float(s) for s in range(1, 33)]
+    result = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: result.append(poling._eta_grid(0.1, 0.735, 130, sigmas, 40, 4, reorder="allow"))
+        )
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive() and len(result) == 1
+    for idx, sigma in enumerate(sigmas):
+        want = poling.efficiency_samples(0.1, 0.735, 130, sigma, 40, spawn_rng(4, idx), reorder="allow")
+        assert np.array_equal(result[0][idx], want), sigma
+
+
+def test_zero_sigma_at_zero_detuning_is_exactly_one():
+    eta = poling.efficiency_samples(0.015, 0.735, 1066, 0.0, 50, spawn_rng(0))
+    assert eta.tobytes() == np.ones(50).tobytes()
+    detuned = poling.efficiency_samples(0.015, 0.735, 1066, 0.0, 50, spawn_rng(0), detuning_rad_per_um=1e-3)
+    assert np.all(detuned < 1.0)
+
+
+def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
+    raised_on = []
+    sample_errors = poling._sample_errors
+
+    def recording(*args, **kwargs):
+        try:
+            return sample_errors(*args, **kwargs)
+        except SolverError:
+            raised_on.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(poling, "_sample_errors", recording)
+    # 50 um errors on a 15 um period: every realization crosses its walls
+    with pytest.raises(SolverError, match=r"still unordered after 3 resampling rounds .*use reorder='allow'"):
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [0.5, 50.0], samples=20, max_attempts=3)
+    assert raised_on and threading.main_thread() not in raised_on
+
+
+def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
+    """The benchmark's span tracer keeps one span stack, so a public poling or
+    biphoton function that ran on a worker thread would close its spans out
+    of order. Every callable of both modules' __all__ is wrapped wherever it
+    is bound, as the tracer does."""
+    from coexpm import biphoton
+
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
+    names = {}
+    for mod in (poling, biphoton):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj):
+                names[id(obj)] = f"{mod.__name__}.{name}"
+    calls = []
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (poling, biphoton):
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in names:
+                monkeypatch.setattr(mod, attr, recorder(names[id(obj)], obj))
+    workers = []
+    sigma_eta = poling._sigma_eta
+    monkeypatch.setattr(
+        poling, "_sigma_eta", lambda *a: workers.append(threading.current_thread()) or sigma_eta(*a)
+    )
+
+    poling.monte_carlo_efficiency(0.015, 0.735, 130, [0.0, 1.0, 2.0], samples=50, reorder="allow")
+    biphoton.entanglement_vs_fabrication(2.0, 0.735, 8, [0.0, 10.0, 20.0], samples=50)
+
+    caller = threading.current_thread()
+    assert {"coexpm.poling.monte_carlo_efficiency", "coexpm.biphoton.entanglement_vs_fabrication"} <= {
+        name for name, _ in calls
+    }
+    assert [name for name, thread in calls if thread is not caller] == []
+    assert any(thread is not caller for thread in workers)  # the pool did run
+
+
+@pytest.mark.parametrize("reorder, sigmas", [("allow", [10.0, 50.0, 100.0]), ("resample", [0.2, 0.4, 0.6])])
+def test_grid_memory_is_one_error_array_per_worker(reorder, sigmas):
+    samples, domains = 2000, 1066
+    workers = poling._grid_workers(len(sigmas))
+    slack = 4 * 2**20  # phasor blocks, index arrays and results, per worker
+    tracemalloc.start()
+    try:
+        poling.monte_carlo_efficiency(0.015, 0.735, domains, sigmas, samples=samples, reorder=reorder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * (samples * domains * 8 + slack)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_and_detuning_are_rejected(bad):
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.efficiency_samples(2.0, 0.735, 8, bad, 10, spawn_rng(0))
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, bad], samples=10)
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.ErrorModel(sigma_z_um=bad)
+    with pytest.raises(ValidationError, match="detuning"):
+        poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), detuning_rad_per_um=bad)
+    with pytest.raises(ValidationError, match="detuning"):
+        poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=bad)
+
+
+def test_non_positive_truncation_is_rejected():
+    # a zero bound would redraw every cell forever
+    for trunc in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="truncation_sigmas"):
+            poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), truncation_sigmas=trunc)
