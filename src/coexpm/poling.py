@@ -155,7 +155,7 @@ class ErrorModel:
         _check_sigma(self.sigma_z_um)
         if self.reorder not in ("resample", "allow"):
             raise ValidationError("reorder must be 'resample' or 'allow'")
-        if self.truncation_sigmas <= 0:
+        if not self.truncation_sigmas > 0:
             raise ValidationError("truncation_sigmas must be > 0")
 
 
@@ -199,30 +199,34 @@ def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int)
     return z
 
 
-def _draw_errors(rng, err, sigma, trunc):
-    """Fill err with Gaussians truncated to +/- trunc sigma, then subtract
-    each row's mean; returns err.
+def _draw_errors(rng, err, runs, sigma, trunc):
+    """Fill the row runs [a, b) of err, in order, with Gaussians truncated to
+    +/- trunc sigma, then subtract each filled row's mean.
 
-    The draws are those of rng.normal(0, sigma, err.shape), which scales the
-    same standard-normal stream. Cells outside the bound are redrawn by
-    index. The indices ascend, so the draws come off the stream in the order
-    of a whole-array masked redraw, and no temporary as large as err is made.
+    The draws are those of rng.normal(0, sigma, (rows, N)) on the rows of the
+    runs stacked into one array, followed by masked redraws of its
+    out-of-bound cells: the same standard-normal stream is scaled, and the
+    cells are redrawn by ascending index. No temporary as large as err is
+    made.
     """
-    rng.standard_normal(out=err)
-    err *= sigma
+    n = err.shape[1]
     flat = err.reshape(-1)
+    for a, b in runs:
+        rng.standard_normal(out=err[a:b])
+        err[a:b] *= sigma
     bound = trunc * sigma
     bad = np.concatenate(
         [
-            np.flatnonzero(np.abs(flat[i : i + _BLOCK_CELLS]) > bound) + i
-            for i in range(0, flat.size, _BLOCK_CELLS)
+            np.flatnonzero(np.abs(flat[i : min(i + _BLOCK_CELLS, b * n)]) > bound) + i
+            for a, b in runs
+            for i in range(a * n, b * n, _BLOCK_CELLS)
         ]
     )
     while bad.size:
         flat[bad] = rng.normal(0.0, sigma, size=bad.size)
         bad = bad[np.abs(flat[bad]) > bound]
-    err -= err.mean(axis=-1, keepdims=True)
-    return err
+    for a, b in runs:
+        err[a:b] -= err[a:b].mean(axis=-1, keepdims=True)
 
 
 def _ordered(nominal, err) -> np.ndarray:
@@ -236,13 +240,20 @@ def _ordered(nominal, err) -> np.ndarray:
     return ok
 
 
+def _row_runs(mask) -> list[tuple[int, int]]:
+    """(start, stop) of each run of True in a boolean row mask."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[0::2], edges[1::2]))
+
+
 def _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts):
     """Fill the (samples, N) array err with wall errors at sigma > 0; returns err.
 
-    Under "resample" the rows whose walls cross are redrawn, all together,
-    until every row is ordered or max_attempts rounds have been drawn.
+    Under "resample" the rows whose walls cross are redrawn in place, all
+    together, until every row is ordered or max_attempts rounds have been
+    drawn.
     """
-    _draw_errors(rng, err, sigma, trunc)
+    _draw_errors(rng, err, [(0, len(err))], sigma, trunc)
     if reorder == "resample":
         bad = ~_ordered(nominal, err)
         attempts = 1
@@ -255,8 +266,10 @@ def _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts):
                     f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
                     "efficiency sum regardless"
                 )
-            err[bad] = _draw_errors(rng, np.empty((int(bad.sum()), nominal.size)), sigma, trunc)
-            bad[bad] = ~_ordered(nominal, err[bad])
+            runs = _row_runs(bad)
+            _draw_errors(rng, err, runs, sigma, trunc)
+            for a, b in runs:
+                bad[a:b] = ~_ordered(nominal, err[a:b])
             attempts += 1
     return err
 
@@ -371,15 +384,15 @@ def _eta_grid(
     Grid position idx draws from spawn_rng(seed, idx) whichever thread
     evaluates it, so the result does not depend on the number of workers.
     Inputs are validated, and the streams and error arrays created, on the
-    calling thread. The sigma values then run on a thread pool (numpy
-    releases the GIL in its draws and array kernels), or inline with one CPU
-    or one sigma.
+    calling thread. The sigma values then run on a pool of `workers` threads
+    (numpy releases the GIL in its draws and array kernels).
 
     Each running task borrows one of the `workers` error arrays, which are
-    allocated here in one block. With glibc, arrays that worker threads
-    allocate themselves land in per-thread malloc arenas, where small
-    allocations that outlive a task fragment the space a freed array leaves;
-    over repeated calls peak RSS then grew in steps of one error array.
+    allocated here in one block, so peak memory grows with the number of
+    usable CPUs. With glibc, arrays that worker threads allocate themselves
+    land in per-thread malloc arenas, where small allocations that outlive a
+    task fragment the space a freed array leaves; over repeated calls peak
+    RSS then grew in steps of one error array.
     """
     sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
     nominal, dk, detuning = _check_monte_carlo(
@@ -398,8 +411,8 @@ def _eta_grid(
         finally:
             free.put(err)
 
-    if workers == 1:
-        return list(map(run, sigmas, rngs))
+    # when a sigma raises, or the wait is interrupted, map's iterator cancels
+    # the sigma values not yet started before the pool joins its threads
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, sigmas, rngs))
 

@@ -9,6 +9,7 @@ import cmath
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -329,14 +330,51 @@ def _reference_realization(period_mm, duty, domains, model):
     raise AssertionError("reference gave up")
 
 
+@pytest.mark.parametrize("redrawn", [1.0, 0.6], ids=["all-rows", "row-runs"])
 @pytest.mark.parametrize("trunc", [3.0, 0.5, 0.1])
 @pytest.mark.parametrize("shape", [(1, 8), (7, 130), (300, 1066)])
-def test_in_place_draw_equals_the_whole_array_draw(shape, trunc):
+def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
     # trunc 0.5 and 0.1 keep only 38% and 8% of each round's draws, so the
-    # redraw loop runs for tens of rounds
+    # redraw loop runs for tens of rounds. A partial row mask is what the
+    # resample loop redraws in place, where the old loop drew those rows as
+    # one stacked array.
+    rows, domains = shape
+    mask = spawn_rng(8, rows).random(rows) < redrawn
+    mask[0] = True
+    before = spawn_rng(9).normal(size=shape)
+    got = before.copy()
     got_rng, want_rng = spawn_rng(3, *shape), spawn_rng(3, *shape)
-    got = poling._draw_errors(got_rng, np.empty(shape), 20.0, trunc)
-    want = _reference_draw_errors(want_rng, shape, 20.0, trunc)
+    poling._draw_errors(got_rng, got, poling._row_runs(mask), 20.0, trunc)
+    want = _reference_draw_errors(want_rng, (int(mask.sum()), domains), 20.0, trunc)
+    assert np.array_equal(got[mask], want)
+    assert np.array_equal(got[~mask], before[~mask])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _reference_resampled_errors(rng, samples, nominal, sigma, trunc, max_attempts=1000):
+    """efficiency_samples' resample loop before it redrew rows in place."""
+    err = _reference_draw_errors(rng, (samples, nominal.size), sigma, trunc)
+    ordered = lambda z: (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)  # noqa: E731
+    bad = ~ordered(nominal + err)
+    for _ in range(max_attempts - 1):
+        if not np.any(bad):
+            return err
+        err[bad] = _reference_draw_errors(rng, (int(bad.sum()), nominal.size), sigma, trunc)
+        bad[bad] = ~ordered(nominal + err[bad])
+    raise AssertionError("reference gave up")
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, samples, sigma, trunc",
+    [(2.0, 8, 2000, 400.0, 3.0), (0.015, 1066, 300, 0.9, 3.0), (0.015, 130, 500, 1.5, 0.5)],
+)
+def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samples, sigma, trunc):
+    nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
+    got_rng, want_rng = spawn_rng(6), spawn_rng(6)
+    got = poling._sample_errors(
+        got_rng, np.empty((samples, domains)), nominal, sigma, trunc, "resample", 1000
+    )
+    want = _reference_resampled_errors(want_rng, samples, nominal, sigma, trunc)
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -353,10 +391,10 @@ def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, 
     assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, model))
 
 
-@pytest.fixture(params=[1, 3], ids=["inline", "pool"])
+@pytest.fixture(params=[1, 3], ids=["one-thread", "three-thread"])
 def grid_cpus(request, monkeypatch):
-    """Runs the sigma grid inline (one CPU) or on a three-thread pool,
-    whatever the machine has."""
+    """Runs the sigma grid on a one- or a three-thread pool, whatever the
+    machine has."""
     monkeypatch.setattr(poling, "_usable_cpus", lambda: request.param)
     return request.param
 
@@ -379,18 +417,6 @@ def test_grid_equals_serial_efficiency_samples(grid_cpus, period_mm, domains, re
     for idx, sigma in enumerate(sigmas):
         want = poling.efficiency_samples(period_mm, 0.735, domains, sigma, samples, spawn_rng(9, idx), **kwargs)
         assert np.array_equal(grid[idx], want), sigma
-
-
-@pytest.mark.parametrize("cpus, sigmas", [(1, [5.0, 10.0, 20.0]), (4, [10.0])])
-def test_grid_runs_inline_with_one_cpu_or_one_sigma(monkeypatch, cpus, sigmas):
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: cpus)
-    threads = []
-    sigma_eta = poling._sigma_eta
-    monkeypatch.setattr(
-        poling, "_sigma_eta", lambda *a: threads.append(threading.current_thread()) or sigma_eta(*a)
-    )
-    poling.monte_carlo_efficiency(2.0, 0.735, 8, sigmas, samples=20)
-    assert threads == [threading.current_thread()] * len(sigmas)
 
 
 def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
@@ -441,6 +467,26 @@ def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert raised_on and threading.main_thread() not in raised_on
 
 
+def test_a_failing_sigma_cancels_the_sigma_values_not_yet_started(monkeypatch):
+    # the first sigma fails at once while the next two take a while, so the
+    # last one is still queued when the error reaches the caller
+    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
+    started = []
+    sigma_eta = poling._sigma_eta
+
+    def slow_after_the_first(sigma, *args):
+        started.append(sigma)
+        if sigma != 50.0:
+            time.sleep(0.5)
+        return sigma_eta(sigma, *args)
+
+    monkeypatch.setattr(poling, "_sigma_eta", slow_after_the_first)
+    # 50 um errors on a 15 um period: every realization crosses its walls
+    with pytest.raises(SolverError, match=r"sigma_z = 50\.0 um"):
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0, 51.0, 52.0, 53.0], samples=20, max_attempts=3)
+    assert sorted(started) == [50.0, 51.0, 52.0]
+
+
 def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
     """The benchmark's span tracer keeps one span stack, so a public poling or
     biphoton function that ran on a worker thread would close its spans out
@@ -485,8 +531,10 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
     assert any(thread is not caller for thread in workers)  # the pool did run
 
 
-@pytest.mark.parametrize("reorder, sigmas", [("allow", [10.0, 50.0, 100.0]), ("resample", [0.2, 0.4, 0.6])])
+@pytest.mark.parametrize("reorder, sigmas", [("allow", [10.0, 50.0, 100.0]), ("resample", [0.5, 0.8, 1.0])])
 def test_grid_memory_is_one_error_array_per_worker(reorder, sigmas):
+    # at 1 um about 60% of the rows cross on the first draw and are redrawn,
+    # over some 17 rounds
     samples, domains = 2000, 1066
     workers = poling._grid_workers(len(sigmas))
     slack = 4 * 2**20  # phasor blocks, index arrays and results, per worker
@@ -518,3 +566,5 @@ def test_non_positive_truncation_is_rejected():
     for trunc in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="truncation_sigmas"):
             poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), truncation_sigmas=trunc)
+        with pytest.raises(ValidationError, match="truncation_sigmas"):
+            poling.ErrorModel(sigma_z_um=10.0, truncation_sigmas=trunc)
