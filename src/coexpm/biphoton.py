@@ -194,7 +194,6 @@ def concurrence(state) -> float:
 
 def fidelity(state, target) -> float:
     """Overlap <psi_t| rho |psi_t> with a pure target state."""
-    rho = as_density_matrix(state).matrix
     if isinstance(target, DensityMatrix4):
         evals, evecs = np.linalg.eigh(target.matrix)
         if evals.max() < 1.0 - 1e-9:
@@ -206,7 +205,7 @@ def fidelity(state, target) -> float:
             if isinstance(target, PolarizationState)
             else PolarizationState(np.asarray(target)).amplitudes
         )
-    return float(np.real(psi.conj() @ rho @ psi))
+    return float(_probabilities(state, [psi])[0])
 
 
 def purity(state) -> float:
@@ -241,11 +240,41 @@ class AnalyzerSetting:
         return np.kron(ks, ki)
 
 
+def _probabilities(state, kets) -> np.ndarray:
+    """<k|rho|k>, the probability of passing analyzers with two-photon ket k, for each k."""
+    rho = as_density_matrix(state).matrix
+    return np.array([np.real(k.conj() @ rho @ k) for k in kets])
+
+
 def coincidence_probability(state, setting: AnalyzerSetting) -> float:
     """Probability that both photons pass their linear analyzers."""
-    rho = as_density_matrix(state).matrix
-    k = setting.ket()
-    return float(np.real(k.conj() @ rho @ k))
+    return float(_probabilities(state, [setting.ket()])[0])
+
+
+def _correlation_settings(pairs) -> list[AnalyzerSetting]:
+    """Analyzers (t_s, t_i), (t_s+90, t_i+90), (t_s+90, t_i), (t_s, t_i+90) of each pair."""
+    offsets = ((0.0, 0.0), (90.0, 90.0), (90.0, 0.0), (0.0, 90.0))
+    return [AnalyzerSetting(ts + ds, ti + di) for ts, ti in pairs for ds, di in offsets]
+
+
+def _correlations(outcomes) -> list[float]:
+    """E = (n0 + n1 - n2 - n3) / (n0 + n1 + n2 + n3) per 4 outcomes of _correlation_settings."""
+    n = np.asarray(outcomes, dtype=float).reshape(-1, 4).T
+    total = n[0] + n[1] + n[2] + n[3]
+    if np.any(total <= 0):
+        raise FitError("no coincidences in a correlation's four outcomes; raise pair rate or time")
+    return ((n[0] + n[1] - n[2] - n[3]) / total).tolist()
+
+
+def _chsh_pairs(angles_deg) -> list[tuple[float, float]]:
+    a, ap, b, bp = angles_deg
+    return [(a, b), (a, bp), (ap, b), (ap, bp)]
+
+
+def _chsh_values(e) -> tuple[float, float]:
+    """Three-term and four-term S from E(a,b), E(a,b'), E(a',b), E(a',b')."""
+    e_ab, e_abp, e_apb, e_apbp = e
+    return abs(e_ab - e_abp) + abs(e_apb) + abs(e_apbp), sum(abs(v) for v in e)
 
 
 def correlation(state, theta_signal_deg: float, theta_idler_deg: float) -> float:
@@ -254,15 +283,8 @@ def correlation(state, theta_signal_deg: float, theta_idler_deg: float) -> float
     E = [P(t_s, t_i) + P(t_s+90, t_i+90) - P(t_s+90, t_i) - P(t_s, t_i+90)]
     normalized by the four-outcome sum (unity for a normalized state).
     """
-    rho = as_density_matrix(state)
-    p = [
-        coincidence_probability(rho, AnalyzerSetting(theta_signal_deg + ds, theta_idler_deg + di))
-        for ds, di in ((0, 0), (90, 90), (90, 0), (0, 90))
-    ]
-    total = sum(p)
-    if total <= 0:
-        raise ValidationError("correlation undefined: zero total coincidence probability")
-    return (p[0] + p[1] - p[2] - p[3]) / total
+    settings = _correlation_settings([(theta_signal_deg, theta_idler_deg)])
+    return _correlations(_probabilities(state, [s.ket() for s in settings]))[0]
 
 
 def chsh_s(state, angles_deg=CANONICAL_CHSH_ANGLES) -> float:
@@ -277,23 +299,37 @@ def chsh_s(state, angles_deg=CANONICAL_CHSH_ANGLES) -> float:
     exceed 2), so angle choices other than the canonical set should be
     interpreted with care; see chsh_s_symmetric for the four-term variant.
     """
-    a, ap, b, bp = angles_deg
-    e_ab = correlation(state, a, b)
-    e_abp = correlation(state, a, bp)
-    e_apb = correlation(state, ap, b)
-    e_apbp = correlation(state, ap, bp)
-    return abs(e_ab - e_abp) + abs(e_apb) + abs(e_apbp)
+    return _chsh_values([correlation(state, *pair) for pair in _chsh_pairs(angles_deg)])[0]
 
 
 def chsh_s_symmetric(state, angles_deg=CANONICAL_CHSH_ANGLES) -> float:
     """Four-term Bell parameter |E(a,b)| + |E(a,b')| + |E(a',b)| + |E(a',b')|."""
-    a, ap, b, bp = angles_deg
-    return (
-        abs(correlation(state, a, b))
-        + abs(correlation(state, a, bp))
-        + abs(correlation(state, ap, b))
-        + abs(correlation(state, ap, bp))
-    )
+    return _chsh_values([correlation(state, *pair) for pair in _chsh_pairs(angles_deg)])[1]
+
+
+def _analyzer_counts(
+    state, kets, pair_hz, t, seed, poisson, accidental_hz=0.0, singles_hz=(0.0, 0.0), tau_c_s=1e-9
+) -> list[tuple[float, float, float]]:
+    """(signal singles, idler singles, coincidences) behind the analyzers of
+    each two-photon ket k over t seconds: the means (R_s t, R_i t,
+    t (pair_hz <k|rho|k> + R_acc)) with (R_s, R_i) = singles_hz and
+    R_acc = accidental_hz + R_s R_i tau_c, or with poisson=True a draw from
+    the stream spawn_rng(seed, k), singles with a positive mean first."""
+    rate_s, rate_i = singles_hz
+    if not all(0.0 <= r < np.inf for r in (pair_hz, accidental_hz, rate_s, rate_i)):
+        raise ValidationError("pair, accidental and singles rates must be finite and >= 0")
+    if not (0.0 < t < np.inf and 0.0 < tau_c_s < np.inf):
+        raise ValidationError("integration time and coincidence window must be finite and > 0")
+    acc = accidental_hz + rate_s * rate_i * tau_c_s
+    probs = _probabilities(state, kets).tolist()
+    means = [(rate_s * t, rate_i * t, pair_hz * p * t + acc * t) for p in probs]
+    if not poisson:
+        return means
+    counts = []
+    for k, mean in enumerate(means):
+        rng = spawn_rng(seed, k)
+        counts.append(tuple(float(rng.poisson(m)) if m > 0 else 0.0 for m in mean))
+    return counts
 
 
 # --- tomography ---------------------------------------------------------------
@@ -306,22 +342,24 @@ def tomography_settings() -> list[tuple[str, str]]:
     return [(s, i) for s in _TOMO_LABELS for i in _TOMO_LABELS]
 
 
-def setting_projector(label_signal: str, label_idler: str) -> np.ndarray:
-    """Rank-1 projector |l_s l_i><l_s l_i| for labeled analyzer settings."""
+def _label_ket(label_signal: str, label_idler: str) -> np.ndarray:
+    """Two-photon ket |l_s l_i> of labeled analyzer settings (any case)."""
     try:
-        ks = SINGLE_KETS[label_signal.upper()]
-        ki = SINGLE_KETS[label_idler.upper()]
+        return np.kron(SINGLE_KETS[label_signal.upper()], SINGLE_KETS[label_idler.upper()])
     except KeyError as exc:
         raise ValidationError(f"unknown analyzer label {exc.args[0]!r}; use H/V/D/A/R/L") from None
-    k = np.kron(ks, ki)
+
+
+def setting_projector(label_signal: str, label_idler: str) -> np.ndarray:
+    """Rank-1 projector |l_s l_i><l_s l_i| for labeled analyzer settings."""
+    k = _label_ket(label_signal, label_idler)
     return np.outer(k, k.conj())
 
 
 def expected_tomography_rates(state, settings=None) -> np.ndarray:
     """Coincidence probabilities p_k = Tr(rho P_k) for each setting."""
-    rho = as_density_matrix(state).matrix
     settings = tomography_settings() if settings is None else list(settings)
-    return np.array([np.real(np.trace(setting_projector(*s) @ rho)) for s in settings])
+    return _probabilities(state, [_label_ket(*s) for s in settings])
 
 
 def simulate_tomography_counts(
@@ -337,26 +375,22 @@ def simulate_tomography_counts(
 
     With poisson=False returns the exact expected (generally non-integer)
     counts. Accidentals add a flat accidental_rate_hz to every setting.
+    Setting k draws from the stream spawn_rng(seed, k); seed None means 0.
     """
-    if pair_rate_hz < 0 or integration_time_s <= 0 or accidental_rate_hz < 0:
-        raise ValidationError("rates must be >= 0 and integration time > 0")
     settings = tomography_settings() if settings is None else list(settings)
-    probs = expected_tomography_rates(state, settings)
-    mean = pair_rate_hz * integration_time_s * probs + accidental_rate_hz * integration_time_s
-    if poisson:
-        rng = spawn_rng(0 if seed is None else seed)
-        counts = rng.poisson(mean).astype(float)
-    else:
-        counts = mean
+    kets = [_label_ket(*s) for s in settings]
+    counts = _analyzer_counts(
+        state, kets, pair_rate_hz, integration_time_s, seed or 0, poisson, accidental_rate_hz
+    )
     return [
         {
             "setting_signal": s,
             "setting_idler": i,
-            "coincidences": float(c),
+            "coincidences": c,
             "integration_time_s": float(integration_time_s),
             "accidentals": float(accidental_rate_hz * integration_time_s),
         }
-        for (s, i), c in zip(settings, counts)
+        for (s, i), (_, _, c) in zip(settings, counts)
     ]
 
 

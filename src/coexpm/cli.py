@@ -254,14 +254,18 @@ def _write_meta(outdir: Path, command: str, config: dict, seed: int | None, arti
 # --- subcommands ----------------------------------------------------------------
 
 
+def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np.ndarray:
+    """Grid from c[start_key] by c[step_key] up to c[stop_key], within half a step."""
+    start, stop, step = (float(c[k]) for k in (start_key, stop_key, step_key))
+    if not (np.isfinite(start) and np.isfinite(stop) and 0.0 < step < np.inf):
+        raise ConfigError(f"{start_key}, {stop_key} and {step_key} must be finite, {step_key} > 0")
+    return np.arange(start, stop + 0.5 * step, step)
+
+
 def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["design"]
     t = float(c["temperature_c"])
-    pumps = np.arange(
-        float(c["pump_min_nm"]),
-        float(c["pump_max_nm"]) + 0.5 * float(c["pump_step_nm"]),
-        float(c["pump_step_nm"]),
-    )
+    pumps = _inclusive_grid(c, "pump_min_nm", "pump_max_nm", "pump_step_nm")
     sweep = phasematch.period_sweep(pumps, t)
     rows = [
         (pump, period, pt.signal_nm, pt.idler_nm, pt.splitting_nm)
@@ -485,10 +489,8 @@ def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["fringes"]
     state = _build_state(c["state"])
-    thetas = np.arange(
-        float(c["theta_idler_start_deg"]),
-        float(c["theta_idler_stop_deg"]) + 0.5 * float(c["theta_idler_step_deg"]),
-        float(c["theta_idler_step_deg"]),
+    thetas = _inclusive_grid(
+        c, "theta_idler_start_deg", "theta_idler_stop_deg", "theta_idler_step_deg"
     )
     settings = [
         biphoton.AnalyzerSetting(float(c["theta_signal_deg"]), float(ti)) for ti in thetas
@@ -549,34 +551,22 @@ def _cmd_chsh(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     angles = [float(a) for a in c["angles_deg"]]
     if len(angles) != 4:
         raise ConfigError("chsh.angles_deg must have exactly 4 entries (a, a', b, b')")
-    a, ap, b, bp = angles
-    pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
+    pairs = biphoton._chsh_pairs(angles)
     if c["mode"] == "expectation":
-        e_values = {f"E({ts:g},{ti:g})": biphoton.correlation(state, ts, ti) for ts, ti in pairs}
+        e = [biphoton.correlation(state, ts, ti) for ts, ti in pairs]
     elif c["mode"] == "sampled":
-        e_values = {}
-        rate = float(c["pair_rate_hz"])
-        t_int = float(c["integration_time_s"])
-        for idx, (ts, ti) in enumerate(pairs):
-            counts = []
-            for jdx, (ds, di) in enumerate(((0, 0), (90, 90), (90, 0), (0, 90))):
-                rec = countstats.simulate_counts(
-                    state,
-                    [biphoton.AnalyzerSetting(ts + ds, ti + di)],
-                    rate,
-                    t_int,
-                    seed=seed + 17 * idx + jdx,
-                )[0]
-                counts.append(rec.coincidences)
-            total = sum(counts)
-            if total == 0:
-                raise FitError("no coincidences in a sampled correlation; increase rate or time")
-            e_values[f"E({ts:g},{ti:g})"] = (counts[0] + counts[1] - counts[2] - counts[3]) / total
+        records = countstats.simulate_counts(
+            state,
+            biphoton._correlation_settings(pairs),
+            float(c["pair_rate_hz"]),
+            float(c["integration_time_s"]),
+            seed=seed,
+        )
+        e = biphoton._correlations([r.coincidences for r in records])
     else:
         raise ConfigError("chsh.mode must be 'expectation' or 'sampled'")
-    ev = list(e_values.values())
-    s_three_term = abs(ev[0] - ev[1]) + abs(ev[2]) + abs(ev[3])
-    s_sym = sum(abs(v) for v in ev)
+    e_values = {f"E({ts:g},{ti:g})": v for (ts, ti), v in zip(pairs, e)}
+    s_three_term, s_sym = biphoton._chsh_values(e)
     payload = {
         "angles_deg": angles,
         "mode": c["mode"],

@@ -29,7 +29,7 @@ from math import exp, factorial
 
 import numpy as np
 
-from .biphoton import AnalyzerSetting, as_density_matrix, coincidence_probability
+from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
 from .util import spawn_rng
 
@@ -227,30 +227,16 @@ def simulate_counts(
     """Coincidence counts behind polarization analyzers for each setting.
 
     Mean coincidences are pair_rate * P(setting) * T plus the accidental
-    contribution R_s R_i tau_c T when singles rates are supplied. Each setting
-    draws from an independent derived random stream keyed by its index, so
+    contribution R_s R_i tau_c T of the singles rates. Setting k draws from
+    the stream spawn_rng(seed, k), its singles before its coincidences, so
     results do not depend on evaluation order.
     """
-    if pair_rate_hz < 0 or integration_time_s <= 0:
-        raise ValidationError("pair rate must be >= 0 and integration time > 0")
-    rho = as_density_matrix(state)
-    records = []
-    for k, setting in enumerate(settings):
-        p = coincidence_probability(rho, setting)
-        mean_c = pair_rate_hz * p * integration_time_s
-        if singles_rate_s_hz > 0 and singles_rate_i_hz > 0:
-            mean_c += accidental_rate(singles_rate_s_hz, singles_rate_i_hz, tau_c_s) * integration_time_s
-        mean_s = singles_rate_s_hz * integration_time_s
-        mean_i = singles_rate_i_hz * integration_time_s
-        if poisson:
-            rng = spawn_rng(seed, k)
-            cs = float(rng.poisson(mean_s)) if mean_s > 0 else 0.0
-            ci = float(rng.poisson(mean_i)) if mean_i > 0 else 0.0
-            cc = float(rng.poisson(mean_c))
-        else:
-            cs, ci, cc = mean_s, mean_i, mean_c
-        records.append(CountRecord(cs, ci, cc, integration_time_s))
-    return records
+    kets = [s.ket() for s in settings]
+    singles = (singles_rate_s_hz, singles_rate_i_hz)
+    counts = _analyzer_counts(
+        state, kets, pair_rate_hz, integration_time_s, seed, poisson, 0.0, singles, tau_c_s
+    )
+    return [CountRecord(cs, ci, cc, integration_time_s) for cs, ci, cc in counts]
 
 
 def _binned_coincidences(bins_a: np.ndarray, bins_b: np.ndarray) -> int:

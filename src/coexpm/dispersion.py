@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -53,7 +54,9 @@ class CrystalDispersion:
     citation: str
 
 
+@cache
 def _load_table() -> list[dict]:
+    """Entries of the bundled table, parsed once per process; callers only read them."""
     text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
     table = json.loads(text)
     if table.get("schema_version") != 1:
@@ -93,7 +96,8 @@ def ktp_axes() -> dict[str, CrystalDispersion]:
 
 def _check_range(value, lo: float, hi: float, what: str, unit: str) -> None:
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < lo) or np.any(arr > hi):
+    # every comparison with NaN is False, so NaN fails this test too
+    if not (np.all(arr >= lo) and np.all(arr <= hi)):
         bad = float(arr.min() if np.any(arr < lo) else arr.max())
         raise RangeError(
             f"{what} {bad:g} {unit} outside validity range [{lo:g}, {hi:g}] {unit}"

@@ -267,8 +267,8 @@ def solve_pump_for_period(
     degeneracy cutoff, so the search bracket is capped there. Returns
     (pump_nm, point) like solve_coexistence.
     """
-    if period_mm <= 0:
-        raise ValidationError("period_mm must be positive")
+    if not period_mm > 0:
+        raise ValidationError(f"period_mm must be positive, got {period_mm!r}")
     if axes is None:
         axes = ktp_axes()
     lo, hi = pump_bracket_nm

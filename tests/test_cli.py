@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coexpm import cli
+from coexpm import biphoton, cli
 from coexpm.io import read_tomography_counts, write_tomography_counts
 
 
@@ -176,6 +176,69 @@ def test_chsh_expectation_mode_hits_tsirelson(tmp_path):
     assert result["s"] == pytest.approx(2.0 * 2.0**0.5, abs=1e-9)
     assert result["s_symmetric"] == pytest.approx(2.0 * 2.0**0.5, abs=1e-9)
     assert result["s"] <= result["tsirelson_bound"] + 1e-12
+
+
+def test_expectation_chsh_equals_the_library_s_at_other_angles(tmp_path):
+    angles = [10.0, 55.0, 30.0, 80.0]
+    state = {"kind": "efficiencies", "r_birefringent": 1.0, "r_grating": 0.6, "phase_rad": 0.3}
+    cfg = {"schema_version": 1, "chsh": {"state": state, "angles_deg": angles}}
+    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["chsh", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "chsh.json").read_text())
+    psi = biphoton.state_from_efficiencies(1.0, 0.6, 0.3)
+    assert result["s"] == biphoton.chsh_s(psi, angles)
+    assert result["s_symmetric"] == biphoton.chsh_s_symmetric(psi, angles)
+
+
+def test_sampled_chsh_draws_only_the_streams_of_its_16_settings(tmp_path, monkeypatch):
+    import coexpm
+    from coexpm import util
+
+    real, keys = util.spawn_rng, []
+
+    def spy(seed, *key):
+        keys.append((seed, *key))
+        return real(seed, *key)
+
+    for module in vars(coexpm).values():
+        if hasattr(module, "spawn_rng"):
+            monkeypatch.setattr(module, "spawn_rng", spy)
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "chsh": {"mode": "sampled"}})
+    assert cli.main(["chsh", "--config", cfg_path, "--out", str(tmp_path), "--seed", "11"]) == 0
+    assert sorted(keys) == [(11, k) for k in range(16)]
+
+
+def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
+    cfg = {"schema_version": 1, "chsh": {"mode": "sampled", "pair_rate_hz": 0.0}}
+    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["chsh", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("fringes", '{"pair_rate_hz": NaN}'),
+        ("fringes", '{"singles_rate_s_hz": -5.0}'),
+        ("fringes", '{"tau_c_s": NaN}'),
+        ("fringes", '{"integration_time_s": Infinity}'),
+        ("fringes", '{"theta_idler_step_deg": 0}'),
+        ("fringes", '{"theta_idler_start_deg": NaN}'),
+        ("tomography", '{"accidental_rate_hz": NaN}'),
+        ("chsh", '{"mode": "sampled", "pair_rate_hz": NaN}'),
+        ("design", '{"pump_step_nm": 0}'),
+        ("design", '{"pump_step_nm": -0.5}'),
+        ("design", '{"temperature_c": NaN}'),
+        ("design", '{"fixed_period_mm": NaN}'),
+        ("jspd", '{"pump_nm": NaN}'),
+    ],
+)
+def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section):
+    # Python's json reads NaN and Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1, "%s": %s}' % (command, section))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_tomography_roundtrip_through_counts_csv(tmp_path):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from coexpm import biphoton as bp
 from coexpm import countstats as cs
 from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, werner_state
 from coexpm.errors import FitError, ValidationError
@@ -162,6 +163,25 @@ def test_accidental_floor_washes_out_the_fringe():
         vis.append(fit.visibility)
     assert vis[0] == pytest.approx(1.0, abs=1e-12)
     assert vis[0] > vis[1] > vis[2]
+
+
+class _LabelSetting:
+    """Labeled tomography analyzers; simulate_counts only asks a setting for its ket."""
+
+    def __init__(self, label_signal, label_idler):
+        self.labels = (label_signal, label_idler)
+
+    def ket(self):
+        return np.kron(*(bp.SINGLE_KETS[label] for label in self.labels))
+
+
+def test_tomography_counts_are_simulate_counts_on_the_label_kets():
+    st = bp.werner_state(0.9)
+    settings = [_LabelSetting(s, i) for s, i in bp.tomography_settings()]
+    for poisson in (True, False):
+        tomo = bp.simulate_tomography_counts(st, 439.0, 10.0, seed=8, poisson=poisson)
+        recs = cs.simulate_counts(st, settings, 439.0, 10.0, seed=8, poisson=poisson)
+        assert [r["coincidences"] for r in tomo] == [r.coincidences for r in recs]
 
 
 def test_simulate_counts_reproducible_and_seeded():

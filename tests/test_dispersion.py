@@ -180,6 +180,24 @@ def test_out_of_range_temperature_rejected():
         refractive_index(disp, 1.0642, -200.0)
 
 
+def test_non_finite_wavelength_and_temperature_rejected():
+    disp = load_dispersion("ktp", "y")
+    with pytest.raises(RangeError):
+        refractive_index(disp, float("nan"), 25.0)
+    with pytest.raises(RangeError):
+        refractive_index(disp, np.array([1.0, float("nan")]), 25.0)
+    with pytest.raises(RangeError):
+        refractive_index(disp, 1.0642, float("nan"))
+
+
+def test_coefficient_table_is_parsed_once_per_process(monkeypatch):
+    import coexpm.dispersion
+
+    ktp_axes()
+    monkeypatch.setattr(coexpm.dispersion, "resources", None)  # any further read fails
+    assert set(ktp_axes()) == {"y", "z"}
+
+
 def test_unknown_entry_rejected():
     with pytest.raises(ValidationError):
         load_dispersion("ktp", "x")

@@ -181,3 +181,5 @@ def test_validation_rejects_nonsense():
         pm.delta_k(pm.NBPM_PROCESS, 538.4, 500.0)  # signal below the pump
     with pytest.raises(ValidationError):
         pm.solve_qpm(pm.QPM_PROCESS, 538.4, -2.0)
+    with pytest.raises(ValidationError):
+        pm.solve_pump_for_period(float("nan"))
