@@ -224,6 +224,10 @@ class AnalyzerSetting:
     theta_signal_deg: float
     theta_idler_deg: float
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.theta_signal_deg, self.theta_idler_deg])):
+            raise ValidationError("analyzer angles must be finite")
+
     @property
     def hwp_signal_deg(self) -> float:
         return self.theta_signal_deg / 2.0

@@ -61,10 +61,11 @@ class CountRecord:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration must be positive")
-        if min(self.counts_signal, self.counts_idler, self.coincidences) < 0:
-            raise ValidationError("counts must be >= 0")
+        if not 0.0 < self.duration_s < np.inf:
+            raise ValidationError("duration must be positive and finite")
+        counts = (self.counts_signal, self.counts_idler, self.coincidences)
+        if not all(0.0 <= c < np.inf for c in counts):
+            raise ValidationError("counts must be finite and >= 0")
 
     @property
     def rate_signal(self) -> float:
@@ -100,8 +101,10 @@ class HeraldedRecord:
 
 def accidental_rate(rate_signal: float, rate_idler: float, tau_c_s: float) -> float:
     """Uncorrelated-stream coincidence rate R_s R_i tau_c."""
-    if tau_c_s <= 0:
-        raise ValidationError("coincidence window must be positive")
+    if not 0.0 < tau_c_s < np.inf:
+        raise ValidationError("coincidence window must be positive and finite")
+    if not (0.0 <= rate_signal < np.inf and 0.0 <= rate_idler < np.inf):
+        raise ValidationError("singles rates must be finite and >= 0")
     return rate_signal * rate_idler * tau_c_s
 
 def alpha_2d(record: CountRecord, tau_c_s: float) -> float:

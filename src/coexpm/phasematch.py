@@ -16,9 +16,12 @@ The collinear mismatch is
     delta_k = k_p(lambda_p) - k_s(lambda_s) - k_i(lambda_i),
 
 with lambda_i fixed by energy conservation 1/lambda_i = 1/lambda_p - 1/lambda_s.
-Solvers bracket the mismatch on the nondegenerate-signal window
-[1.5 lambda_p, 2 lambda_p) and refine with Brent's method (bracketed
-bisection/secant), polishing to residuals far below 1e-10 rad/um.
+Signal solves bracket the mismatch on the nondegenerate-signal window
+[1.5 lambda_p, 2 lambda_p) and refine it with Chandrupatla's method
+(Adv. Eng. Softw. 28, 145 (1997): inverse quadratic interpolation guarded by
+bisection), vectorized over pumps, to residuals far below 1e-10 rad/um.
+Brent's method is used only for the scalar pump searches: the degeneracy
+cutoff and the pump of a given coexistence period.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import CrystalDispersion, ktp_axes, wavevector
+from .dispersion import ktp_axes, wavevector
 from .errors import SolverError, ValidationError
 
 __all__ = [
@@ -52,6 +55,9 @@ _WINDOW_LO = 1.5
 _WINDOW_HI = 2.0
 # Pairs closer than this to degeneracy are flagged rather than trusted.
 _DEGENERACY_FLAG_NM = 0.1
+# Window solve: absolute signal tolerance (nm) and iteration cap.
+_SIGNAL_XTOL_NM = 1e-13
+_SIGNAL_MAXITER = 200
 
 
 def _axis(label: str) -> str:
@@ -121,15 +127,13 @@ def delta_k(
     spec: ProcessSpec,
     pump_nm: float,
     signal_nm,
-    axes: dict[str, CrystalDispersion] | None = None,
     period_mm: float | None = None,
 ):
-    """Collinear mismatch delta_k - m*2pi/Lambda in rad/um (array-friendly in signal).
+    """Collinear mismatch delta_k - m*2pi/Lambda in rad/um (array-friendly in pump and signal).
 
     With no period (or order 0) this is the bare material mismatch.
     """
-    if axes is None:
-        axes = ktp_axes()
+    axes = ktp_axes()
     idler_nm = idler_wavelength_nm(pump_nm, signal_nm)
     t = spec.temperature_c
     kp = wavevector(axes[spec.pump_axis], np.asarray(pump_nm, float) * 1e-3, t)
@@ -143,24 +147,93 @@ def delta_k(
     return dk
 
 
-def _solve_window(spec, pump_nm, axes, period_mm, *, signal_lo_nm=None):
-    """Brent solve of delta_k = 0 on the nondegenerate signal window."""
-    lo = _WINDOW_LO * pump_nm if signal_lo_nm is None else signal_lo_nm
-    hi = _WINDOW_HI * pump_nm * (1.0 - 1e-12)
+def _chandrupatla(f, x1, x2, f1, f2):
+    """Roots of the elementwise function f on the brackets [x1, x2], all at once.
 
-    def f(sig):
-        return delta_k(spec, pump_nm, sig, axes=axes, period_mm=period_mm)
+    Chandrupatla's method: inverse quadratic interpolation of the last three
+    points where it is safe, bisection otherwise. f(x1) and f(x2) must differ
+    in sign (or one be zero). An element stops when f is exactly zero or its
+    bracket is narrower than _SIGNAL_XTOL_NM + 4 eps |x|, at the bracket end
+    with the smaller |f|. Returns (root, f(root)); raises SolverError if an
+    element is still open after _SIGNAL_MAXITER steps.
+    """
+    t = 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SIGNAL_MAXITER):
+            small = np.abs(f1) < np.abs(f2)
+            xm, fm = np.where(small, x1, x2), np.where(small, f1, f2)
+            dx = np.abs(x2 - x1)
+            tol = _SIGNAL_XTOL_NM + 4.0 * np.finfo(float).eps * np.abs(xm)
+            done = (fm == 0.0) | (dx < tol)
+            if done.all():
+                return xm, fm
+            tl = 0.5 * tol / dx
+            # a finished element is evaluated again at its root, so its bracket holds
+            x = np.where(done, xm, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1))
+            fx = f(x)
+            same = np.sign(fx) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            alpha = (x3 - x1) / (x2 - x1)
+            t_iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+            t = np.where(iqi, t_iqi, 0.5)
+    raise SolverError(f"signal solve did not converge in {_SIGNAL_MAXITER} iterations")
 
-    f_lo, f_hi = f(lo), f(hi)
-    if np.sign(f_lo) == np.sign(f_hi):
+
+def _window(pump_nm):
+    """Nondegenerate signal window [1.5, 2) x pump, as (lo, hi)."""
+    return _WINDOW_LO * pump_nm, _WINDOW_HI * pump_nm * (1.0 - 1e-12)
+
+
+def _signal_roots(spec, pumps, period_mm):
+    """Signal of delta_k = 0 on the window of each pump in the 1-D array pumps.
+
+    Returns (signal_nm, residual_rad_per_um, ok). ok marks the pumps where
+    delta_k changes sign across the window; elsewhere signal and residual
+    are NaN.
+    """
+    lo, hi = _window(pumps)
+    f_lo, f_hi = delta_k(spec, pumps, np.stack([lo, hi]), period_mm=period_mm)
+    ok = np.sign(f_lo) != np.sign(f_hi)
+    signal, residual = np.full(pumps.shape, np.nan), np.full(pumps.shape, np.nan)
+    kept = pumps[ok]
+    signal[ok], residual[ok] = _chandrupatla(
+        lambda sig: delta_k(spec, kept, sig, period_mm=period_mm),
+        lo[ok], hi[ok], f_lo[ok], f_hi[ok],
+    )
+    return signal, residual, ok
+
+
+def _solve_window(spec, pump_nm, period_mm):
+    """Signal and residual of delta_k = 0 on the window of one pump."""
+    signal, residual, ok = _signal_roots(spec, np.array([float(pump_nm)]), period_mm)
+    if not ok[0]:
+        lo, hi = _window(pump_nm)
+        f_lo, f_hi = delta_k(spec, pump_nm, np.array([lo, hi]), period_mm=period_mm)
         raise SolverError(
             "no phase-matched signal in window: "
             f"delta_k({lo:.3f} nm) = {f_lo:.6g}, delta_k({hi:.3f} nm) = {f_hi:.6g} rad/um "
             f"(pump {pump_nm:.3f} nm, T {spec.temperature_c:.2f} C, order {spec.qpm_order})"
         )
-    sig = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    res = float(f(sig))
-    return sig, res
+    return float(signal[0]), float(residual[0])
+
+
+def _shared_period(temperature_c, pumps, signal_nm):
+    """First-order period that phase matches pump y -> signal y + idler z at the
+    given wavelengths, and the mismatch left with its grating (elementwise).
+
+    The period is 2 pi / |mismatch| of the unpoled process; it is infinite
+    where that mismatch is exactly zero.
+    """
+    bare = replace(QPM_PROCESS, temperature_c=temperature_c, qpm_order=0)
+    mismatch = delta_k(bare, pumps, signal_nm)
+    with np.errstate(divide="ignore"):
+        period_mm = 2.0 * np.pi / np.abs(mismatch) * 1e-3
+    return period_mm, mismatch - 2.0 * np.pi / (period_mm * 1e3)
 
 
 def _point(spec, pump_nm, signal_nm, residual, period_mm):
@@ -182,7 +255,6 @@ def _point(spec, pump_nm, signal_nm, residual, period_mm):
 def solve_nbpm(
     spec: ProcessSpec,
     pump_nm: float,
-    axes: dict[str, CrystalDispersion] | None = None,
 ) -> PhaseMatchPoint:
     """Birefringent (order-0) phase-matched pair for the given pump.
 
@@ -193,7 +265,7 @@ def solve_nbpm(
     if pump_nm <= 0:
         raise ValidationError("pump wavelength must be positive")
     bare = replace(spec, qpm_order=0)
-    sig, res = _solve_window(bare, pump_nm, axes, None)
+    sig, res = _solve_window(bare, pump_nm, None)
     return _point(bare, pump_nm, sig, res, None)
 
 
@@ -201,7 +273,6 @@ def solve_qpm(
     spec: ProcessSpec,
     pump_nm: float,
     period_mm: float | None,
-    axes: dict[str, CrystalDispersion] | None = None,
 ) -> PhaseMatchPoint:
     """Grating-assisted pair for the given pump and poling period.
 
@@ -212,14 +283,13 @@ def solve_qpm(
         raise ValidationError("pump wavelength must be positive")
     if period_mm is not None and not np.isfinite(period_mm):
         period_mm = None
-    sig, res = _solve_window(spec, pump_nm, axes, period_mm)
+    sig, res = _solve_window(spec, pump_nm, period_mm)
     return _point(spec, pump_nm, sig, res, period_mm)
 
 
 def solve_coexistence(
     pump_nm: float,
     temperature_c: float = 25.0,
-    axes: dict[str, CrystalDispersion] | None = None,
 ) -> tuple[float, PhaseMatchPoint]:
     """Poling period that lets the first-order grating process share the
     birefringent process' wavelengths.
@@ -231,34 +301,21 @@ def solve_coexistence(
     process at the shared wavelengths; its residual includes the grating term
     and vanishes by construction.
     """
-    nb = replace(NBPM_PROCESS, temperature_c=temperature_c)
-    qp = replace(QPM_PROCESS, temperature_c=temperature_c)
-    base = solve_nbpm(nb, pump_nm, axes=axes)
-    mismatch = delta_k(replace(qp, qpm_order=0), pump_nm, base.signal_nm, axes=axes)
-    if mismatch == 0.0:
+    base = solve_nbpm(replace(NBPM_PROCESS, temperature_c=temperature_c), pump_nm)
+    period_mm, residual = _shared_period(temperature_c, pump_nm, base.signal_nm)
+    if not np.isfinite(period_mm):
         raise SolverError(
             "first-order process is already phase matched without a grating; "
             "no finite poling period is defined"
         )
-    period_mm = 2.0 * np.pi / abs(float(mismatch)) * 1e-3
-    residual = float(delta_k(qp, pump_nm, base.signal_nm, axes=axes, period_mm=period_mm))
-    point = PhaseMatchPoint(
-        pump_nm=base.pump_nm,
-        signal_nm=base.signal_nm,
-        idler_nm=base.idler_nm,
-        temperature_c=temperature_c,
-        qpm_order=1,
-        poling_period_mm=period_mm,
-        residual_rad_per_um=residual,
-        near_degenerate=base.near_degenerate,
-    )
-    return period_mm, point
+    qp = replace(QPM_PROCESS, temperature_c=temperature_c)
+    period_mm = float(period_mm)
+    return period_mm, _point(qp, pump_nm, base.signal_nm, float(residual), period_mm)
 
 
 def solve_pump_for_period(
     period_mm: float,
     temperature_c: float = 25.0,
-    axes: dict[str, CrystalDispersion] | None = None,
     pump_bracket_nm: tuple[float, float] = (530.0, 545.0),
 ) -> tuple[float, PhaseMatchPoint]:
     """Pump wavelength whose coexistence period equals the given target.
@@ -269,10 +326,8 @@ def solve_pump_for_period(
     """
     if not period_mm > 0:
         raise ValidationError(f"period_mm must be positive, got {period_mm!r}")
-    if axes is None:
-        axes = ktp_axes()
     lo, hi = pump_bracket_nm
-    cutoff = degeneracy_pump_nm(temperature_c, axes=axes, bracket_nm=(lo, max(hi, lo + 1.0) + 60.0))
+    cutoff = degeneracy_pump_nm(temperature_c, bracket_nm=(lo, max(hi, lo + 1.0) + 60.0))
     hi = min(hi, cutoff - 1e-6)
     if hi <= lo:
         raise SolverError(
@@ -280,7 +335,7 @@ def solve_pump_for_period(
         )
 
     def g(pump):
-        period, _ = solve_coexistence(pump, temperature_c, axes=axes)
+        period, _ = solve_coexistence(pump, temperature_c)
         return period - period_mm
 
     g_lo, g_hi = g(lo), g(hi)
@@ -290,13 +345,12 @@ def solve_pump_for_period(
             f"{g_lo + period_mm:.4f} mm, period({hi:.3f} nm) = {g_hi + period_mm:.4f} mm"
         )
     pump = float(brentq(g, lo, hi, xtol=1e-9, maxiter=200))
-    _, point = solve_coexistence(pump, temperature_c, axes=axes)
+    _, point = solve_coexistence(pump, temperature_c)
     return pump, point
 
 
 def degeneracy_pump_nm(
     temperature_c: float = 25.0,
-    axes: dict[str, CrystalDispersion] | None = None,
     bracket_nm: tuple[float, float] = (500.0, 600.0),
 ) -> float:
     """Pump wavelength at which the order-0 pair collapses to degeneracy.
@@ -308,7 +362,7 @@ def degeneracy_pump_nm(
 
     def g(pump):
         sig = 2.0 * pump * (1.0 - 1e-12)
-        return delta_k(nb, pump, sig, axes=axes)
+        return delta_k(nb, pump, sig)
 
     lo, hi = bracket_nm
     g_lo, g_hi = g(lo), g(hi)
@@ -322,20 +376,23 @@ def degeneracy_pump_nm(
 def period_sweep(
     pump_nm_grid,
     temperature_c: float = 25.0,
-    axes: dict[str, CrystalDispersion] | None = None,
 ) -> list[tuple[float, float, PhaseMatchPoint]]:
     """Coexistence period across a pump grid.
 
     Returns (pump_nm, period_mm, point) rows for pumps where the order-0 root
-    exists; pumps beyond the degeneracy cutoff are skipped.
+    exists; pumps beyond the degeneracy cutoff are skipped, and so is a pump
+    whose first-order process needs no grating.
     """
-    if axes is None:
-        axes = ktp_axes()
-    rows = []
-    for pump in np.asarray(pump_nm_grid, dtype=float):
-        try:
-            period, point = solve_coexistence(float(pump), temperature_c, axes=axes)
-        except SolverError:
-            continue
-        rows.append((float(pump), period, point))
-    return rows
+    pumps = np.asarray(pump_nm_grid, dtype=float)
+    if np.any(pumps <= 0):
+        raise ValidationError("pump wavelength must be positive")
+    signal, _, ok = _signal_roots(replace(NBPM_PROCESS, temperature_c=temperature_c), pumps, None)
+    pumps, signal = pumps[ok], signal[ok]
+    periods, residuals = _shared_period(temperature_c, pumps, signal)
+    qp = replace(QPM_PROCESS, temperature_c=temperature_c)
+    columns = (pumps.tolist(), signal.tolist(), periods.tolist(), residuals.tolist())
+    return [
+        (pump, period, _point(qp, pump, sig, res, period))
+        for pump, sig, period, res in zip(*columns)
+        if np.isfinite(period)
+    ]

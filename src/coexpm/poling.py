@@ -54,6 +54,8 @@ __all__ = [
 # scan and the ordering check hold a few arrays of this size, whatever the
 # sample count.
 _BLOCK_CELLS = 1 << 14
+# Step of the duty-cycle scan that brackets the balanced root.
+_SCAN_STEP = 1e-5
 
 
 def _check_sigma(sigma_z_um) -> float:
@@ -85,14 +87,14 @@ def efficiency_ratio(duty_cycle: float, order: int) -> float:
     return float(abs(fourier_coefficient(duty_cycle, order)) ** 2)
 
 
-def solve_balanced_duty_cycle(order: int = 1, scan_step: float = 1e-5) -> float:
+def solve_balanced_duty_cycle(order: int = 1) -> float:
     """Duty cycle in (0.5, 1) equalizing the order-0 and order-m efficiencies.
 
     Solves |c_0(D)| = |c_m(D)|. For m = 1 the root is unique (~0.7352). For
     even m no root exists: |c_m| <= (2/(pi m)) sin(pi m D)/... < |c_0| strictly
     on (0.5, 1) because sin(t) < t, so the solver raises with the scan
     diagnostics. For odd m >= 3 several roots can exist; the smallest is
-    returned. The bracket is located by a dense scan (default step 1e-5) and
+    returned. The bracket is located by a dense scan (step 1e-5) and
     refined with Brent's method.
     """
     m = int(order)
@@ -103,7 +105,7 @@ def solve_balanced_duty_cycle(order: int = 1, scan_step: float = 1e-5) -> float:
         return np.abs(2.0 * d - 1.0) - np.abs(2.0 * d * sinc(np.pi * m * d))
 
     lo, hi = 0.5, 1.0
-    grid = np.arange(lo + scan_step, hi, scan_step)
+    grid = np.arange(lo + _SCAN_STEP, hi, _SCAN_STEP)
     vals = g(grid)
     sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
     # discard tangential touches where the function only grazes zero
@@ -113,7 +115,7 @@ def solve_balanced_duty_cycle(order: int = 1, scan_step: float = 1e-5) -> float:
     if not brackets:
         raise SolverError(
             f"no balanced duty cycle exists in (0.5, 1) for order m={m}: "
-            f"scan of |c_0|-|c_{m}| at step {scan_step:g} found no sign change "
+            f"scan of |c_0|-|c_{m}| at step {_SCAN_STEP:g} found no sign change "
             f"(min {vals.min():.3e}, max {vals.max():.3e})"
         )
     a, b = brackets[0]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CrystalDispersion
 from .errors import ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
 from .util import fwhm_of_profile, sinc
@@ -44,12 +43,11 @@ def phase_matching_intensity(
     signal_nm,
     length_mm: float,
     period_mm: float | None = None,
-    axes: dict[str, CrystalDispersion] | None = None,
 ):
     """Ridge profile sinc^2(delta_k_eff L / 2) along the energy-conservation line."""
-    if length_mm <= 0:
-        raise ValidationError("crystal length must be positive")
-    dk = delta_k(spec, pump_nm, signal_nm, axes=axes, period_mm=period_mm)
+    if not 0.0 < length_mm < np.inf:
+        raise ValidationError("crystal length must be positive and finite")
+    dk = delta_k(spec, pump_nm, signal_nm, period_mm=period_mm)
     arg = 0.5 * dk * length_mm * 1e3
     out = np.asarray(sinc(arg)) ** 2
     return float(out) if np.ndim(signal_nm) == 0 else out
@@ -107,7 +105,6 @@ def joint_spectral_density(
     filter_fwhm_nm: float = 0.0,
     period_mm: float | None = None,
     kernel: str = "gaussian",
-    axes: dict[str, CrystalDispersion] | None = None,
     ridge_oversample: int = 8,
     normalize: bool = True,
 ) -> SpectralGrid:
@@ -123,17 +120,15 @@ def joint_spectral_density(
     igrid = np.asarray(idler_grid_nm, dtype=float)
     ds = _uniform_step(sgrid, "signal")
     di = _uniform_step(igrid, "idler")
-    if filter_fwhm_nm < 0:
-        raise ValidationError("filter FWHM must be >= 0")
+    if not 0.0 <= filter_fwhm_nm < np.inf:
+        raise ValidationError("filter FWHM must be finite and >= 0")
     if np.any(sgrid <= pump_nm):
         raise ValidationError("signal grid must lie above the pump wavelength")
 
     if filter_fwhm_nm == 0.0:
         values = np.zeros((sgrid.size, igrid.size))
         ridge_i = idler_wavelength_nm(pump_nm, sgrid)
-        inten = phase_matching_intensity(
-            spec, pump_nm, sgrid, length_mm, period_mm=period_mm, axes=axes
-        )
+        inten = phase_matching_intensity(spec, pump_nm, sgrid, length_mm, period_mm=period_mm)
         for row, (lam_i, v) in enumerate(zip(ridge_i, inten)):
             col = int(np.argmin(np.abs(igrid - lam_i)))
             if abs(igrid[col] - lam_i) <= di:
@@ -152,9 +147,7 @@ def joint_spectral_density(
         step = min(ds, di, filter_fwhm_nm) / ridge_oversample
         mu = np.arange(sgrid[0] - pad, sgrid[-1] + pad + step, step)
         mu = mu[mu > pump_nm * (1.0 + 1e-9)]
-        inten = phase_matching_intensity(
-            spec, pump_nm, mu, length_mm, period_mm=period_mm, axes=axes
-        )
+        inten = phase_matching_intensity(spec, pump_nm, mu, length_mm, period_mm=period_mm)
         ridge_i = idler_wavelength_nm(pump_nm, mu)
         w = np.full(mu.size, step)
         w[0] = w[-1] = step / 2.0

@@ -231,6 +231,12 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("design", '{"temperature_c": NaN}'),
         ("design", '{"fixed_period_mm": NaN}'),
         ("jspd", '{"pump_nm": NaN}'),
+        ("jspd", '{"length_mm": NaN}'),
+        ("jspd", '{"length_mm": Infinity}'),
+        ("chsh", '{"angles_deg": [0, 45, NaN, 67.5]}'),
+        ("fringes", '{"theta_signal_deg": NaN}'),
+        ("stats", '{"rate_signal_hz": NaN}'),
+        ("stats", '{"tau_c_s": NaN}'),
     ],
 )
 def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section):

@@ -1,8 +1,9 @@
 """Collinear type-II phase-matching solver checks.
 
 Solver outputs are cross-checked against a dense scan of the same mismatch
-function (independent bracketing) and against hand-built wavevector sums, so
-the brentq wrapper cannot hide a sign or unit error.
+function (independent bracketing), against hand-built wavevector sums and
+against a scalar Brent reference, so the window solver cannot hide a sign or
+unit error.
 """
 
 import math
@@ -10,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from coexpm import phasematch as pm
 from coexpm.dispersion import ktp_axes, wavevector
@@ -148,6 +150,35 @@ def test_period_sweep_skips_unsolvable_pumps():
     assert pumps == [p for p in grid if p < cutoff]
     periods = [period for _, period, _ in rows]
     assert all(a < b for a, b in zip(periods, periods[1:]))  # monotone growth
+
+
+@pytest.mark.parametrize("t_c", [20.0, 25.0, 60.0])
+def test_period_sweep_signals_match_a_brent_reference(t_c):
+    # the vectorized window solve against scalar Brent, pump by pump, over
+    # the default design grid (530-545 nm by 0.5 nm)
+    nb = replace(pm.NBPM_PROCESS, temperature_c=t_c)
+    grid = np.arange(530.0, 545.0 + 1e-9, 0.5)
+    reference = {}
+    for pump in grid:
+        lo, hi = 1.5 * pump, 2.0 * pump * (1.0 - 1e-12)
+        f_lo, f_hi = pm.delta_k(nb, pump, np.array([lo, hi]))
+        if np.sign(f_lo) != np.sign(f_hi):
+            reference[pump] = brentq(
+                lambda s: pm.delta_k(nb, pump, s), lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200
+            )
+    rows = pm.period_sweep(grid, temperature_c=t_c)
+    assert [pump for pump, _, _ in rows] == list(reference)
+    for pump, _, pt in rows:
+        assert abs(pt.signal_nm - reference[pump]) <= 1e-10
+        assert abs(pm.delta_k(nb, pump, pt.signal_nm)) <= 1e-12
+
+
+def test_window_solve_raises_rather_than_return_an_unconverged_root(nbpm, monkeypatch):
+    monkeypatch.setattr(pm, "_SIGNAL_MAXITER", 3)
+    with pytest.raises(SolverError, match="did not converge"):
+        pm.solve_nbpm(nbpm, 538.4)
+    with pytest.raises(SolverError, match="did not converge"):
+        pm.period_sweep([532.0, 538.4])
 
 
 def test_swapping_signal_and_idler_axes_relabels_the_pair(nbpm):
