@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -161,7 +162,12 @@ def _check_scalar(base, value, keypath):
         if not isinstance(value, bool):
             raise ConfigError(f"config key {keypath!r} must be a boolean")
         return value
-    if isinstance(base, (int, float)):
+    if isinstance(base, int):
+        # a count, order or seed: 2.5 must not be truncated to 2
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"config key {keypath!r} must be an integer")
+        return value
+    if isinstance(base, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {keypath!r} must be a number")
         return value
@@ -685,7 +691,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every run.
+
+    parse_args fills a fresh namespace on each call, so one run's options do
+    not carry over into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="coexpm",
         description="Design and metrology toolkit for dual-phase-matched photon-pair sources.",

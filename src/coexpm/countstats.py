@@ -243,11 +243,35 @@ def simulate_counts(
 
 
 def _binned_coincidences(bins_a: np.ndarray, bins_b: np.ndarray) -> int:
-    """Number of (a, b) pairs sharing a bin, counting multiplicity."""
-    ua, ca = np.unique(bins_a, return_counts=True)
-    ub, cb = np.unique(bins_b, return_counts=True)
-    common, ia, ib = np.intersect1d(ua, ub, return_indices=True)
-    return int(np.sum(ca[ia] * cb[ib]))
+    """Number of (a, b) pairs sharing a bin, counting multiplicity.
+
+    Bins are integers in [0, 2**63). Arm a's bin k becomes the key 2k and arm
+    b's the key 2k + 1, so one sort of both arms puts the run of b's bin k
+    right after the run of a's; runs whose keys differ only in the lowest bit
+    share a bin and contribute the product of their lengths.
+    """
+    keys = np.empty(bins_a.size + bins_b.size, dtype=np.uint64)
+    keys[: bins_a.size] = bins_a
+    keys[bins_a.size :] = bins_b
+    keys <<= np.uint64(1)
+    keys[bins_a.size :] |= np.uint64(1)
+    keys.sort()
+    run_start = np.empty(keys.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)
+    run_keys = keys[first]
+    lengths = np.diff(first, append=keys.size)
+    shared = (run_keys[1:] ^ run_keys[:-1]) == 1
+    return int(np.sum(lengths[:-1][shared] * lengths[1:][shared]))
+
+
+def _check_stream(duration_s: float, tau_c_s: float, *rates_hz: float) -> None:
+    """Reject an event simulation's timing and rates before any draw."""
+    if not (0.0 < duration_s < np.inf and 0.0 < tau_c_s < np.inf):
+        raise ValidationError("duration and coincidence window must be positive and finite")
+    if not all(0.0 <= r < np.inf for r in rates_hz):
+        raise ValidationError("rates must be finite and >= 0")
 
 
 def simulate_pair_stream(
@@ -268,14 +292,13 @@ def simulate_pair_stream(
     events, exactly as a time tagger with window tau_c would count them.
     With pair_rate_hz = 0 this is a pure accidental (uncorrelated) source.
     """
-    if duration_s <= 0 or tau_c_s <= 0:
-        raise ValidationError("duration and coincidence window must be positive")
+    _check_stream(duration_s, tau_c_s, pair_rate_hz, background_rate_s_hz, background_rate_i_hz)
     if not (0.0 <= eta_signal <= 1.0 and 0.0 <= eta_idler <= 1.0):
         raise ValidationError("arm efficiencies must be in [0, 1]")
-    if min(pair_rate_hz, background_rate_s_hz, background_rate_i_hz) < 0:
-        raise ValidationError("rates must be >= 0")
-    rng = spawn_rng(seed, 2)
     n_bins = int(np.ceil(duration_s / tau_c_s))
+    if n_bins >= 2**63:
+        raise ValidationError("duration / coincidence window must be below 2**63 bins")
+    rng = spawn_rng(seed, 2)
     n_pairs = rng.poisson(pair_rate_hz * duration_s)
     pair_bins = rng.integers(0, n_bins, size=n_pairs)
     s_from_pairs = pair_bins[rng.random(n_pairs) < eta_signal]
@@ -313,8 +336,7 @@ def simulate_heralded(
     the binned model); k = 1 bins are tallied with one multinomial draw and
     k >= 2 bins with vectorized per-bin draws.
     """
-    if duration_s <= 0 or tau_c_s <= 0:
-        raise ValidationError("duration and coincidence window must be positive")
+    _check_stream(duration_s, tau_c_s, pair_rate_hz)
     if not (0.0 < eta_herald <= 1.0 and 0.0 < eta_target <= 1.0):
         raise ValidationError("detection efficiencies must be in (0, 1]")
     rng = spawn_rng(seed, 3)

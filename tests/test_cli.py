@@ -1,9 +1,11 @@
 """Command-line interface: artifacts, determinism, config validation, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
+import coexpm
 from coexpm import biphoton, cli
 from coexpm.io import read_tomography_counts, write_tomography_counts
 
@@ -237,6 +239,13 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("fringes", '{"theta_signal_deg": NaN}'),
         ("stats", '{"rate_signal_hz": NaN}'),
         ("stats", '{"tau_c_s": NaN}'),
+        ("montecarlo", '{"samples": 2.5}'),
+        ("montecarlo", '{"num_domains": 8.5}'),
+        ("montecarlo", '{"qpm_order": 1.0}'),
+        ("montecarlo", '{"comparison": {"num_domains": 1066.5}}'),
+        ("jspd", '{"points": 50.5}'),
+        ("dutycycle", '{"qpm_order": 1.5}'),
+        ("dutycycle", '{"max_fourier_order": 2.5}'),
     ],
 )
 def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section):
@@ -245,6 +254,75 @@ def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section
     cfg.write_text('{"schema_version": 1, "%s": %s}' % (command, section))
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["1.5", "true", '"3"'])
+def test_top_level_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1, "seed": %s}' % seed)
+    assert cli.main(["stats", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'seed' must be an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "stats_meta.json").exists()
+
+
+def test_integer_keys_take_integers_and_float_keys_take_either(tmp_path):
+    orders = {"qpm_order": 3, "max_fourier_order": 2}
+    cfg_path = _write_config(tmp_path / "a.json", {"schema_version": 1, "seed": 4, "dutycycle": orders})
+    assert cli.main(["dutycycle", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "dutycycle_meta.json").read_text())
+    assert meta["seed"] == 4 and meta["config"]["dutycycle"] == orders
+    # an integer is a valid value for a key whose default is a float
+    cfg_path = _write_config(tmp_path / "b.json", {"schema_version": 1, "stats": {"tau_c_s": 1}})
+    assert cli.main(["stats", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+
+
+def test_successive_runs_do_not_share_options(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "seed": 4})
+    json_run, csv_run = tmp_path / "json", tmp_path / "csv"
+    small = {"schema_version": 1, "montecarlo": {"sigma_z_um": [0.0], "samples": 10, "comparison": None}}
+    small_path = _write_config(tmp_path / "small.json", small)
+    assert cli.main(["montecarlo", "--config", small_path, "--out", str(json_run), "--format", "json"]) == 0
+    assert cli.main(["montecarlo", "--config", small_path, "--out", str(csv_run)]) == 0
+    assert (json_run / "montecarlo.json").exists() and not (json_run / "montecarlo.csv").exists()
+    assert (csv_run / "montecarlo.csv").exists() and not (csv_run / "montecarlo.json").exists()
+
+    def meta_seed(out):
+        return json.loads((out / "stats_meta.json").read_text())["seed"]
+
+    assert cli.main(["stats", "--config", cfg_path, "--out", str(tmp_path / "s9"), "--seed", "9"]) == 0
+    assert cli.main(["stats", "--config", cfg_path, "--out", str(tmp_path / "s4")]) == 0
+    assert cli.main(["stats", "--out", str(tmp_path / "s0")]) == 0
+    assert [meta_seed(tmp_path / d) for d in ("s9", "s4", "s0")] == [9, 4, 0]
+
+    # argparse exits on a usage error, --help and --version; the next run still works
+    for argv, code in ((["stats", "--format", "xml"], 2), (["--help"], 0), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "invalid choice: 'xml'" in err and "usage: coexpm" in out
+    assert out.rstrip().endswith(f"coexpm {coexpm.__version__}")
+    assert cli.main(["stats", "--out", str(tmp_path / "after")]) == 0
+    assert meta_seed(tmp_path / "after") == 0
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        for command in ("stats", "dutycycle", "stats"):
+            assert cli.main([command, "--out", str(tmp_path)]) == 0
+    finally:
+        cli._build_parser.cache_clear()  # later runs build an ordinary parser
+    assert built.count("coexpm") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)  # the top-level parser and one per subcommand
 
 
 def test_tomography_roundtrip_through_counts_csv(tmp_path):

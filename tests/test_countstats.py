@@ -261,3 +261,108 @@ def test_record_validation():
         cs.CountRecord(10.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValidationError):
         cs.HeraldedRecord(10.0, 5.0, 5.0, -2.0, 1.0)
+
+
+# ------------------------------------------------------- coincidence counting
+
+
+def _counter_coincidences(bins_a, bins_b):
+    from collections import Counter
+
+    a, b = Counter(bins_a.tolist()), Counter(bins_b.tolist())
+    return sum(n * b[k] for k, n in a.items())
+
+
+def _unique_intersect_coincidences(bins_a, bins_b):
+    # the two-unique-and-intersect count that the one-sort count replaced
+    ua, ca = np.unique(bins_a, return_counts=True)
+    ub, cb = np.unique(bins_b, return_counts=True)
+    _, ia, ib = np.intersect1d(ua, ub, return_indices=True)
+    return int(np.sum(ca[ia] * cb[ib]))
+
+
+def test_binned_coincidences_match_a_counter_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n_bins = int(rng.integers(1, 60))
+        a = rng.integers(0, n_bins, size=int(rng.integers(0, 50)))
+        b = rng.integers(0, n_bins, size=int(rng.integers(0, 50)))
+        assert cs._binned_coincidences(a, b) == _counter_coincidences(a, b)
+    top = 2**63 - 1  # the largest bin: its keys 2**64 - 2 and 2**64 - 1 still fit
+    a = np.array([top, top, 0, 7], dtype=np.int64)
+    b = np.array([top, 7, 7, 1], dtype=np.int64)
+    assert cs._binned_coincidences(a, b) == _counter_coincidences(a, b) == 4
+    empty = np.array([], dtype=np.int64)
+    assert cs._binned_coincidences(empty, b) == cs._binned_coincidences(a, empty) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
+def test_pair_stream_counts_match_the_unique_intersect_count(monkeypatch, seed):
+    kwargs = dict(
+        pair_rate_hz=2e4,
+        duration_s=1.0,
+        tau_c_s=1e-9,
+        eta_signal=0.3,
+        eta_idler=0.3,
+        background_rate_s_hz=5e4,
+        background_rate_i_hz=5e4,
+        seed=seed,
+    )
+    fast = cs.simulate_pair_stream(**kwargs)
+    monkeypatch.setattr(cs, "_binned_coincidences", _unique_intersect_coincidences)
+    assert fast == cs.simulate_pair_stream(**kwargs)
+    assert fast.coincidences > 0
+
+
+def test_stream_draws_are_frozen():
+    # values of the simulators at fixed seeds; a change means the draws changed
+    rates = dict(eta_signal=0.5, eta_idler=0.7, background_rate_s_hz=1e3, background_rate_i_hz=2e3)
+    rec = cs.simulate_pair_stream(5e3, 2.0, 1e-6, seed=1, **rates)
+    assert rec == cs.CountRecord(6940.0, 10961.0, 3557.0, 2.0)
+    assert cs.simulate_heralded(1e5, 10.0, 1e-9, seed=1) == cs.HeraldedRecord(
+        249100.0, 31391.0, 31496.0, 1.0, 10.0
+    )
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"pair_rate_hz": _NAN},
+        {"pair_rate_hz": _INF},
+        {"pair_rate_hz": -1.0},
+        {"background_rate_s_hz": _NAN},
+        {"background_rate_i_hz": _INF},
+        {"duration_s": _NAN},
+        {"duration_s": _INF},
+        {"tau_c_s": _NAN},
+        {"tau_c_s": _INF},
+        {"tau_c_s": 0.0},
+        {"eta_signal": _NAN},
+        {"duration_s": 1e10, "tau_c_s": 1e-12},  # more bins than an int64 holds
+    ],
+)
+def test_pair_stream_rejects_bad_inputs(kwargs):
+    args = dict(pair_rate_hz=1e3, duration_s=1.0, tau_c_s=1e-9) | kwargs
+    with pytest.raises(ValidationError):
+        cs.simulate_pair_stream(**args)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"pair_rate_hz": _NAN},
+        {"pair_rate_hz": -1.0},
+        {"duration_s": _NAN},
+        {"duration_s": _INF},
+        {"duration_s": -1.0},
+        {"tau_c_s": _NAN},
+        {"tau_c_s": _INF},
+    ],
+)
+def test_heralded_stream_rejects_bad_inputs(kwargs):
+    args = dict(pair_rate_hz=1e5, duration_s=1.0, tau_c_s=1e-9) | kwargs
+    with pytest.raises(ValidationError):
+        cs.simulate_heralded(**args)

@@ -9,7 +9,6 @@ import cmath
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -468,23 +467,36 @@ def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
 
 
 def test_a_failing_sigma_cancels_the_sigma_values_not_yet_started(monkeypatch):
-    # the first sigma fails at once while the next two take a while, so the
-    # last one is still queued when the error reaches the caller
+    # Two workers. sigma = 50 fails once 51 has started; 51, and 52 if a
+    # worker picks it up, hold their worker until the pool shuts down, which
+    # happens after the error has reached the caller. So 53 can only start if
+    # the error leaves it queued.
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
     started = []
+    second_started, release = threading.Event(), threading.Event()
     sigma_eta = poling._sigma_eta
 
-    def slow_after_the_first(sigma, *args):
+    def fail_first_and_hold_the_rest(sigma, *args):
         started.append(sigma)
-        if sigma != 50.0:
-            time.sleep(0.5)
+        if sigma == 50.0:
+            assert second_started.wait(timeout=10.0)
+        else:
+            second_started.set()
+            assert release.wait(timeout=10.0)
         return sigma_eta(sigma, *args)
 
-    monkeypatch.setattr(poling, "_sigma_eta", slow_after_the_first)
+    class ReleasingPool(poling.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            release.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(poling, "_sigma_eta", fail_first_and_hold_the_rest)
+    monkeypatch.setattr(poling, "ThreadPoolExecutor", ReleasingPool)
     # 50 um errors on a 15 um period: every realization crosses its walls
     with pytest.raises(SolverError, match=r"sigma_z = 50\.0 um"):
         poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0, 51.0, 52.0, 53.0], samples=20, max_attempts=3)
-    assert sorted(started) == [50.0, 51.0, 52.0]
+    assert {50.0, 51.0} <= set(started)
+    assert 53.0 not in started
 
 
 def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
