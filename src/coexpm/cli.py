@@ -313,6 +313,8 @@ def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 
 def _cmd_dutycycle(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["dutycycle"]
+    if c["max_fourier_order"] < 0:
+        raise ConfigError("dutycycle.max_fourier_order must be >= 0")
     order = int(c["qpm_order"])
     duty = poling.solve_balanced_duty_cycle(order)
     orders = list(range(0, int(c["max_fourier_order"]) + 1))
@@ -450,10 +452,7 @@ def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         period_mm=period,
         kernel=str(c["kernel"]),
     )
-    rows = [
-        [grid.signal_nm[r]] + [grid.values[r, cc] for cc in range(igrid.size)]
-        for r in range(sgrid.size)
-    ]
+    rows = np.column_stack([grid.signal_nm, grid.values]).tolist()
     header = ["signal_nm\\idler_nm"] + [io.format_float(v) for v in igrid]
     artifacts = [_emit_table(outdir, "jspd", header, rows, fmt).name]
     lam_s, prof_s = spectrum.marginal_spectrum(grid, "signal")
@@ -727,6 +726,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     config = load_config(args.config)
+    # numpy's SeedSequence takes only nonnegative seeds
+    for given in (args.seed, config["seed"]):
+        if given is not None and given < 0:
+            raise ConfigError(f"seed must be >= 0, got {given}")
     seed = args.seed if args.seed is not None else int(config["seed"])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

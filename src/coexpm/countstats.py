@@ -266,12 +266,23 @@ def _binned_coincidences(bins_a: np.ndarray, bins_b: np.ndarray) -> int:
     return int(np.sum(lengths[:-1][shared] * lengths[1:][shared]))
 
 
+# Largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above).
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
+
 def _check_stream(duration_s: float, tau_c_s: float, *rates_hz: float) -> None:
-    """Reject an event simulation's timing and rates before any draw."""
+    """Reject an event simulation's timing and rates before any draw.
+
+    Every Poisson mean a simulator draws with is at most rate x duration.
+    """
     if not (0.0 < duration_s < np.inf and 0.0 < tau_c_s < np.inf):
         raise ValidationError("duration and coincidence window must be positive and finite")
     if not all(0.0 <= r < np.inf for r in rates_hz):
         raise ValidationError("rates must be finite and >= 0")
+    if any(r * duration_s > _POISSON_MEAN_MAX for r in rates_hz):
+        raise ValidationError(
+            f"expected counts rate x duration must not exceed {_POISSON_MEAN_MAX:.6g}"
+        )
 
 
 def simulate_pair_stream(

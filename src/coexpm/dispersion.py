@@ -96,9 +96,13 @@ def ktp_axes() -> dict[str, CrystalDispersion]:
 
 def _check_range(value, lo: float, hi: float, what: str, unit: str) -> None:
     arr = np.asarray(value, dtype=float)
-    # every comparison with NaN is False, so NaN fails this test too
-    if not (np.all(arr >= lo) and np.all(arr <= hi)):
-        bad = float(arr.min() if np.any(arr < lo) else arr.max())
+    if arr.size == 0:
+        return
+    # min and max propagate NaN, and every comparison with NaN is False,
+    # so NaN fails this test too
+    amin, amax = arr.min(), arr.max()
+    if not (amin >= lo and amax <= hi):
+        bad = float(amin if amin < lo else amax)
         raise RangeError(
             f"{what} {bad:g} {unit} outside validity range [{lo:g}, {hi:g}] {unit}"
         )
@@ -113,7 +117,7 @@ def _sellmeier_two_pole(c: dict, lam_um):
 def _dndt_inverse_lambda_poly(coeffs, lam_um):
     # coeffs are (c0, c1, c2, c3) for c0 + c1/lam + c2/lam^2 + c3/lam^3, per degC
     inv = 1.0 / np.asarray(lam_um, dtype=float)
-    out = np.zeros_like(inv)
+    out = 0.0
     for k, ck in enumerate(coeffs):
         out = out + ck * inv**k
     return out

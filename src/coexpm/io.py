@@ -38,11 +38,17 @@ def format_float(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV with every cell rendered by format_float.
+
+    The csv module writes a Python float as str(x), which equals the repr
+    that format_float returns, so exact floats go to it as they are. Every
+    other value is formatted first: the module would write None as "" and
+    np.float32(0.1) as "0.1", where format_float writes the float64 value.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([format_float(v) for v in row])
+        w.writerows([v if type(v) is float else format_float(v) for v in row] for row in rows)
 
 
 def _jsonable(obj):

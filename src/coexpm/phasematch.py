@@ -27,6 +27,7 @@ cutoff and the pump of a given coexistence period.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -123,6 +124,15 @@ def idler_wavelength_nm(pump_nm: float, signal_nm):
     return float(out) if np.ndim(signal_nm) == 0 and np.ndim(pump_nm) == 0 else out
 
 
+@cache
+def _axes() -> dict:
+    """ktp_axes() built once per process, for delta_k, which only reads it.
+
+    ktp_axes() itself returns fresh objects: its callers may change them.
+    """
+    return ktp_axes()
+
+
 def delta_k(
     spec: ProcessSpec,
     pump_nm: float,
@@ -133,7 +143,7 @@ def delta_k(
 
     With no period (or order 0) this is the bare material mismatch.
     """
-    axes = ktp_axes()
+    axes = _axes()
     idler_nm = idler_wavelength_nm(pump_nm, signal_nm)
     t = spec.temperature_c
     kp = wavevector(axes[spec.pump_axis], np.asarray(pump_nm, float) * 1e-3, t)

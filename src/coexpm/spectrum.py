@@ -71,6 +71,40 @@ def filter_kernel(offsets_nm, fwhm_nm: float, kind: str = "gaussian") -> np.ndar
     raise ValidationError(f"unknown filter kernel {kind!r}; use 'gaussian' or 'box'")
 
 
+def _half_support(fwhm_nm: float, kind: str) -> float:
+    """Half width of filter_kernel's support, up to rounding."""
+    if kind == "gaussian":
+        return GAUSSIAN_TRUNCATION_SIGMAS * fwhm_nm / np.sqrt(8.0 * np.log(2.0))
+    return fwhm_nm / 2.0
+
+
+def _band_kernel(grid, centres, fwhm_nm: float, kind: str) -> np.ndarray:
+    """filter_kernel(grid[:, None] - centres[None, :], fwhm_nm, kind), with
+    the formula evaluated only on each row's in-support columns.
+
+    centres must be strictly monotonic, rising or falling, so the columns
+    within the support of one grid point form one contiguous range, found by
+    a binary search. Every other cell is an exact zero, and every evaluated
+    cell gets the same bits as the dense evaluation.
+    """
+    rising = centres[-1] >= centres[0]
+    ordered = centres if rising else centres[::-1]
+    h = _half_support(fwhm_nm, kind)
+    # The search window exceeds the support by far more than any rounding of
+    # the offsets or of h, so it holds every column the kernel keeps.
+    reach = h + 1e-9 * (np.abs(grid) + h)
+    lo = np.searchsorted(ordered, grid - reach, "left")
+    hi = np.searchsorted(ordered, grid + reach, "right")
+    counts = hi - lo
+    rows = np.repeat(np.arange(grid.size), counts)
+    cols = lo[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    if not rising:
+        cols = centres.size - 1 - cols
+    out = np.zeros((grid.size, centres.size))
+    out[rows, cols] = filter_kernel(grid[rows] - centres[cols], fwhm_nm, kind)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
     """Sampled joint spectral density on a rectangular wavelength grid."""
@@ -134,16 +168,10 @@ def joint_spectral_density(
             if abs(igrid[col] - lam_i) <= di:
                 values[row, col] = v
     else:
-        if kernel == "gaussian":
-            half_support = (
-                GAUSSIAN_TRUNCATION_SIGMAS * filter_fwhm_nm / np.sqrt(8.0 * np.log(2.0))
-            )
-        else:
-            half_support = filter_fwhm_nm / 2.0
         # The idler-filter acceptance maps back to the ridge parameter with
         # slope |d lambda_i / d mu| = (lambda_i / mu)^2.
         slope = (igrid[-1] / sgrid[0]) ** 2
-        pad = half_support * (1.0 + max(slope, 1.0 / slope))
+        pad = _half_support(filter_fwhm_nm, kernel) * (1.0 + max(slope, 1.0 / slope))
         step = min(ds, di, filter_fwhm_nm) / ridge_oversample
         mu = np.arange(sgrid[0] - pad, sgrid[-1] + pad + step, step)
         mu = mu[mu > pump_nm * (1.0 + 1e-9)]
@@ -151,8 +179,9 @@ def joint_spectral_density(
         ridge_i = idler_wavelength_nm(pump_nm, mu)
         w = np.full(mu.size, step)
         w[0] = w[-1] = step / 2.0
-        ker_s = filter_kernel(sgrid[:, None] - mu[None, :], filter_fwhm_nm, kernel)
-        ker_i = filter_kernel(igrid[:, None] - ridge_i[None, :], filter_fwhm_nm, kernel)
+        # mu rises and ridge_i falls: each kernel row is one band of columns
+        ker_s = _band_kernel(sgrid, mu, filter_fwhm_nm, kernel)
+        ker_i = _band_kernel(igrid, ridge_i, filter_fwhm_nm, kernel)
         values = (ker_s * (inten * w)) @ ker_i.T
 
     if normalize:

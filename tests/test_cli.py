@@ -246,13 +246,17 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("jspd", '{"points": 50.5}'),
         ("dutycycle", '{"qpm_order": 1.5}'),
         ("dutycycle", '{"max_fourier_order": 2.5}'),
+        ("dutycycle", '{"max_fourier_order": -3}'),
+        ("fringes --seed -2", "{}"),
+        ("fringes", '{}, "seed": -1'),  # a negative top-level seed
     ],
 )
 def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section):
-    # Python's json reads NaN and Infinity
+    # Python's json reads NaN and Infinity; options may follow the command name
+    name, *options = command.split()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"schema_version": 1, "%s": %s}' % (command, section))
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg.write_text('{"schema_version": 1, "%s": %s}' % (name, section))
+    assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path), *options]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -342,6 +342,7 @@ _NAN, _INF = float("nan"), float("inf")
         {"tau_c_s": 0.0},
         {"eta_signal": _NAN},
         {"duration_s": 1e10, "tau_c_s": 1e-12},  # more bins than an int64 holds
+        {"background_rate_i_hz": 1e19},  # mean counts beyond numpy's Poisson sampler
     ],
 )
 def test_pair_stream_rejects_bad_inputs(kwargs):
@@ -366,3 +367,17 @@ def test_heralded_stream_rejects_bad_inputs(kwargs):
     args = dict(pair_rate_hz=1e5, duration_s=1.0, tau_c_s=1e-9) | kwargs
     with pytest.raises(ValidationError):
         cs.simulate_heralded(**args)
+
+
+def test_counts_too_large_for_the_poisson_sampler_are_rejected_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(cs, "spawn_rng", no_draws)
+    with pytest.raises(ValidationError, match="rate x duration"):
+        cs.simulate_pair_stream(1e30, 1.0, 1e-9)
+    with pytest.raises(ValidationError, match="rate x duration"):
+        cs.simulate_heralded(1e5, 1e20, 1e-9)
+    # the largest mean the sampler takes passes the check
+    cs._check_stream(1.0, 1e-9, cs._POISSON_MEAN_MAX)
+    np.random.default_rng(0).poisson(cs._POISSON_MEAN_MAX)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from coexpm.dispersion import (
+    _check_range,
+    _dndt_inverse_lambda_poly,
     available_entries,
     ktp_axes,
     load_dispersion,
@@ -188,6 +190,32 @@ def test_non_finite_wavelength_and_temperature_rejected():
         refractive_index(disp, np.array([1.0, float("nan")]), 25.0)
     with pytest.raises(RangeError):
         refractive_index(disp, 1.0642, float("nan"))
+
+
+def test_range_check_rejects_nan_and_passes_an_empty_array():
+    bounds = dict(lo=0.43, hi=3.54, what="wavelength", unit="um")
+    _check_range(np.array([]), **bounds)
+    _check_range(np.empty((0, 3)), **bounds)
+    _check_range([0.43, 1.0, 3.54], **bounds)
+    for bad in (float("nan"), [1.0, float("nan")], [float("nan"), 0.1], [9.0, float("nan")]):
+        with pytest.raises(RangeError, match=r"^wavelength nan um outside"):
+            _check_range(bad, **bounds)
+    # below the range the smallest value is named, above it the largest
+    with pytest.raises(RangeError, match=r"^wavelength 0\.1 um outside validity range \[0\.43, 3\.54\] um$"):
+        _check_range([9.0, 0.1, 1.0], **bounds)
+    with pytest.raises(RangeError, match=r"^wavelength 9 um outside"):
+        _check_range([1.0, 9.0, 5.0], **bounds)
+
+
+def test_thermo_polynomial_matches_the_zero_started_sum():
+    coeffs = load_dispersion("ktp", "z").thermo_coefficients
+    for lam in (1.0642, np.array(0.78), np.linspace(0.5, 1.6, 97)):
+        inv = 1.0 / np.asarray(lam, dtype=float)
+        want = np.zeros_like(inv)
+        for k, ck in enumerate(coeffs):
+            want = want + ck * inv**k
+        got = _dndt_inverse_lambda_poly(coeffs, lam)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
 
 
 def test_coefficient_table_is_parsed_once_per_process(monkeypatch):

@@ -1,5 +1,8 @@
 """Serialization helpers: stable formatting, digests, tomography CSV schema."""
 
+import csv
+import io as stdio
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,23 @@ def test_write_csv_and_json_are_deterministic(tmp_path):
     io.write_json(j1, {"z": 1, "a": rows[0]})
     io.write_json(j2, {"a": rows[0], "z": 1})
     assert j1.read_bytes() == j2.read_bytes()  # sorted keys
+
+
+def test_write_csv_renders_every_value_by_format_float(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    mixed = [1.0, 2.0 / 3.0, -0.0, 1e-300, nan, inf, -inf, np.float64(0.1), np.float64(nan),
+             np.float32(0.1), 3, np.int64(-4), True, None, "a,b", 'say "hi"']
+    rows = [mixed, tuple(reversed(mixed)), np.array([0.1, 2.0 / 3.0, nan]), range(3)]
+    header = [f"c{k}" for k in range(len(mixed))]
+    path = tmp_path / "mixed.csv"
+    io.write_csv(path, header, iter(rows))
+    want = stdio.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([io.format_float(v) for v in row])
+    assert path.read_bytes() == want.getvalue().encode()
+    assert "np.float" not in want.getvalue() and ",None," in want.getvalue()
 
 
 def test_density_matrix_dict_round_trip():

@@ -231,3 +231,73 @@ def test_input_validation(nbpm):
         sp.phase_matching_intensity(nbpm, 538.3, 1074.0, -8.0)
     with pytest.raises(ValidationError):
         sp.filter_kernel(np.arange(5.0), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "box"])
+@pytest.mark.parametrize(
+    "grid, centres, fwhm",
+    [
+        # rising centres, support a few columns wide
+        (np.linspace(1070.0, 1080.0, 41), np.arange(1065.0, 1085.0, 0.01), 0.7),
+        # the falling idler ridge of a rising signal parameter
+        (
+            np.linspace(1075.0, 1085.0, 33),
+            pm.idler_wavelength_nm(538.4, np.arange(1068.0, 1082.0, 0.013)),
+            1.1,
+        ),
+        # support wider than the whole grid: every cell of some rows is inside
+        (np.linspace(1074.0, 1075.0, 7), np.arange(1073.0, 1076.0, 0.05), 40.0),
+        # grid partly beyond the centres: rows whose support holds no centre
+        (np.linspace(1060.0, 1090.0, 31), np.arange(1070.0, 1080.0, 0.02), 0.5),
+        # centres exactly on the Gaussian truncation edge 5 sigma, which rounds
+        # above 5 fwhm / sqrt(8 ln 2) for this fwhm
+        (np.array([0.0]), 5.0 * (1.3 / np.sqrt(8.0 * np.log(2.0))) * np.array([-1.0, 0.0, 1.0]), 1.3),
+    ],
+)
+def test_band_kernel_matches_the_dense_kernel_bit_for_bit(kind, grid, centres, fwhm):
+    want = sp.filter_kernel(grid[:, None] - centres[None, :], fwhm, kind)
+    got = sp._band_kernel(grid, centres, fwhm, kind)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(want) > 0
+
+
+def _dense_joint_spectral_density(spec, pump_nm, sgrid, igrid, length_mm, fwhm, kernel, period_mm):
+    """The unnormalized ridge integral with both kernel matrices evaluated on
+    every cell, on the integration grid joint_spectral_density documents."""
+    if kernel == "gaussian":
+        half_support = sp.GAUSSIAN_TRUNCATION_SIGMAS * fwhm / np.sqrt(8.0 * np.log(2.0))
+    else:
+        half_support = fwhm / 2.0
+    slope = (igrid[-1] / sgrid[0]) ** 2
+    pad = half_support * (1.0 + max(slope, 1.0 / slope))
+    step = min(sgrid[1] - sgrid[0], igrid[1] - igrid[0], fwhm) / 8
+    mu = np.arange(sgrid[0] - pad, sgrid[-1] + pad + step, step)
+    mu = mu[mu > pump_nm * (1.0 + 1e-9)]
+    inten = sp.phase_matching_intensity(spec, pump_nm, mu, length_mm, period_mm=period_mm)
+    ridge_i = pm.idler_wavelength_nm(pump_nm, mu)
+    w = np.full(mu.size, step)
+    w[0] = w[-1] = step / 2.0
+    ker_s = sp.filter_kernel(sgrid[:, None] - mu[None, :], fwhm, kernel)
+    ker_i = sp.filter_kernel(igrid[:, None] - ridge_i[None, :], fwhm, kernel)
+    return (ker_s * (inten * w)) @ ker_i.T
+
+
+@pytest.mark.parametrize("temperature_c", [20.0, 40.0, 60.0])
+@pytest.mark.parametrize("process, kernel", [("birefringent", "gaussian"), ("grating", "box")])
+def test_joint_spectral_density_equals_the_dense_reference(process, kernel, temperature_c):
+    period_mm = 2.0
+    pump, point = pm.solve_pump_for_period(period_mm, temperature_c)
+    if process == "birefringent":
+        spec, period = replace(pm.NBPM_PROCESS, temperature_c=temperature_c), None
+    else:
+        spec, period = replace(pm.QPM_PROCESS, temperature_c=temperature_c), period_mm
+    sgrid = np.linspace(point.signal_nm - 6.0, point.signal_nm + 6.0, 61)
+    igrid = np.linspace(point.idler_nm - 6.0, point.idler_nm + 6.0, 61)
+    want = _dense_joint_spectral_density(spec, pump, sgrid, igrid, L_MM, 1.0, kernel, period)
+    got = sp.joint_spectral_density(
+        spec, pump, sgrid, igrid, L_MM, filter_fwhm_nm=1.0, period_mm=period,
+        kernel=kernel, normalize=False,
+    ).values
+    assert np.array_equal(got, want)
+    assert want.max() > 0.0
