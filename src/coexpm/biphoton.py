@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
 from .poling import _eta_grid, efficiency_ratio
-from .util import spawn_rng
+from .util import _POISSON_MEAN_MAX, spawn_rng
 
 __all__ = [
     "PolarizationState",
@@ -329,6 +329,8 @@ def _analyzer_counts(
     means = [(rate_s * t, rate_i * t, pair_hz * p * t + acc * t) for p in probs]
     if not poisson:
         return means
+    if not all(m <= _POISSON_MEAN_MAX for mean in means for m in mean):
+        raise ValidationError(f"expected counts must not exceed {_POISSON_MEAN_MAX:.6g}, the largest Poisson mean")
     counts = []
     for k, mean in enumerate(means):
         rng = spawn_rng(seed, k)

@@ -129,88 +129,91 @@ DEFAULT_CONFIG = {
 # --- configuration ------------------------------------------------------------
 
 
-# dict-valued config entries that accept an explicit null to mean "disabled"
-_NULLABLE_SECTIONS = {"montecarlo.comparison"}
+# What a default cannot say about a key, by dotted path. A type is what a key
+# that defaults to null takes besides null; dict marks the one section that
+# may be null (switched off). A (text, test) pair is a rule on the checked
+# value: the allowed strings, or a bound that no library call enforces.
+_DOMAINS = {
+    "seed": (">= 0", lambda v: v >= 0),  # numpy's SeedSequence takes no negative seed
+    "design.pump_step_nm": ("> 0", lambda v: v > 0),
+    "dutycycle.max_fourier_order": (">= 0", lambda v: v >= 0),
+    "montecarlo.duty_cycle": float,  # null -> balanced duty cycle for qpm_order
+    "montecarlo.sigma_z_um": ("non-empty", len),
+    "montecarlo.comparison": dict,
+    "jspd.process": ("'birefringent' or 'grating'", lambda v: v in ("birefringent", "grating")),
+    "jspd.period_mm": float,
+    "jspd.signal_min_nm": float,
+    "jspd.signal_max_nm": float,
+    "jspd.idler_min_nm": float,
+    "jspd.idler_max_nm": float,
+    "jspd.points": (">= 2", lambda v: v >= 2),
+    "fringes.theta_idler_step_deg": ("> 0", lambda v: v > 0),
+    "chsh.angles_deg": ("4 entries (a, a', b, b')", lambda v: len(v) == 4),
+    "chsh.mode": ("'expectation' or 'sampled'", lambda v: v in ("expectation", "sampled")),
+    "tomography.counts_csv": str,
+    "stats.pump_mw": float,
+    "stats.dead_time_s": float,
+    "stats.pair_rate_per_mw_per_nm": float,
+    "stats.filter_band_nm": float,
+}
 
 
-def _merge_config(defaults, given, path):
-    """Strict merge: every given key must exist in the defaults skeleton."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
-    merged = copy.deepcopy(defaults)
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        base = defaults[key]
-        if key == "state":
-            merged[key] = _validated_state_config(value, path + key)
-        elif isinstance(base, dict) and base:
-            if value is None and path + key in _NULLABLE_SECTIONS:
-                # an explicit null switches an optional subsection off
-                merged[key] = None
-            else:
-                merged[key] = _merge_config(base, value, path + key + ".")
-        else:
-            merged[key] = _check_scalar(base, value, path + key)
-    return merged
+def _merge_config(base, value, path=""):
+    """The value of config key `path`, checked against its default `base`.
 
-
-def _check_scalar(base, value, keypath):
-    if base is None or value is None:
-        return value
-    if isinstance(base, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {keypath!r} must be a boolean")
-        return value
-    if isinstance(base, int):
-        # a count, order or seed: 2.5 must not be truncated to 2
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {keypath!r} must be an integer")
-        return value
-    if isinstance(base, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {keypath!r} must be a number")
-        return value
-    if isinstance(base, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {keypath!r} must be a string")
-        return value
+    Every given key must exist in the default. A number is finite and never a
+    bool; an integer given for a float key is stored as a float. List elements
+    take the type of the default's elements, a state's kind selects its
+    _STATE_DEFAULTS skeleton, and the _DOMAINS entry of `path` applies last.
+    """
+    domain = _DOMAINS.get(path)
+    if isinstance(domain, type):
+        if value is None:
+            return None
+        base = domain() if base is None else base  # a null default checks as 0.0 or ""
+    if isinstance(base, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {path} must be an object")
+        if "kind" in base:  # a two-photon state
+            kinds = sorted(_STATE_DEFAULTS)
+            if value.get("kind") not in kinds:
+                raise ConfigError(f"config key {path + '.kind'!r} must be one of {kinds}")
+            base = _STATE_DEFAULTS[value["kind"]]
+        merged = copy.deepcopy(base)
+        for key, v in value.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in base:
+                raise ConfigError(f"unknown config key {sub!r}")
+            merged[key] = _merge_config(base[key], v, sub)
+        return merged
     if isinstance(base, list):
         if not isinstance(value, list):
-            raise ConfigError(f"config key {keypath!r} must be an array")
-        return value
+            raise ConfigError(f"config key {path!r} must be an array")
+        value = [_merge_config(base[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    elif type(value) is not type(base) and not (type(base) is float and type(value) is int):
+        what = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}[type(base)]
+        raise ConfigError(f"config key {path!r} must be {what}")
+    elif type(base) is float:
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or too large an integer
+            raise ConfigError(f"config key {path!r} must be finite, got {value}")
+        value = float(value)
+    if isinstance(domain, tuple) and not domain[1](value):
+        raise ConfigError(f"config key {path!r} must be {domain[0]}, got {value}")
     return value
-
-
-def _validated_state_config(value, keypath):
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(f"config key {keypath!r} must be an object with a 'kind' field")
-    kind = value["kind"]
-    if kind not in _STATE_DEFAULTS:
-        raise ConfigError(
-            f"config key {keypath + '.kind'!r} must be one of {sorted(_STATE_DEFAULTS)}"
-        )
-    merged = dict(_STATE_DEFAULTS[kind])
-    for k, v in value.items():
-        if k not in merged:
-            raise ConfigError(f"unknown config key {keypath + '.' + k!r} for state kind {kind!r}")
-        merged[k] = _check_scalar(merged[k], v, keypath + "." + k)
-    return merged
 
 
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer, too deep
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
-    return _merge_config(DEFAULT_CONFIG, raw, "")
+    return _merge_config(DEFAULT_CONFIG, raw)
 
 
 def _build_state(state_cfg: dict):
@@ -218,11 +221,9 @@ def _build_state(state_cfg: dict):
     if kind == "bell":
         return biphoton.bell_psi_plus()
     if kind == "werner":
-        return biphoton.werner_state(float(state_cfg["p"]))
+        return biphoton.werner_state(state_cfg["p"])
     return biphoton.state_from_efficiencies(
-        float(state_cfg["r_birefringent"]),
-        float(state_cfg["r_grating"]),
-        float(state_cfg["phase_rad"]),
+        state_cfg["r_birefringent"], state_cfg["r_grating"], state_cfg["phase_rad"]
     )
 
 
@@ -262,15 +263,13 @@ def _write_meta(outdir: Path, command: str, config: dict, seed: int | None, arti
 
 def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np.ndarray:
     """Grid from c[start_key] by c[step_key] up to c[stop_key], within half a step."""
-    start, stop, step = (float(c[k]) for k in (start_key, stop_key, step_key))
-    if not (np.isfinite(start) and np.isfinite(stop) and 0.0 < step < np.inf):
-        raise ConfigError(f"{start_key}, {stop_key} and {step_key} must be finite, {step_key} > 0")
+    start, stop, step = (c[k] for k in (start_key, stop_key, step_key))
     return np.arange(start, stop + 0.5 * step, step)
 
 
 def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["design"]
-    t = float(c["temperature_c"])
+    t = c["temperature_c"]
     pumps = _inclusive_grid(c, "pump_min_nm", "pump_max_nm", "pump_step_nm")
     sweep = phasematch.period_sweep(pumps, t)
     rows = [
@@ -286,12 +285,10 @@ def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     )
     cutoff = phasematch.degeneracy_pump_nm(t)
     pump_at, point = phasematch.solve_pump_for_period(
-        float(c["fixed_period_mm"]),
-        t,
-        pump_bracket_nm=(float(c["pump_min_nm"]), float(c["pump_max_nm"])),
+        c["fixed_period_mm"], t, pump_bracket_nm=(c["pump_min_nm"], c["pump_max_nm"])
     )
     payload = {
-        "fixed_period_mm": float(c["fixed_period_mm"]),
+        "fixed_period_mm": c["fixed_period_mm"],
         "temperature_c": t,
         "pump_nm": pump_at,
         "signal_nm": point.signal_nm,
@@ -313,13 +310,10 @@ def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 
 def _cmd_dutycycle(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["dutycycle"]
-    if c["max_fourier_order"] < 0:
-        raise ConfigError("dutycycle.max_fourier_order must be >= 0")
-    order = int(c["qpm_order"])
+    order = c["qpm_order"]
     duty = poling.solve_balanced_duty_cycle(order)
-    orders = list(range(0, int(c["max_fourier_order"]) + 1))
     table = []
-    for m in orders:
+    for m in range(c["max_fourier_order"] + 1):
         coeff = poling.fourier_coefficient(duty, m)
         table.append(
             {
@@ -346,14 +340,11 @@ def _cmd_dutycycle(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 
 def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["montecarlo"]
-    order = int(c["qpm_order"])
-    duty = float(c["duty_cycle"]) if c["duty_cycle"] is not None else poling.solve_balanced_duty_cycle(order)
-    sigmas = [float(s) for s in c["sigma_z_um"]]
-    samples = int(c["samples"])
-    reorder = str(c["reorder"])
+    order, sigmas, samples, reorder = c["qpm_order"], c["sigma_z_um"], c["samples"], c["reorder"]
+    duty = c["duty_cycle"] if c["duty_cycle"] is not None else poling.solve_balanced_duty_cycle(order)
     # one eta grid feeds both the efficiency and the entanglement table
     etas = poling._eta_grid(
-        float(c["period_mm"]), duty, int(c["num_domains"]), sigmas, samples, seed, qpm_order=order, reorder=reorder
+        c["period_mm"], duty, c["num_domains"], sigmas, samples, seed, qpm_order=order, reorder=reorder
     )
     primary = poling._efficiency_rows(sigmas, etas)
     artifacts = []
@@ -361,9 +352,9 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     if c["comparison"] is not None:
         comp = c["comparison"]
         comp_rows = poling.monte_carlo_efficiency(
-            float(comp["period_mm"]),
+            comp["period_mm"],
             duty,
-            int(comp["num_domains"]),
+            comp["num_domains"],
             sigmas,
             samples=samples,
             seed=seed + 1,
@@ -415,63 +406,41 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 
 
 def _jspd_process(c: dict) -> tuple[phasematch.ProcessSpec, float | None]:
-    t = float(c["temperature_c"])
+    t = c["temperature_c"]
     if c["process"] == "birefringent":
         return replace(phasematch.NBPM_PROCESS, temperature_c=t), None
-    if c["process"] == "grating":
-        if c["period_mm"] is None:
-            raise ConfigError("jspd.period_mm is required for the grating process")
-        return replace(phasematch.QPM_PROCESS, temperature_c=t), float(c["period_mm"])
-    raise ConfigError("jspd.process must be 'birefringent' or 'grating'")
+    if c["period_mm"] is None:
+        raise ConfigError("jspd.period_mm is required for the grating process")
+    return replace(phasematch.QPM_PROCESS, temperature_c=t), c["period_mm"]
 
 
 def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["jspd"]
     spec, period = _jspd_process(c)
-    pump = float(c["pump_nm"])
+    pump, fwhm = c["pump_nm"], c["filter_fwhm_nm"]
     if period is None:
         point = phasematch.solve_nbpm(spec, pump)
     else:
         point = phasematch.solve_qpm(spec, pump, period)
-    fwhm = float(c["filter_fwhm_nm"])
     span = 5.0 * max(fwhm, 2.0)
-    smin = float(c["signal_min_nm"]) if c["signal_min_nm"] is not None else point.signal_nm - span
-    smax = float(c["signal_max_nm"]) if c["signal_max_nm"] is not None else point.signal_nm + span
-    imin = float(c["idler_min_nm"]) if c["idler_min_nm"] is not None else point.idler_nm - span
-    imax = float(c["idler_max_nm"]) if c["idler_max_nm"] is not None else point.idler_nm + span
-    n = int(c["points"])
-    sgrid = np.linspace(smin, smax, n)
-    igrid = np.linspace(imin, imax, n)
+    smin = point.signal_nm - span if c["signal_min_nm"] is None else c["signal_min_nm"]
+    smax = point.signal_nm + span if c["signal_max_nm"] is None else c["signal_max_nm"]
+    imin = point.idler_nm - span if c["idler_min_nm"] is None else c["idler_min_nm"]
+    imax = point.idler_nm + span if c["idler_max_nm"] is None else c["idler_max_nm"]
+    sgrid = np.linspace(smin, smax, c["points"])
+    igrid = np.linspace(imin, imax, c["points"])
     grid = spectrum.joint_spectral_density(
-        spec,
-        pump,
-        sgrid,
-        igrid,
-        float(c["length_mm"]),
-        filter_fwhm_nm=fwhm,
-        period_mm=period,
-        kernel=str(c["kernel"]),
+        spec, pump, sgrid, igrid, c["length_mm"], filter_fwhm_nm=fwhm, period_mm=period, kernel=c["kernel"]
     )
-    rows = np.column_stack([grid.signal_nm, grid.values]).tolist()
-    header = ["signal_nm\\idler_nm"] + [io.format_float(v) for v in igrid]
-    artifacts = [_emit_table(outdir, "jspd", header, rows, fmt).name]
+    # the summary comes first: a marginal without a width fails before any table is written
     lam_s, prof_s = spectrum.marginal_spectrum(grid, "signal")
     lam_i, prof_i = spectrum.marginal_spectrum(grid, "idler")
-    artifacts.append(
-        _emit_table(
-            outdir,
-            "jspd_marginals",
-            ["signal_nm", "signal_profile", "idler_nm", "idler_profile"],
-            list(zip(lam_s, prof_s, lam_i, prof_i)),
-            fmt,
-        ).name
-    )
     peak_s, peak_i = spectrum.peak_location(grid)
     payload = {
         "process": c["process"],
         "pump_nm": pump,
-        "temperature_c": float(c["temperature_c"]),
-        "length_mm": float(c["length_mm"]),
+        "temperature_c": c["temperature_c"],
+        "length_mm": c["length_mm"],
         "period_mm": period,
         "filter_fwhm_nm": fwhm,
         "kernel": c["kernel"],
@@ -482,8 +451,20 @@ def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "marginal_fwhm_signal_nm": spectrum.marginal_fwhm_nm(grid, "signal"),
         "marginal_fwhm_idler_nm": spectrum.marginal_fwhm_nm(grid, "idler"),
     }
+    rows = np.column_stack([grid.signal_nm, grid.values]).tolist()
+    header = ["signal_nm\\idler_nm"] + [io.format_float(v) for v in igrid]
+    artifacts = [
+        _emit_table(outdir, "jspd", header, rows, fmt).name,
+        _emit_table(
+            outdir,
+            "jspd_marginals",
+            ["signal_nm", "signal_profile", "idler_nm", "idler_profile"],
+            list(zip(lam_s, prof_s, lam_i, prof_i)),
+            fmt,
+        ).name,
+        "jspd_summary.json",
+    ]
     io.write_json(outdir / "jspd_summary.json", payload)
-    artifacts.append("jspd_summary.json")
     print(
         f"jspd: peak at ({peak_s:.3f}, {peak_i:.3f}) nm, phase-matched point "
         f"({point.signal_nm:.3f}, {point.idler_nm:.3f}) nm"
@@ -498,21 +479,21 @@ def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         c, "theta_idler_start_deg", "theta_idler_stop_deg", "theta_idler_step_deg"
     )
     settings = [
-        biphoton.AnalyzerSetting(float(c["theta_signal_deg"]), float(ti)) for ti in thetas
+        biphoton.AnalyzerSetting(c["theta_signal_deg"], float(ti)) for ti in thetas
     ]
     records = countstats.simulate_counts(
         state,
         settings,
-        float(c["pair_rate_hz"]),
-        float(c["integration_time_s"]),
+        c["pair_rate_hz"],
+        c["integration_time_s"],
         seed=seed,
-        singles_rate_s_hz=float(c["singles_rate_s_hz"]),
-        singles_rate_i_hz=float(c["singles_rate_i_hz"]),
-        tau_c_s=float(c["tau_c_s"]),
-        poisson=bool(c["poisson"]),
+        singles_rate_s_hz=c["singles_rate_s_hz"],
+        singles_rate_i_hz=c["singles_rate_i_hz"],
+        tau_c_s=c["tau_c_s"],
+        poisson=c["poisson"],
     )
     if c["subtract_accidentals"]:
-        analyzed = [countstats.subtract_accidentals(r, float(c["tau_c_s"])) for r in records]
+        analyzed = [countstats.subtract_accidentals(r, c["tau_c_s"]) for r in records]
     else:
         analyzed = records
     rows = [
@@ -530,16 +511,16 @@ def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     ]
     fit = countstats.fit_visibility(thetas, [a.rate_coincidence for a in analyzed])
     payload = {
-        "theta_signal_deg": float(c["theta_signal_deg"]),
+        "theta_signal_deg": c["theta_signal_deg"],
         "visibility": fit.visibility,
         "visibility_se": fit.visibility_se,
         "visibility_percent": fit.percent,
         "mean_rate_hz": fit.mean_rate,
         "phase_deg": fit.phase_deg,
         "accidental_rate_hz": countstats.accidental_rate(
-            float(c["singles_rate_s_hz"]), float(c["singles_rate_i_hz"]), float(c["tau_c_s"])
+            c["singles_rate_s_hz"], c["singles_rate_i_hz"], c["tau_c_s"]
         ),
-        "subtracted": bool(c["subtract_accidentals"]),
+        "subtracted": c["subtract_accidentals"],
     }
     io.write_json(outdir / "fringes_fit.json", payload)
     artifacts.append("fringes_fit.json")
@@ -553,23 +534,14 @@ def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 def _cmd_chsh(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["chsh"]
     state = _build_state(c["state"])
-    angles = [float(a) for a in c["angles_deg"]]
-    if len(angles) != 4:
-        raise ConfigError("chsh.angles_deg must have exactly 4 entries (a, a', b, b')")
+    angles = c["angles_deg"]
     pairs = biphoton._chsh_pairs(angles)
     if c["mode"] == "expectation":
         e = [biphoton.correlation(state, ts, ti) for ts, ti in pairs]
-    elif c["mode"] == "sampled":
-        records = countstats.simulate_counts(
-            state,
-            biphoton._correlation_settings(pairs),
-            float(c["pair_rate_hz"]),
-            float(c["integration_time_s"]),
-            seed=seed,
-        )
-        e = biphoton._correlations([r.coincidences for r in records])
     else:
-        raise ConfigError("chsh.mode must be 'expectation' or 'sampled'")
+        settings = biphoton._correlation_settings(pairs)
+        records = countstats.simulate_counts(state, settings, c["pair_rate_hz"], c["integration_time_s"], seed=seed)
+        e = biphoton._correlations([r.coincidences for r in records])
     e_values = {f"E({ts:g},{ti:g})": v for (ts, ti), v in zip(pairs, e)}
     s_three_term, s_sym = biphoton._chsh_values(e)
     payload = {
@@ -595,15 +567,15 @@ def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         state = _build_state(c["state"])
         records = biphoton.simulate_tomography_counts(
             state,
-            float(c["pair_rate_hz"]),
-            float(c["integration_time_s"]),
+            c["pair_rate_hz"],
+            c["integration_time_s"],
             seed=seed,
-            accidental_rate_hz=float(c["accidental_rate_hz"]),
-            poisson=bool(c["poisson"]),
+            accidental_rate_hz=c["accidental_rate_hz"],
+            poisson=c["poisson"],
         )
         io.write_tomography_counts(outdir / "tomography_counts.csv", records)
         artifacts.append("tomography_counts.csv")
-    result = biphoton.reconstruct_state(records, subtract_accidentals=bool(c["subtract_accidentals"]))
+    result = biphoton.reconstruct_state(records, subtract_accidentals=c["subtract_accidentals"])
     rho = result.rho
     target = biphoton.bell_psi_plus()
     payload = {
@@ -633,13 +605,8 @@ def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
 
 def _cmd_stats(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     c = cfg["stats"]
-    rec = countstats.CountRecord(
-        float(c["rate_signal_hz"]),
-        float(c["rate_idler_hz"]),
-        float(c["rate_coincidence_hz"]),
-        1.0,
-    )
-    tau = float(c["tau_c_s"])
+    rec = countstats.CountRecord(c["rate_signal_hz"], c["rate_idler_hz"], c["rate_coincidence_hz"], 1.0)
+    tau = c["tau_c_s"]
     payload = {
         "inputs": {
             "rate_signal_hz": rec.rate_signal,
@@ -653,17 +620,17 @@ def _cmd_stats(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "net_coincidence_rate_hz": countstats.subtract_accidentals(rec, tau).rate_coincidence,
     }
     if c["pump_mw"] is not None:
-        payload["brightness_per_mw"] = countstats.brightness(rec, float(c["pump_mw"]))
+        payload["brightness_per_mw"] = countstats.brightness(rec, c["pump_mw"])
     if c["dead_time_s"] is not None:
-        dt = float(c["dead_time_s"])
+        dt = c["dead_time_s"]
         payload["dead_time_corrected_rates_hz"] = {
             "signal": countstats.correct_dead_time(rec.rate_signal, dt),
             "idler": countstats.correct_dead_time(rec.rate_idler, dt),
         }
     if c["pair_rate_per_mw_per_nm"] is not None:
-        per_nm = float(c["pair_rate_per_mw_per_nm"])
-        band = float(c["filter_band_nm"]) if c["filter_band_nm"] is not None else 1.0
-        pump = float(c["pump_mw"]) if c["pump_mw"] is not None else 1.0
+        per_nm = c["pair_rate_per_mw_per_nm"]
+        band = c["filter_band_nm"] if c["filter_band_nm"] is not None else 1.0
+        pump = c["pump_mw"] if c["pump_mw"] is not None else 1.0
         payload["pair_rate_per_nm_reading"] = {
             "per_mw_per_nm": per_nm,
             "band_nm": band,
@@ -726,11 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     config = load_config(args.config)
-    # numpy's SeedSequence takes only nonnegative seeds
-    for given in (args.seed, config["seed"]):
-        if given is not None and given < 0:
-            raise ConfigError(f"seed must be >= 0, got {given}")
-    seed = args.seed if args.seed is not None else int(config["seed"])
+    seed = config["seed"] if args.seed is None else _merge_config(DEFAULT_CONFIG["seed"], args.seed, "seed")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     handler = _COMMANDS[args.command]

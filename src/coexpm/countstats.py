@@ -31,7 +31,7 @@ import numpy as np
 
 from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
-from .util import spawn_rng
+from .util import _POISSON_MEAN_MAX, spawn_rng
 
 __all__ = [
     "CountRecord",
@@ -264,10 +264,6 @@ def _binned_coincidences(bins_a: np.ndarray, bins_b: np.ndarray) -> int:
     lengths = np.diff(first, append=keys.size)
     shared = (run_keys[1:] ^ run_keys[:-1]) == 1
     return int(np.sum(lengths[:-1][shared] * lengths[1:][shared]))
-
-
-# Largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above).
-_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def _check_stream(duration_s: float, tau_c_s: float, *rates_hz: float) -> None:

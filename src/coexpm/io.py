@@ -63,15 +63,25 @@ def _jsonable(obj):
     return obj
 
 
+def _strict_json(obj, what: str, **layout) -> str:
+    """JSON text of obj; NaN or Infinity raise ValidationError naming `what`."""
+    try:
+        return json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
 def write_json(path: Path, payload: dict) -> None:
+    """Strict JSON, serialized before the file is opened: a non-finite number
+    raises ValidationError and leaves no partial file."""
+    text = _strict_json(payload, str(path), indent=2)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def config_digest(config: dict) -> str:
     """sha256 over the canonical JSON form of an effective configuration."""
-    blob = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
+    blob = _strict_json(config, "config", separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

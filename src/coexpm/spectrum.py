@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FitError, ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
 from .util import fwhm_of_profile, sinc
 
@@ -212,6 +212,15 @@ def peak_location(grid: SpectralGrid) -> tuple[float, float]:
 
 
 def marginal_fwhm_nm(grid: SpectralGrid, axis: str = "signal") -> float:
-    """FWHM of a marginal spectrum (linear interpolation of crossings)."""
+    """FWHM of a marginal spectrum (linear interpolation of crossings).
+
+    Raises FitError when the marginal is zero on the whole grid (the grid
+    misses the ridge) or does not fall to half maximum on both sides.
+    """
     lam, profile = marginal_spectrum(grid, axis)
-    return fwhm_of_profile(lam, profile)
+    if not profile.max() > 0:
+        raise FitError(f"the {axis} marginal is zero on the whole grid")
+    try:
+        return fwhm_of_profile(lam, profile)
+    except ValueError as exc:
+        raise FitError(f"the {axis} marginal has no FWHM on this grid: {exc}") from None

@@ -6,6 +6,9 @@ import numpy as np
 
 __all__ = ["sinc", "spawn_rng", "fwhm_of_profile"]
 
+# Largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above).
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
 
 def sinc(x):
     """Unnormalized sinc: sin(x)/x, with sinc(0) = 1.

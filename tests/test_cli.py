@@ -249,8 +249,26 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("dutycycle", '{"max_fourier_order": -3}'),
         ("fringes --seed -2", "{}"),
         ("fringes", '{}, "seed": -1'),  # a negative top-level seed
+        ("jspd", '{"points": -5}'),
+        ("montecarlo", '{"sigma_z_um": ["a"]}'),
+        ("montecarlo", '{"sigma_z_um": []}'),
+        ("chsh", '{"angles_deg": [0, 45, "x", 67.5]}'),
+        ("chsh", '{"angles_deg": [0, 45, null, 67.5]}'),
+        ("montecarlo", '{"sigma_z_um": [true]}'),
+        ("chsh", '{"angles_deg": [1, 2, true, 3]}'),
+        ("montecarlo", '{"period_mm": NaN}'),
+        ("stats", '{"pump_mw": NaN}'),
+        ("stats", '{"dead_time_s": NaN}'),
+        ("stats", '{"pair_rate_per_mw_per_nm": Infinity}'),
+        ("stats", '{"pair_rate_per_mw_per_nm": 2.0, "filter_band_nm": NaN}'),
+        ("jspd", '{"process": "grating", "period_mm": NaN}'),
+        ("tomography", '{"counts_csv": 3}'),
+        ("fringes", '{"state": {"kind": "efficiencies", "phase_rad": NaN}}'),
+        ("fringes", '{"pair_rate_hz": 1e300}'),
+        ("tomography", '{"integration_time_s": 1e300}'),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a bad number must not reach numpy and warn first
 def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section):
     # Python's json reads NaN and Infinity; options may follow the command name
     name, *options = command.split()
@@ -258,6 +276,54 @@ def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section
     cfg.write_text('{"schema_version": 1, "%s": %s}' % (name, section))
     assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path), *options]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_every_domain_names_a_default_key_and_every_null_default_is_typed():
+    def keys(node, path=""):
+        for key, value in node.items():
+            sub = f"{path}.{key}" if path else key
+            yield sub, value
+            if isinstance(value, dict):
+                yield from keys(value, sub)
+
+    defaults = dict(keys(cli.DEFAULT_CONFIG))
+    assert set(cli._DOMAINS) <= set(defaults)
+    null_keys = {k for k, v in defaults.items() if v is None}
+    assert len(null_keys) == 11
+    for key in null_keys:
+        assert cli._DOMAINS[key] in (float, str), key
+    assert cli._DOMAINS["montecarlo.comparison"] is dict
+    for key, domain in cli._DOMAINS.items():
+        if defaults[key] is not None and not isinstance(domain, type):
+            text, test = domain
+            assert test(defaults[key]), (key, text)  # every default lies in its domain
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        # a grid narrower than the filtered marginal: no half-maximum crossing
+        {
+            "filter_fwhm_nm": 3.0,
+            "signal_min_nm": 1073.5,
+            "signal_max_nm": 1075,
+            "idler_min_nm": 1078.8,
+            "idler_max_nm": 1080.3,
+            "points": 31,
+        },
+        # a grid that misses the ridge: the density is zero everywhere
+        {"signal_min_nm": 800, "signal_max_nm": 820, "idler_min_nm": 1200, "idler_max_nm": 1300},
+    ],
+    ids=["narrow-grid", "grid-misses-ridge"],
+)
+def test_jspd_marginal_without_a_width_is_a_fit_failure_and_writes_no_table(tmp_path, capsys, section):
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "jspd": section})
+    out = tmp_path / "out"
+    assert cli.main(["jspd", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "marginal" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("seed", ["1.5", "true", '"3"'])
@@ -279,6 +345,9 @@ def test_integer_keys_take_integers_and_float_keys_take_either(tmp_path):
     # an integer is a valid value for a key whose default is a float
     cfg_path = _write_config(tmp_path / "b.json", {"schema_version": 1, "stats": {"tau_c_s": 1}})
     assert cli.main(["stats", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    # ... and is stored as the float the run used
+    raw = (tmp_path / "stats_meta.json").read_text()
+    assert '"tau_c_s": 1.0' in raw and json.loads(raw)["config"]["stats"]["tau_c_s"] == 1.0
 
 
 def test_successive_runs_do_not_share_options(tmp_path, capsys):
@@ -391,6 +460,18 @@ def test_invalid_json_is_rejected(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json", encoding="utf-8")
     assert cli.main(["design", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"schema_version": 1, "seed": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+    ids=["not-utf-8", "integer-too-long-to-read", "nested-too-deep"],
+)
+def test_unreadable_config_text_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert cli.main(["stats", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -369,6 +369,24 @@ def test_heralded_stream_rejects_bad_inputs(kwargs):
         cs.simulate_heralded(**args)
 
 
+def test_analyzer_counts_too_large_for_the_poisson_sampler_are_rejected_before_any_draw(monkeypatch):
+    from coexpm import biphoton
+
+    def no_draws(*args):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(biphoton, "spawn_rng", no_draws)
+    bell, setting = biphoton.bell_psi_plus(), [AnalyzerSetting(0.0, 90.0)]
+    with pytest.raises(ValidationError, match="largest Poisson mean"):
+        cs.simulate_counts(bell, setting, 1e30, 10.0, seed=0)
+    with pytest.raises(ValidationError, match="largest Poisson mean"):
+        cs.simulate_counts(bell, setting, 439.0, 10.0, seed=0, singles_rate_s_hz=1e300, singles_rate_i_hz=1e300)
+    with pytest.raises(ValidationError, match="largest Poisson mean"):
+        biphoton.simulate_tomography_counts(bell, 439.0, 1e300, seed=0)
+    # without draws the means are returned as they are
+    assert cs.simulate_counts(bell, setting, 1e30, 10.0, seed=0, poisson=False)[0].coincidences == pytest.approx(5e30)
+
+
 def test_counts_too_large_for_the_poisson_sampler_are_rejected_before_any_draw(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a generator was created")

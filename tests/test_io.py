@@ -2,12 +2,13 @@
 
 import csv
 import io as stdio
+import json
 
 import numpy as np
 import pytest
 
 from coexpm import io
-from coexpm.errors import ConfigError
+from coexpm.errors import ConfigError, ValidationError
 
 
 def test_float_formatting_round_trips():
@@ -33,6 +34,23 @@ def test_write_csv_and_json_are_deterministic(tmp_path):
     io.write_json(j1, {"z": 1, "a": rows[0]})
     io.write_json(j2, {"a": rows[0], "z": 1})
     assert j1.read_bytes() == j2.read_bytes()  # sorted keys
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_json_writers_reject_non_finite_numbers_and_leave_no_file(tmp_path, bad):
+    path = tmp_path / "leak.json"
+    with pytest.raises(ValidationError, match="leak.json"):
+        io.write_json(path, {"ok": 1.0, "nested": {"rows": [[0.5, bad]]}})
+    assert not path.exists()
+    with pytest.raises(ValidationError, match="config"):
+        io.config_digest({"stats": {"tau_c_s": bad}})
+
+
+def test_write_json_bytes_are_the_indented_sorted_dump(tmp_path):
+    payload = {"b": [1.0, 2.0 / 3.0, np.float64(5.425e-06)], "a": {"z": None, "y": True, "x": "s"}}
+    io.write_json(tmp_path / "p.json", payload)
+    expected = json.dumps(io._jsonable(payload), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "p.json").read_text() == expected
 
 
 def test_write_csv_renders_every_value_by_format_float(tmp_path):
