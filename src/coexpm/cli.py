@@ -146,7 +146,7 @@ _DOMAINS = {
     "jspd.signal_max_nm": float,
     "jspd.idler_min_nm": float,
     "jspd.idler_max_nm": float,
-    "jspd.points": (">= 2", lambda v: v >= 2),
+    "jspd.points": (">= 3", lambda v: v >= 3),  # the FWHM of a marginal needs 3 samples
     "fringes.theta_idler_step_deg": ("> 0", lambda v: v > 0),
     "chsh.angles_deg": ("4 entries (a, a', b, b')", lambda v: len(v) == 4),
     "chsh.mode": ("'expectation' or 'sampled'", lambda v: v in ("expectation", "sampled")),

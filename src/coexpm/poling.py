@@ -23,6 +23,7 @@ at the operating point) and d(delta_k) an optional detuning from it.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -49,11 +50,15 @@ __all__ = [
 ]
 
 # Cells (samples x domains) of the wall-error array processed per block by
-# the Monte Carlo kernels. A phasor-sum block holds a float phase array and
-# two complex arrays of this size, about 0.6 MB in all, and the truncation
-# scan and the ordering check hold a few arrays of this size, whatever the
-# sample count.
+# the Monte Carlo kernels. The phasor sum turns a block of errors into
+# phases in place and holds four more float arrays of the block's size, about
+# 0.5 MB in all, and the truncation scan and the ordering check hold a few
+# arrays of this size, whatever the sample count.
 _BLOCK_CELLS = 1 << 14
+# Phasor table of the wall-error kernel: cos and sin at the 4096 nodes
+# 2 pi k / 4096 (64 KiB), built once at import by _phasor_table.
+_TABLE_SIZE = 1 << 12
+_TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
 # Step of the duty-cycle scan that brackets the balanced root.
 _SCAN_STEP = 1e-5
 
@@ -326,18 +331,96 @@ def _check_monte_carlo(
     detuning = float(detuning_rad_per_um)
     if not np.isfinite(detuning):
         raise ValidationError(f"detuning_rad_per_um must be finite, got {detuning}")
+    nominal = nominal_boundaries_um(period_mm, d, n)
+    # Python floats: an overflow gives inf here, not a numpy warning
+    last_phase = detuning * float(nominal[-1])
+    if not math.isfinite(last_phase / _TABLE_STEP):
+        raise ValidationError(
+            f"detuning_rad_per_um {detuning:g} puts the phase at the last nominal wall "
+            f"({last_phase:g} rad) beyond the float range of the phasor kernel"
+        )
     lam_um = period_mm * 1e3
     dk = qpm_order * 2.0 * np.pi / lam_um
-    return nominal_boundaries_um(period_mm, d, n), dk, detuning
+    return nominal, dk, detuning
+
+
+def _phasor_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin at the table nodes. Node k >= 2048 is evaluated at the
+    angle (k - 4096) * step, so the nodes next to zero phase carry no
+    rounding of 2 pi."""
+    half = _TABLE_SIZE // 2
+    angles = ((np.arange(_TABLE_SIZE) + half) % _TABLE_SIZE - half) * _TABLE_STEP
+    return np.cos(angles), np.sin(angles)
+
+
+_COS_TABLE, _SIN_TABLE = _phasor_table()
+
+
+def _phasor_power(phi, work) -> np.ndarray:
+    """|mean_j exp(-i phi[r, j])|^2 for each row r of the (rows, N) phases phi.
+
+    Each phase is split as phi = (j + f) * 2 pi / 4096 with j = rint(phi *
+    4096 / 2 pi). The phasor at node j comes from the table and is rotated by
+    the remainder b = f * 2 pi / 4096, |b| <= pi / 4096, whose cos and sin are
+    Taylor series through b^4 and b^5 (truncation below 3e-22). The result
+    carries an error of a few eps * max(1, |phi|), the order of the rounding
+    already in phi. phi and work (four contiguous float64 arrays of phi's
+    shape) are overwritten; all temporaries live in them.
+    """
+    j, w, c, s = work
+    phi *= 1.0 / _TABLE_STEP
+    np.rint(phi, out=j)
+    phi -= j
+    phi *= _TABLE_STEP
+    # j mod 4096, exactly: every finite j reduces into [-2048, 2048] before
+    # the integer cast, and the mask maps it to its node
+    np.multiply(j, 1.0 / _TABLE_SIZE, out=w)
+    np.rint(w, out=w)
+    w *= _TABLE_SIZE
+    j -= w
+    node = w.view(np.int64)
+    np.copyto(node, j, casting="unsafe")
+    node &= _TABLE_SIZE - 1
+    # every node is in range, so "clip" never moves one; it skips the
+    # negative-index handling of the default mode
+    np.take(_COS_TABLE, node, out=c, mode="clip")
+    np.take(_SIN_TABLE, node, out=s, mode="clip")
+    b2 = np.multiply(phi, phi, out=j)
+    sin_b = w  # b (1 - b^2/6 + b^4/120)
+    np.multiply(b2, 1.0 / 120.0, out=sin_b)
+    sin_b -= 1.0 / 6.0
+    sin_b *= b2
+    sin_b += 1.0
+    sin_b *= phi
+    cos_b = phi  # 1 - b^2/2 + b^4/24
+    np.multiply(b2, 1.0 / 24.0, out=cos_b)
+    cos_b -= 0.5
+    cos_b *= b2
+    cos_b += 1.0
+    # real part c cos_b - s sin_b into j, imaginary part s cos_b + c sin_b into s
+    real = np.multiply(c, cos_b, out=j)
+    c *= sin_b
+    sin_b *= s
+    real -= sin_b
+    s *= cos_b
+    s += c
+    re = real.mean(axis=-1)
+    im = s.mean(axis=-1)
+    return re * re + im * im
 
 
 def _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, trunc, max_attempts):
     """eta of len(err) realizations at one validated sigma; err is the
-    (samples, N) array the wall errors are drawn into.
+    (samples, N) array the wall errors are drawn into, and holds no
+    particular values on return.
 
     Runs only private code and numpy, so it may run on a worker thread. The
     phasor sums are evaluated in row blocks; each row's sum is the same as
-    evaluating all rows at once.
+    evaluating all rows at once. No complex exponential is taken: each
+    phasor exp(-i Phi) is the 4096-node table entry nearest Phi, rotated by
+    the remainder through Taylor series of its cos and sin (_phasor_power).
+    eta then differs from the complex-exponential sum by a few eps times
+    max(1, |Phi|), the order of the rounding already in Phi.
     """
     samples = len(err)
     if sigma == 0.0:
@@ -348,10 +431,16 @@ def _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, trunc, max_attem
         _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts)
     detune = detuning * nominal
     rows = max(1, _BLOCK_CELLS // nominal.size)
+    # four arrays, not one of shape (4, rows, N): at the default block each
+    # stays under glibc's 128 KiB mmap threshold and reuses heap pages, where
+    # one 512 KB array was a fresh mapping that raised peak RSS by about 0.3 MB
+    work = [np.empty((min(rows, samples), nominal.size)) for _ in range(4)]
     eta = np.empty(samples)
     for i in range(0, samples, rows):
-        phi = dk * err[i : i + rows] + detune
-        eta[i : i + rows] = np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
+        phi = err[i : i + rows]  # the phases replace the errors in place
+        phi *= dk
+        phi += detune
+        eta[i : i + rows] = _phasor_power(phi, [w[: len(phi)] for w in work])
     return eta
 
 
@@ -448,7 +537,7 @@ def efficiency_samples(
 
     The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
     efficiency is then error-independent and identically 1 at zero detuning).
-    The phasor sums are evaluated in blocks of rows, so the complex
+    The phasor sums are evaluated in blocks of rows, so the kernel's
     temporaries stay bounded as samples x num_domains grows.
     """
     sigma = _check_sigma(sigma_z_um)

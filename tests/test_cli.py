@@ -250,6 +250,7 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("fringes --seed -2", "{}"),
         ("fringes", '{}, "seed": -1'),  # a negative top-level seed
         ("jspd", '{"points": -5}'),
+        ("jspd", '{"points": 2}'),  # a marginal's FWHM needs 3 samples
         ("montecarlo", '{"sigma_z_um": ["a"]}'),
         ("montecarlo", '{"sigma_z_um": []}'),
         ("chsh", '{"angles_deg": [0, 45, "x", 67.5]}'),

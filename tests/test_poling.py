@@ -269,7 +269,35 @@ def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
     err = _reference_draw_errors(spawn_rng(5, 2), (samples, domains), sigma, 3.0)
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
     phi = 2.0 * math.pi / (period_mm * 1e3) * err + detuning * nominal
-    assert np.array_equal(eta, np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
+    whole = poling._phasor_power(phi, np.empty((4,) + phi.shape))  # one block
+    assert np.array_equal(eta, whole)
+
+
+def _assert_close_to_cexp(phi):
+    eps = np.finfo(float).eps
+    want = np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2
+    eta = poling._phasor_power(phi.copy(), np.empty((4,) + phi.shape))
+    assert np.max(np.abs(eta - want)) <= 16 * eps * max(1.0, np.max(np.abs(phi)))
+    assert np.all((eta >= 0.0) & (eta <= 1.0 + 4 * eps))
+
+
+@pytest.mark.parametrize("period_mm, domains", [(2.0, 8), (0.015, 1066)])
+@pytest.mark.parametrize("sigma", [0.5, 10.0, 100.0])
+@pytest.mark.parametrize("detuning", [0.0, 1e-4, -1.0])
+def test_phasor_kernel_matches_complex_exp(period_mm, domains, sigma, detuning):
+    err = spawn_rng(11).normal(0.0, sigma, (40, domains))
+    nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
+    _assert_close_to_cexp(2.0 * math.pi / (period_mm * 1e3) * err + detuning * nominal)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5, -0.5, 0.5 - 1e-9, 1e-12])
+def test_phasor_kernel_matches_complex_exp_at_table_nodes(offset):
+    # nodes of both signs, half a step either side of them (where rint picks
+    # the neighbouring node), and phases that wrap past +/- 4096 steps
+    nodes = np.concatenate([np.arange(-5000, 5001), 4096.0 * np.arange(-40, 41) + 1.0])
+    phi = (nodes + offset) * (2.0 * math.pi / 4096)
+    _assert_close_to_cexp(phi.reshape(-1, 1))  # one phasor per row
+    _assert_close_to_cexp(phi.reshape(1, -1))  # one sum over them all
 
 
 def test_resample_policy_gives_up_on_hopeless_geometry():
@@ -571,6 +599,19 @@ def test_non_finite_sigma_and_detuning_are_rejected(bad):
         poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), detuning_rad_per_um=bad)
     with pytest.raises(ValidationError, match="detuning"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=bad)
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning, no NaN row
+def test_huge_detuning_raises_or_stays_finite():
+    # the phase at the last wall, 8000 um, overflows the float range (or its
+    # count of table steps does) at the first two detunings
+    for detuning in (1e305, -1e303):
+        with pytest.raises(ValidationError, match="detuning"):
+            poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=detuning)
+    # phases up to 8e17 rad: every table index is reduced before its cast
+    for sigma in (0.0, 10.0):
+        eta = poling.efficiency_samples(2.0, 0.735, 8, sigma, 50, spawn_rng(0), detuning_rad_per_um=1e14)
+        assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
 
 
 def test_non_positive_truncation_is_rejected():
