@@ -590,9 +590,9 @@ def entanglement_vs_fabrication(
     F = |sqrt(r1) + e^{i phi} sqrt(rg)|^2 / (2 (r1 + rg)) = (1 + C cos phi) / 2;
     both are evaluated over all samples of a sigma at once.
 
-    Grid position idx draws eta from the stream spawn_rng(seed, idx), the one
-    monte_carlo_efficiency uses, so at the same seed, geometry and qpm order
-    both report the same mean_eta for each sigma.
+    eta is drawn as in monte_carlo_efficiency, so at the same seed, geometry
+    and qpm order both report the same mean_eta for each sigma, and the rows
+    of different sigma share their draws and are correlated.
     """
     etas = _eta_grid(
         period_mm,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import SolverError, ValidationError
-from .util import sinc, spawn_rng
+from .util import _check_cells, sinc, spawn_rng
 
 __all__ = [
     "fourier_coefficient",
@@ -49,12 +48,12 @@ __all__ = [
     "monte_carlo_efficiency",
 ]
 
-# Cells (samples x domains) of the wall-error array processed per block by
-# the Monte Carlo kernels. The phasor sum turns a block of errors into
-# phases in place and holds four more float arrays of the block's size, about
-# 0.5 MB in all, and the truncation scan and the ordering check hold a few
-# arrays of this size, whatever the sample count.
-_BLOCK_CELLS = 1 << 14
+# Cells (rows x domains) of one row block of the wall-error Monte Carlo, the
+# unit of work of the sigma grid. A block holds six float arrays of this size
+# (z, its sigma-scaled phases and the phasor kernel's four work arrays), and
+# the truncation scan and the ordering check a few more, whatever the sample
+# count.
+_BLOCK_CELLS = 1 << 16
 # Phasor table of the wall-error kernel: cos and sin at the 4096 nodes
 # 2 pi k / 4096 (64 KiB), built once at import by _phasor_table.
 _TABLE_SIZE = 1 << 12
@@ -162,8 +161,8 @@ class ErrorModel:
         _check_sigma(self.sigma_z_um)
         if self.reorder not in ("resample", "allow"):
             raise ValidationError("reorder must be 'resample' or 'allow'")
-        if not self.truncation_sigmas > 0:
-            raise ValidationError("truncation_sigmas must be > 0")
+        if not 0.0 < self.truncation_sigmas < math.inf:
+            raise ValidationError("truncation_sigmas must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +191,7 @@ def _check_geometry(period_mm: float, duty_cycle: float, num_domains: int):
     n = int(num_domains)
     if n < 2 or n % 2:
         raise ValidationError("num_domains must be a positive even integer")
+    _check_cells("num_domains", n)
     return float(period_mm), float(duty_cycle), n
 
 
@@ -206,79 +206,58 @@ def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int)
     return z
 
 
-def _draw_errors(rng, err, runs, sigma, trunc):
-    """Fill the row runs [a, b) of err, in order, with Gaussians truncated to
-    +/- trunc sigma, then subtract each filled row's mean.
+def _draw_z(rng, rows, n, trunc) -> np.ndarray:
+    """(rows, n) standard normals truncated to +/- trunc, with each row's mean
+    subtracted.
 
-    The draws are those of rng.normal(0, sigma, (rows, N)) on the rows of the
-    runs stacked into one array, followed by masked redraws of its
-    out-of-bound cells: the same standard-normal stream is scaled, and the
-    cells are redrawn by ascending index. No temporary as large as err is
-    made.
+    The draws are those of rng.standard_normal((rows, n)) followed by masked
+    redraws of its out-of-bound cells, by ascending index.
     """
-    n = err.shape[1]
-    flat = err.reshape(-1)
-    for a, b in runs:
-        rng.standard_normal(out=err[a:b])
-        err[a:b] *= sigma
-    bound = trunc * sigma
-    bad = np.concatenate(
-        [
-            np.flatnonzero(np.abs(flat[i : min(i + _BLOCK_CELLS, b * n)]) > bound) + i
-            for a, b in runs
-            for i in range(a * n, b * n, _BLOCK_CELLS)
-        ]
-    )
+    z = rng.standard_normal((rows, n))
+    flat = z.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > trunc)
     while bad.size:
-        flat[bad] = rng.normal(0.0, sigma, size=bad.size)
-        bad = bad[np.abs(flat[bad]) > bound]
-    for a, b in runs:
-        err[a:b] -= err[a:b].mean(axis=-1, keepdims=True)
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > trunc]
+    z -= z.mean(axis=-1, keepdims=True)
+    return z
 
 
 def _ordered(nominal, err) -> np.ndarray:
-    """Row mask: walls nominal + err strictly increasing and past the crystal
-    entrance, checked in row blocks."""
-    rows = max(1, _BLOCK_CELLS // nominal.size)
-    ok = np.empty(len(err), dtype=bool)
-    for i in range(0, len(err), rows):
-        z = nominal + err[i : i + rows]
-        ok[i : i + rows] = (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)
-    return ok
+    """Row mask: walls nominal + err strictly increasing and past the entrance."""
+    z = nominal + err
+    return (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)
 
 
-def _row_runs(mask) -> list[tuple[int, int]]:
-    """(start, stop) of each run of True in a boolean row mask."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return list(zip(edges[0::2], edges[1::2]))
+def _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, redraw_rng):
+    """Wall errors sigma * z, written into out; returns out and leaves z as it was.
 
-
-def _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts):
-    """Fill the (samples, N) array err with wall errors at sigma > 0; returns err.
-
-    Under "resample" the rows whose walls cross are redrawn in place, all
-    together, until every row is ordered or max_attempts rounds have been
-    drawn.
+    Under "resample" the rows whose walls cross are redrawn together, as
+    sigma * _draw_z rows from the generator redraw_rng() returns (asked for
+    at the first redraw), until every row is ordered or max_attempts rounds
+    have been drawn.
     """
-    _draw_errors(rng, err, [(0, len(err))], sigma, trunc)
-    if reorder == "resample":
-        bad = ~_ordered(nominal, err)
-        attempts = 1
-        while np.any(bad):
-            if attempts >= max_attempts:
-                shortest = min(nominal[0], nominal[1] - nominal[0])
-                raise SolverError(
-                    f"{int(bad.sum())} of {len(err)} realizations still unordered after "
-                    f"{max_attempts} resampling rounds (sigma_z = {sigma} um vs shortest "
-                    f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
-                    "efficiency sum regardless"
-                )
-            runs = _row_runs(bad)
-            _draw_errors(rng, err, runs, sigma, trunc)
-            for a, b in runs:
-                bad[a:b] = ~_ordered(nominal, err[a:b])
-            attempts += 1
-    return err
+    np.multiply(z, sigma, out=out)
+    if reorder == "allow":
+        return out
+    bad = np.flatnonzero(~_ordered(nominal, out))
+    rng = None
+    attempts = 1
+    while bad.size:
+        if attempts >= max_attempts:
+            shortest = min(nominal[0], nominal[1] - nominal[0])
+            raise SolverError(
+                f"{bad.size} of {len(out)} realizations still unordered after "
+                f"{max_attempts} resampling rounds (sigma_z = {sigma} um vs shortest "
+                f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
+                "efficiency sum regardless"
+            )
+        if rng is None:
+            rng = redraw_rng()
+        out[bad] = sigma * _draw_z(rng, bad.size, nominal.size, trunc)
+        bad = bad[~_ordered(nominal, out[bad])]
+        attempts += 1
+    return out
 
 
 def realize_structure(
@@ -288,17 +267,21 @@ def realize_structure(
     error_model: ErrorModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> PolingStructure:
-    """Draw one structure realization under the given error model."""
+    """Draw one structure realization under the given error model, with the
+    Monte Carlo's sampler (one row of z, redraws from the same generator)."""
     period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
     nominal = nominal_boundaries_um(period_mm, d, n)
     if error_model is None or error_model.sigma_z_um == 0.0:
         err = np.zeros(n)
     else:
-        if rng is None:
-            rng = spawn_rng(error_model.seed) if error_model.seed is not None else np.random.default_rng()
         em = error_model
-        err = _sample_errors(
-            rng, np.empty((1, n)), nominal, em.sigma_z_um, em.truncation_sigmas, em.reorder, em.max_attempts
+        # the Monte Carlo's bounds, on the first-order phases of one sample
+        _check_monte_carlo(period_mm, d, n, [em.sigma_z_um], 1, 1, 0.0, em.reorder, em.truncation_sigmas)
+        if rng is None:
+            rng = spawn_rng(em.seed) if em.seed is not None else np.random.default_rng()
+        z = _draw_z(rng, 1, n, em.truncation_sigmas)
+        err = _scaled_errors(
+            z, em.sigma_z_um, z.copy(), nominal, em.truncation_sigmas, em.reorder, em.max_attempts, lambda: rng
         )[0]
     return PolingStructure(period_mm, d, n, nominal, err)
 
@@ -308,40 +291,54 @@ def conversion_efficiency(
     delta_k_rad_per_um: float,
     detuning_rad_per_um: float = 0.0,
 ) -> float:
-    """Relative efficiency eta of the realized structure at the given mismatch."""
-    phi = (
-        delta_k_rad_per_um * structure.boundary_error_um
-        + detuning_rad_per_um * structure.boundary_nominal_um
+    """Relative efficiency eta of the realized structure at the given mismatch,
+    summed by the Monte Carlo's phasor kernel (_phasor_power)."""
+    dk, detuning = float(delta_k_rad_per_um), float(detuning_rad_per_um)
+    err, nominal = structure.boundary_error_um, structure.boundary_nominal_um
+    _check_phase(
+        abs(dk) * float(np.max(np.abs(err))) + abs(detuning) * float(np.max(np.abs(nominal))),
+        f"delta_k_rad_per_um {dk:g} and detuning_rad_per_um {detuning:g}",
     )
-    amp = np.exp(-1j * phi).sum() / structure.num_domains
-    return float(np.abs(amp) ** 2)
+    phi = (dk * err + detuning * nominal).reshape(1, -1)
+    return float(_phasor_power(phi, np.empty((4,) + phi.shape))[0])
+
+
+def _check_phase(largest_rad: float, inputs: str) -> None:
+    """Reject inputs whose largest phase is not finite in radians or in table
+    steps. largest_rad is computed on Python floats, so an overflow gives inf
+    or nan here, not a numpy warning."""
+    if not math.isfinite(largest_rad / _TABLE_STEP):
+        raise ValidationError(
+            f"{inputs} put the largest phase ({largest_rad:g} rad) beyond the float range of the phasor kernel"
+        )
 
 
 def _check_monte_carlo(
-    period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+    period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
+    truncation_sigmas,
 ):
-    """Validated Monte Carlo inputs: (nominal walls, operating mismatch, detuning)."""
+    """Validated Monte Carlo inputs: (sigma values, nominal walls, operating
+    mismatch, detuning)."""
     period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
+    sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    _check_cells("samples x sigma values", samples * len(sigmas))
     if reorder not in ("resample", "allow"):
         raise ValidationError("reorder must be 'resample' or 'allow'")
-    if not truncation_sigmas > 0:
-        raise ValidationError("truncation_sigmas must be > 0")
+    if not 0.0 < truncation_sigmas < math.inf:
+        raise ValidationError("truncation_sigmas must be finite and > 0")
     detuning = float(detuning_rad_per_um)
-    if not np.isfinite(detuning):
-        raise ValidationError(f"detuning_rad_per_um must be finite, got {detuning}")
     nominal = nominal_boundaries_um(period_mm, d, n)
-    # Python floats: an overflow gives inf here, not a numpy warning
-    last_phase = detuning * float(nominal[-1])
-    if not math.isfinite(last_phase / _TABLE_STEP):
-        raise ValidationError(
-            f"detuning_rad_per_um {detuning:g} puts the phase at the last nominal wall "
-            f"({last_phase:g} rad) beyond the float range of the phasor kernel"
-        )
     lam_um = period_mm * 1e3
     dk = qpm_order * 2.0 * np.pi / lam_um
-    return nominal, dk, detuning
+    # walls err by at most 2 trunc sigma: the truncation, then the row mean
+    sigma = max(sigmas, default=0.0)
+    _check_phase(
+        abs(dk) * (2.0 * truncation_sigmas * sigma) + abs(detuning) * float(nominal[-1]),
+        f"sigma_z_um {sigma:g} and detuning_rad_per_um {detuning:g}",
+    )
+    return sigmas, nominal, dk, detuning
 
 
 def _phasor_table() -> tuple[np.ndarray, np.ndarray]:
@@ -409,39 +406,37 @@ def _phasor_power(phi, work) -> np.ndarray:
     return re * re + im * im
 
 
-def _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, trunc, max_attempts):
-    """eta of len(err) realizations at one validated sigma; err is the
-    (samples, N) array the wall errors are drawn into, and holds no
-    particular values on return.
+def _block_eta(z_rng, redraw_rng, rows, sigmas, nominal, dk, detuning, trunc, reorder, max_attempts):
+    """eta of one block of `rows` realizations at every sigma of the grid, as
+    a (len(sigmas), rows) array.
 
-    Runs only private code and numpy, so it may run on a worker thread. The
-    phasor sums are evaluated in row blocks; each row's sum is the same as
-    evaluating all rows at once. No complex exponential is taken: each
-    phasor exp(-i Phi) is the 4096-node table entry nearest Phi, rotated by
-    the remainder through Taylor series of its cos and sin (_phasor_power).
-    eta then differs from the complex-exponential sum by a few eps times
-    max(1, |Phi|), the order of the rounding already in Phi.
+    z is drawn once from z_rng and each sigma evaluates sigma * z while z is
+    still in cache, so the rows of different sigma share their draws (common
+    random numbers); rows that cross at grid index i are redrawn from
+    redraw_rng(i) into the sigma-scaled copy. The phasor sums take no complex
+    exponential (_phasor_power). Runs only private code and numpy, so it may
+    run on a worker thread.
     """
-    samples = len(err)
-    if sigma == 0.0:
-        if detuning == 0.0:
-            return np.ones(samples)
-        err.fill(0.0)
-    else:
-        _sample_errors(rng, err, nominal, sigma, trunc, reorder, max_attempts)
+    z = _draw_z(z_rng, rows, nominal.size, trunc)
     detune = detuning * nominal
-    rows = max(1, _BLOCK_CELLS // nominal.size)
-    # four arrays, not one of shape (4, rows, N): at the default block each
-    # stays under glibc's 128 KiB mmap threshold and reuses heap pages, where
-    # one 512 KB array was a fresh mapping that raised peak RSS by about 0.3 MB
-    work = [np.empty((min(rows, samples), nominal.size)) for _ in range(4)]
-    eta = np.empty(samples)
-    for i in range(0, samples, rows):
-        phi = err[i : i + rows]  # the phases replace the errors in place
-        phi *= dk
+    phi = np.empty_like(z)
+    work = np.empty((4,) + z.shape)
+    eta = np.empty((len(sigmas), rows))
+    for i, sigma in enumerate(sigmas):
+        if sigma == 0.0 and detuning == 0.0:
+            eta[i] = 1.0
+            continue
+        _scaled_errors(z, sigma, phi, nominal, trunc, reorder, max_attempts, lambda: redraw_rng(i))
+        phi *= dk  # the phases replace the errors in place
         phi += detune
-        eta[i : i + rows] = _phasor_power(phi, [w[: len(phi)] for w in work])
+        eta[i] = _phasor_power(phi, work)
     return eta
+
+
+def _blocks(samples, num_domains) -> list[tuple[int, int]]:
+    """(start, stop) rows of each block; they depend only on the sizes."""
+    rows = max(1, _BLOCK_CELLS // num_domains)
+    return [(a, min(a + rows, samples)) for a in range(0, samples, rows)]
 
 
 def _usable_cpus() -> int:
@@ -449,12 +444,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def _grid_workers(points: int) -> int:
-    """Threads a grid of `points` sigma values runs on: the CPUs this process
-    may use, at most one per point."""
-    return max(1, min(_usable_cpus(), points))
 
 
 def _eta_grid(
@@ -472,40 +461,32 @@ def _eta_grid(
 ) -> list[np.ndarray]:
     """eta samples for each sigma of the grid, in grid order.
 
-    Grid position idx draws from spawn_rng(seed, idx) whichever thread
-    evaluates it, so the result does not depend on the number of workers.
-    Inputs are validated, and the streams and error arrays created, on the
-    calling thread. The sigma values then run on a pool of `workers` threads
-    (numpy releases the GIL in its draws and array kernels).
-
-    Each running task borrows one of the `workers` error arrays, which are
-    allocated here in one block, so peak memory grows with the number of
-    usable CPUs. With glibc, arrays that worker threads allocate themselves
-    land in per-thread malloc arenas, where small allocations that outlive a
-    task fragment the space a freed array leaves; over repeated calls peak
-    RSS then grew in steps of one error array.
+    Inputs are validated on the calling thread. The row blocks then run on a
+    pool of threads (numpy releases the GIL in its draws and array kernels).
+    Block b draws z from spawn_rng(seed, b) and its redraws at grid index i
+    from spawn_rng(seed, b, i), whichever thread evaluates it, so the result
+    does not depend on the number of workers.
     """
-    sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
-    nominal, dk, detuning = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+    sigmas, nominal, dk, detuning = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
+        truncation_sigmas,
     )
-    rngs = [spawn_rng(seed, idx) for idx in range(len(sigmas))]
-    workers = _grid_workers(len(sigmas))
-    free = queue.SimpleQueue()
-    for err in np.empty((workers, samples, nominal.size)):
-        free.put(err)
+    eta = np.empty((len(sigmas), samples))
+    blocks = _blocks(samples, nominal.size)
 
-    def run(sigma, rng):
-        err = free.get()
-        try:
-            return _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, truncation_sigmas, max_attempts)
-        finally:
-            free.put(err)
+    def run(b):
+        a, stop = blocks[b]
+        eta[:, a:stop] = _block_eta(
+            spawn_rng(seed, b), lambda i: spawn_rng(seed, b, i), stop - a, sigmas, nominal, dk, detuning,
+            truncation_sigmas, reorder, max_attempts,
+        )
 
-    # when a sigma raises, or the wait is interrupted, map's iterator cancels
-    # the sigma values not yet started before the pool joins its threads
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, sigmas, rngs))
+    # one thread per CPU this process may use, at most one per block. When a
+    # block raises, or the wait is interrupted, map's iterator cancels the
+    # blocks not yet started before the pool joins its threads
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(blocks))) as pool:
+        list(pool.map(run, range(len(blocks))))
+    return list(eta)
 
 
 def _efficiency_rows(sigma_z_grid_um, etas) -> list[dict]:
@@ -537,15 +518,19 @@ def efficiency_samples(
 
     The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
     efficiency is then error-independent and identically 1 at zero detuning).
-    The phasor sums are evaluated in blocks of rows, so the kernel's
-    temporaries stay bounded as samples x num_domains grows.
+    The realizations are drawn in the row blocks of the sigma grid's sampler,
+    serially, on the caller's generator: each block's z, then its redraws.
     """
-    sigma = _check_sigma(sigma_z_um)
-    nominal, dk, detuning = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, samples, qpm_order, detuning_rad_per_um, reorder, truncation_sigmas
+    sigmas, nominal, dk, detuning = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, [sigma_z_um], samples, qpm_order, detuning_rad_per_um, reorder,
+        truncation_sigmas,
     )
-    err = np.empty((samples, nominal.size))
-    return _sigma_eta(sigma, rng, err, nominal, dk, detuning, reorder, truncation_sigmas, max_attempts)
+    return np.concatenate([
+        _block_eta(
+            rng, lambda i: rng, stop - a, sigmas, nominal, dk, detuning, truncation_sigmas, reorder, max_attempts
+        )[0]
+        for a, stop in _blocks(samples, nominal.size)
+    ])
 
 
 def monte_carlo_efficiency(
@@ -564,9 +549,13 @@ def monte_carlo_efficiency(
     """Mean and spread of eta over fabrication-error realizations.
 
     Returns one row per sigma value: {"sigma_z_um", "mean_eta", "std_eta"}.
-    Each grid position draws from its own derived random stream keyed by
-    (seed, index), so a rerun with the same seed and grid reproduces every
-    row exactly, whether the sigma values run in parallel or not.
+    The errors at each sigma are sigma * z for one truncated, row-centred
+    standard-normal draw z shared by the whole grid (common random numbers),
+    so the rows of different sigma are correlated and the eta(sigma) curve is
+    smoother than independent draws would give; each sigma keeps its own
+    distribution. Row block b draws from streams keyed by (seed, b), so a
+    rerun with the same seed and grid reproduces every row exactly, whether
+    the blocks run in parallel or not.
     """
     etas = _eta_grid(
         period_mm,

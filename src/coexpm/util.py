@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["sinc", "spawn_rng", "fwhm_of_profile"]
 
 # Largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above).
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+# Most cells (array elements) one grid or sample table may hold: 128 MB of
+# float64. A larger request is rejected before anything is allocated.
+_CELL_BUDGET = 1 << 24
+
+
+def _check_cells(what: str, cells: int) -> None:
+    if cells > _CELL_BUDGET:
+        raise ValidationError(f"{what} asks for {cells} cells, more than the budget of {_CELL_BUDGET}")
 
 
 def sinc(x):

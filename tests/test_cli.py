@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_non_finite_montecarlo_sigma_exits_2(tmp_path, capsys, bad):
     assert cli.main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "sigma_z_um" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["samples", "num_domains"])
+def test_huge_montecarlo_sizes_exit_2_before_allocating(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1, "montecarlo": {"%s": %d}}' % (key, 2**70))
+    tracemalloc.start()
+    try:
+        assert cli.main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert peak < 8 * 2**20
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_montecarlo_tables_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):

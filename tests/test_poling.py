@@ -266,9 +266,10 @@ def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
         detuning_rad_per_um=detuning,
         reorder="allow",
     )
-    err = _reference_draw_errors(spawn_rng(5, 2), (samples, domains), sigma, 3.0)
+    rng, rows = spawn_rng(5, 2), max(1, poling._BLOCK_CELLS // domains)
+    z = np.concatenate([_reference_z(rng, min(rows, samples - a), domains, 3.0) for a in range(0, samples, rows)])
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
-    phi = 2.0 * math.pi / (period_mm * 1e3) * err + detuning * nominal
+    phi = 2.0 * math.pi / (period_mm * 1e3) * (sigma * z) + detuning * nominal
     whole = poling._phasor_power(phi, np.empty((4,) + phi.shape))  # one block
     assert np.array_equal(eta, whole)
 
@@ -332,29 +333,62 @@ def test_validation():
         poling.solve_balanced_duty_cycle(0)
 
 
-def _reference_draw_errors(rng, shape, sigma, trunc):
-    """The whole-array sampler the in-place one replaced: masked redraws of
-    every out-of-bound cell, then a mean-subtracted copy."""
-    err = rng.normal(0.0, sigma, size=shape)
-    if sigma > 0:
-        bound = trunc * sigma
-        bad = np.abs(err) > bound
-        while np.any(bad):
-            err[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(err) > bound
-    return err - err.mean(axis=-1, keepdims=True)
+def _reference_z(rng, rows, domains, trunc):
+    """The sampler's draw, written plainly: the whole-array draw, masked
+    redraws of every out-of-bound cell, then a row-centred copy."""
+    z = rng.standard_normal((rows, domains))
+    bad = np.abs(z) > trunc
+    while np.any(bad):
+        z[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(z) > trunc
+    return z - z.mean(axis=-1, keepdims=True)
+
+
+def _is_ordered(walls):
+    return (walls[:, 0] > 0.0) & np.all(np.diff(walls, axis=-1) > 0.0, axis=-1)
+
+
+def _reference_resampled(rng, z, sigma, nominal, trunc, max_attempts=1000):
+    """sigma * z, with the crossing rows redrawn from rng as one stacked
+    array per round until every row is ordered."""
+    err = sigma * z
+    bad = ~_is_ordered(nominal + err)
+    for _ in range(max_attempts - 1):
+        if not np.any(bad):
+            return err
+        err[bad] = sigma * _reference_z(rng, int(bad.sum()), nominal.size, trunc)
+        bad = ~_is_ordered(nominal + err)
+    raise AssertionError("reference gave up")
+
+
+def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
+    """eta per sigma from the block definition: block b draws z from
+    z_rng(b), each sigma takes sigma * z, redraws its crossing rows from
+    redraw_rng(b, i) under "resample", and sums the phasors with
+    _phasor_power."""
+    nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
+    dk = 2.0 * math.pi / (period_mm * 1e3)
+    rows = max(1, poling._BLOCK_CELLS // domains)
+    etas = [[] for _ in sigmas]
+    for b, a in enumerate(range(0, samples, rows)):
+        z = _reference_z(z_rng(b), min(rows, samples - a), domains, trunc)
+        for i, sigma in enumerate(sigmas):
+            if reorder == "resample":
+                err = _reference_resampled(redraw_rng(b, i), z, sigma, nominal, trunc)
+            else:
+                err = sigma * z
+            phi = dk * err + detuning * nominal
+            etas[i].append(poling._phasor_power(phi, np.empty((4,) + phi.shape)))
+    return [np.concatenate(e) for e in etas]
 
 
 def _reference_realization(period_mm, duty, domains, model):
-    """realize_structure's own resample loop before it shared the sampler."""
+    """One row of the sampler's draw, redrawn from the same stream until its
+    walls are ordered."""
     nominal = poling.nominal_boundaries_um(period_mm, duty, domains)
     rng = spawn_rng(model.seed)
-    for _ in range(model.max_attempts):
-        err = _reference_draw_errors(rng, (domains,), model.sigma_z_um, model.truncation_sigmas)
-        z = nominal + err
-        if model.reorder == "allow" or (z[0] > 0.0 and np.all(np.diff(z) > 0.0)):
-            return err
-    raise AssertionError("reference gave up")
+    z = _reference_z(rng, 1, domains, model.truncation_sigmas)
+    return _reference_resampled(rng, z, model.sigma_z_um, nominal, model.truncation_sigmas, model.max_attempts)[0]
 
 
 @pytest.mark.parametrize("redrawn", [1.0, 0.6], ids=["all-rows", "row-runs"])
@@ -362,33 +396,24 @@ def _reference_realization(period_mm, duty, domains, model):
 @pytest.mark.parametrize("shape", [(1, 8), (7, 130), (300, 1066)])
 def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
     # trunc 0.5 and 0.1 keep only 38% and 8% of each round's draws, so the
-    # redraw loop runs for tens of rounds. A partial row mask is what the
-    # resample loop redraws in place, where the old loop drew those rows as
-    # one stacked array.
+    # redraw loop runs for tens of rounds. The rows of the mask cross their
+    # walls and are redrawn in place into the sigma-scaled copy, in one round
+    # (redrawn errors stay within 2 trunc sigma, far below the 1 mm domains);
+    # the reference draws them as one stacked array.
     rows, domains = shape
     mask = spawn_rng(8, rows).random(rows) < redrawn
     mask[0] = True
-    before = spawn_rng(9).normal(size=shape)
-    got = before.copy()
+    nominal = 1000.0 * np.arange(1, domains + 1)
+    z = spawn_rng(9).normal(size=shape)
+    z[mask, 1] = z[mask, 0] - 60.0  # 20 * 60 um back: wall 2 before wall 1
+    before = z.copy()
     got_rng, want_rng = spawn_rng(3, *shape), spawn_rng(3, *shape)
-    poling._draw_errors(got_rng, got, poling._row_runs(mask), 20.0, trunc)
-    want = _reference_draw_errors(want_rng, (int(mask.sum()), domains), 20.0, trunc)
+    got = poling._scaled_errors(z, 20.0, np.empty(shape), nominal, trunc, "resample", 2, lambda: got_rng)
+    want = 20.0 * _reference_z(want_rng, int(mask.sum()), domains, trunc)
     assert np.array_equal(got[mask], want)
-    assert np.array_equal(got[~mask], before[~mask])
+    assert np.array_equal(got[~mask], 20.0 * before[~mask])
+    assert np.array_equal(z, before)  # the shared draw stays intact
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def _reference_resampled_errors(rng, samples, nominal, sigma, trunc, max_attempts=1000):
-    """efficiency_samples' resample loop before it redrew rows in place."""
-    err = _reference_draw_errors(rng, (samples, nominal.size), sigma, trunc)
-    ordered = lambda z: (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)  # noqa: E731
-    bad = ~ordered(nominal + err)
-    for _ in range(max_attempts - 1):
-        if not np.any(bad):
-            return err
-        err[bad] = _reference_draw_errors(rng, (int(bad.sum()), nominal.size), sigma, trunc)
-        bad[bad] = ~ordered(nominal + err[bad])
-    raise AssertionError("reference gave up")
 
 
 @pytest.mark.parametrize(
@@ -397,12 +422,15 @@ def _reference_resampled_errors(rng, samples, nominal, sigma, trunc, max_attempt
 )
 def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samples, sigma, trunc):
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
+    z = _reference_z(spawn_rng(5), samples, domains, trunc)
+    before = z.copy()
     got_rng, want_rng = spawn_rng(6), spawn_rng(6)
-    got = poling._sample_errors(
-        got_rng, np.empty((samples, domains)), nominal, sigma, trunc, "resample", 1000
+    got = poling._scaled_errors(
+        z, sigma, np.empty_like(z), nominal, trunc, "resample", 1000, lambda: got_rng
     )
-    want = _reference_resampled_errors(want_rng, samples, nominal, sigma, trunc)
+    want = _reference_resampled(want_rng, z, sigma, nominal, trunc)
     assert np.array_equal(got, want)
+    assert np.array_equal(z, before)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -420,7 +448,7 @@ def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, 
 
 @pytest.fixture(params=[1, 3], ids=["one-thread", "three-thread"])
 def grid_cpus(request, monkeypatch):
-    """Runs the sigma grid on a one- or a three-thread pool, whatever the
+    """Runs the row blocks on a one- or a three-thread pool, whatever the
     machine has."""
     monkeypatch.setattr(poling, "_usable_cpus", lambda: request.param)
     return request.param
@@ -436,20 +464,34 @@ def grid_cpus(request, monkeypatch):
         (0.015, 1066, "resample", [0.0, 0.3, 0.6, 0.9]),
     ],
 )
-def test_grid_equals_serial_efficiency_samples(grid_cpus, period_mm, domains, reorder, sigmas, detuning):
+def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, detuning):
+    # Both run the block sampler: the grid on the streams (seed, b) and
+    # (seed, b, i), efficiency_samples serially on the caller's generator.
+    # 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of 7 at 1066.
+    monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     samples = 300 if domains > 8 else 2000
     kwargs = dict(detuning_rad_per_um=detuning, reorder=reorder)
     grid = poling._eta_grid(period_mm, 0.735, domains, sigmas, samples, 9, **kwargs)
+    want = _reference_eta(
+        period_mm, domains, sigmas, samples, lambda b: spawn_rng(9, b), lambda b, i: spawn_rng(9, b, i), detuning,
+        reorder,
+    )
     assert len(grid) == len(sigmas)
     for idx, sigma in enumerate(sigmas):
-        want = poling.efficiency_samples(period_mm, 0.735, domains, sigma, samples, spawn_rng(9, idx), **kwargs)
-        assert np.array_equal(grid[idx], want), sigma
+        assert np.array_equal(grid[idx], want[idx]), sigma
+        serial = poling.efficiency_samples(period_mm, 0.735, domains, sigma, samples, spawn_rng(9, idx), **kwargs)
+        rng = spawn_rng(9, idx)
+        [want_serial] = _reference_eta(
+            period_mm, domains, [sigma], samples, lambda b: rng, lambda b, i: rng, detuning, reorder
+        )
+        assert np.array_equal(serial, want_serial), sigma
 
 
 def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
-    # eight workers on fewer cores and a 1 us switch interval: two tasks
-    # writing one borrowed error array would change some sigma's eta
+    # eight workers on fewer cores, a 1 us switch interval and 20 blocks of
+    # two rows: two tasks writing one array would change some sigma's eta
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(poling, "_BLOCK_CELLS", 2 * 130)
     sigmas = [float(s) for s in range(1, 33)]
     result = []
     old = sys.getswitchinterval()
@@ -463,9 +505,9 @@ def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not worker.is_alive() and len(result) == 1
+    want = _reference_eta(0.1, 130, sigmas, 40, lambda b: spawn_rng(4, b), None, 0.0, "allow")
     for idx, sigma in enumerate(sigmas):
-        want = poling.efficiency_samples(0.1, 0.735, 130, sigma, 40, spawn_rng(4, idx), reorder="allow")
-        assert np.array_equal(result[0][idx], want), sigma
+        assert np.array_equal(result[0][idx], want[idx]), sigma
 
 
 def test_zero_sigma_at_zero_detuning_is_exactly_one():
@@ -478,53 +520,54 @@ def test_zero_sigma_at_zero_detuning_is_exactly_one():
 def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
     raised_on = []
-    sample_errors = poling._sample_errors
+    scaled_errors = poling._scaled_errors
 
     def recording(*args, **kwargs):
         try:
-            return sample_errors(*args, **kwargs)
+            return scaled_errors(*args, **kwargs)
         except SolverError:
             raised_on.append(threading.current_thread())
             raise
 
-    monkeypatch.setattr(poling, "_sample_errors", recording)
+    monkeypatch.setattr(poling, "_scaled_errors", recording)
     # 50 um errors on a 15 um period: every realization crosses its walls
     with pytest.raises(SolverError, match=r"still unordered after 3 resampling rounds .*use reorder='allow'"):
         poling.monte_carlo_efficiency(0.015, 0.7, 64, [0.5, 50.0], samples=20, max_attempts=3)
     assert raised_on and threading.main_thread() not in raised_on
 
 
-def test_a_failing_sigma_cancels_the_sigma_values_not_yet_started(monkeypatch):
-    # Two workers. sigma = 50 fails once 51 has started; 51, and 52 if a
-    # worker picks it up, hold their worker until the pool shuts down, which
-    # happens after the error has reached the caller. So 53 can only start if
-    # the error leaves it queued.
+def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
+    # Two workers, four blocks of five rows. Block 0 fails once block 1 has
+    # started; 1, and 2 if a worker picks it up, hold their worker until the
+    # pool shuts down, which happens after the error has reached the caller.
+    # So block 3 can only start if the error leaves it queued.
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(poling, "_BLOCK_CELLS", 5 * 64)
     started = []
     second_started, release = threading.Event(), threading.Event()
-    sigma_eta = poling._sigma_eta
 
-    def fail_first_and_hold_the_rest(sigma, *args):
-        started.append(sigma)
-        if sigma == 50.0:
-            assert second_started.wait(timeout=10.0)
-        else:
-            second_started.set()
-            assert release.wait(timeout=10.0)
-        return sigma_eta(sigma, *args)
+    def fail_first_and_hold_the_rest(seed, *key):
+        if len(key) == 1:  # the draw of block key[0], on its worker
+            started.append(key[0])
+            if key[0] == 0:
+                assert second_started.wait(timeout=10.0)
+            else:
+                second_started.set()
+                assert release.wait(timeout=10.0)
+        return spawn_rng(seed, *key)
 
     class ReleasingPool(poling.ThreadPoolExecutor):
         def shutdown(self, *args, **kwargs):
             release.set()
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(poling, "_sigma_eta", fail_first_and_hold_the_rest)
+    monkeypatch.setattr(poling, "spawn_rng", fail_first_and_hold_the_rest)
     monkeypatch.setattr(poling, "ThreadPoolExecutor", ReleasingPool)
     # 50 um errors on a 15 um period: every realization crosses its walls
     with pytest.raises(SolverError, match=r"sigma_z = 50\.0 um"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0, 51.0, 52.0, 53.0], samples=20, max_attempts=3)
-    assert {50.0, 51.0} <= set(started)
-    assert 53.0 not in started
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=20, max_attempts=3)
+    assert {0, 1} <= set(started)
+    assert 3 not in started
 
 
 def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
@@ -555,9 +598,9 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
             if id(obj) in names:
                 monkeypatch.setattr(mod, attr, recorder(names[id(obj)], obj))
     workers = []
-    sigma_eta = poling._sigma_eta
+    block_eta = poling._block_eta
     monkeypatch.setattr(
-        poling, "_sigma_eta", lambda *a: workers.append(threading.current_thread()) or sigma_eta(*a)
+        poling, "_block_eta", lambda *a: workers.append(threading.current_thread()) or block_eta(*a)
     )
 
     poling.monte_carlo_efficiency(0.015, 0.735, 130, [0.0, 1.0, 2.0], samples=50, reorder="allow")
@@ -571,20 +614,22 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
     assert any(thread is not caller for thread in workers)  # the pool did run
 
 
-@pytest.mark.parametrize("reorder, sigmas", [("allow", [10.0, 50.0, 100.0]), ("resample", [0.5, 0.8, 1.0])])
-def test_grid_memory_is_one_error_array_per_worker(reorder, sigmas):
-    # at 1 um about 60% of the rows cross on the first draw and are redrawn,
-    # over some 17 rounds
-    samples, domains = 2000, 1066
-    workers = poling._grid_workers(len(sigmas))
-    slack = 4 * 2**20  # phasor blocks, index arrays and results, per worker
+@pytest.mark.parametrize("reorder, samples", [("allow", 2000), ("allow", 8000), ("resample", 2000)])
+def test_grid_memory_is_a_few_blocks_per_worker(reorder, samples):
+    # the 11-sigma grid at 1066 domains; under "resample" about 60% of the
+    # rows cross at 1 um on the first draw and are redrawn, over some 17 rounds
+    domains = 1066
+    sigmas = np.linspace(0.0, 100.0 if reorder == "allow" else 1.0, 11)
+    workers = min(poling._usable_cpus(), len(poling._blocks(samples, domains)))
+    blocks = 10 * poling._BLOCK_CELLS * 8  # z, phases, kernel work, scans and redraws
+    etas = 2 * len(sigmas) * samples * 8  # the eta table and one block's results per row
     tracemalloc.start()
     try:
         poling.monte_carlo_efficiency(0.015, 0.735, domains, sigmas, samples=samples, reorder=reorder)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= workers * (samples * domains * 8 + slack)
+    assert peak <= workers * blocks + etas + 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -608,15 +653,40 @@ def test_huge_detuning_raises_or_stays_finite():
     for detuning in (1e305, -1e303):
         with pytest.raises(ValidationError, match="detuning"):
             poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=detuning)
+    structure = poling.realize_structure(2.0, 0.735, 8, poling.ErrorModel(sigma_z_um=10.0, seed=1))
+    for detuning in (1e305, -1e303, math.nan):
+        with pytest.raises(ValidationError, match="detuning"):
+            poling.conversion_efficiency(structure, 3e-3, detuning)
     # phases up to 8e17 rad: every table index is reduced before its cast
     for sigma in (0.0, 10.0):
         eta = poling.efficiency_samples(2.0, 0.735, 8, sigma, 50, spawn_rng(0), detuning_rad_per_um=1e14)
         assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
+    assert 0.0 <= poling.conversion_efficiency(structure, 3e-3, 1e14) <= 1.0
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning, no NaN row
+def test_huge_sigma_raises_before_any_draw():
+    # 2 trunc sigma dk overflows the phase's table steps; at order 0 (dk = 0)
+    # the wall errors themselves overflow
+    rng = spawn_rng(0)
+    state = rng.bit_generator.state
+    for sigma, order in ((1e308, 1), (2e307, 1), (1e308, 0)):
+        with pytest.raises(ValidationError, match="sigma_z_um"):
+            poling.efficiency_samples(2.0, 0.735, 8, sigma, 3, rng, qpm_order=order, reorder="allow")
+        with pytest.raises(ValidationError, match="sigma_z_um"):
+            poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, sigma], samples=3, qpm_order=order)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.realize_structure(2.0, 0.735, 8, poling.ErrorModel(sigma_z_um=1e308, reorder="allow"))
+    # the largest sigma the phase bound takes still gives a finite eta
+    eta = poling.efficiency_samples(2.0, 0.735, 8, 1e300, 3, rng, reorder="allow")
+    assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
 
 
 def test_non_positive_truncation_is_rejected():
-    # a zero bound would redraw every cell forever
-    for trunc in (0.0, -1.0, math.nan):
+    # a zero bound would redraw every cell forever; an infinite one leaves
+    # the largest phase unbounded
+    for trunc in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="truncation_sigmas"):
             poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), truncation_sigmas=trunc)
         with pytest.raises(ValidationError, match="truncation_sigmas"):
