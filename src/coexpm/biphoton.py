@@ -494,16 +494,17 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     dimensions of the 4x4 Hermitian matrices.
     """
     labels = [(r["setting_signal"].upper(), r["setting_idler"].upper()) for r in records]
-    projectors = np.array([setting_projector(s, i) for s, i in labels])
-    amat = projectors.conj().reshape(-1, 16)
+    kets = np.array([_label_ket(s, i) for s, i in labels])
+    # row k is conj(P_k) flattened, P_k = |k><k|: p_k = Re(amat @ vec(rho)) = Tr(P_k rho)
+    amat = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)
     rank = np.linalg.matrix_rank(amat)
     if rank < 16:
         raise ValidationError(f"tomography settings span {rank} of 16 dimensions; need all 16")
     counts = np.array([float(r["coincidences"]) for r in records])
     times = np.array([float(r["integration_time_s"]) for r in records])
-    if np.any(counts < 0) or np.any(times <= 0):
-        raise ValidationError("counts must be >= 0 and integration times > 0")
     acc = np.array([float(r.get("accidentals", 0.0)) for r in records])
+    if not (np.all(counts >= 0) and np.all(times > 0) and np.isfinite([counts, times, acc]).all()):
+        raise ValidationError("counts must be finite and >= 0, integration times finite and > 0, accidentals finite")
     if subtract_accidentals:
         counts = np.clip(counts - acc, 0.0, None)
 
@@ -526,7 +527,7 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     def nll_of(rho: np.ndarray) -> float:
         # Poisson likelihood with the flux scale profiled out: at fixed shape
         # the optimal scale is total counts over total predicted weight.
-        shape = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None) * weights
+        shape = np.clip(np.real(amat @ rho.ravel()), 1e-12, None) * weights
         mu = np.clip(counts.sum() / shape.sum() * shape, 1e-12, None)
         return float(np.sum(mu - counts * np.log(mu)))
 

@@ -240,6 +240,11 @@ def _emit_table(outdir: Path, stem: str, header: list[str], rows, fmt: str) -> P
     return path
 
 
+def _emit_records(outdir: Path, stem: str, records: list[dict], fmt: str) -> Path:
+    """_emit_table of dict rows; the first row's key order is the header."""
+    return _emit_table(outdir, stem, list(records[0]), [list(r.values()) for r in records], fmt)
+
+
 def _citations() -> list[str]:
     return sorted({d.citation for d in dispersion.ktp_axes().values()})
 
@@ -346,9 +351,7 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     etas = poling._eta_grid(
         c["period_mm"], duty, c["num_domains"], sigmas, samples, seed, qpm_order=order, reorder=reorder
     )
-    primary = poling._efficiency_rows(sigmas, etas)
-    artifacts = []
-    comp_rows = None
+    rows = poling._efficiency_rows(sigmas, etas)
     if c["comparison"] is not None:
         comp = c["comparison"]
         comp_rows = poling.monte_carlo_efficiency(
@@ -361,43 +364,15 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             qpm_order=order,
             reorder=reorder,
         )
-    header = ["sigma_z_um", "mean_eta", "std_eta"]
-    rows = [(r["sigma_z_um"], r["mean_eta"], r["std_eta"]) for r in primary]
-    if comp_rows is not None:
-        header += ["comparison_mean_eta", "comparison_std_eta"]
         rows = [
-            base + (cr["mean_eta"], cr["std_eta"]) for base, cr in zip(rows, comp_rows)
+            dict(r, comparison_mean_eta=cr["mean_eta"], comparison_std_eta=cr["std_eta"])
+            for r, cr in zip(rows, comp_rows)
         ]
-    artifacts.append(_emit_table(outdir, "montecarlo", header, rows, fmt).name)
+    artifacts = [_emit_records(outdir, "montecarlo", rows, fmt).name]
     if c["entanglement"]:
         ent = biphoton._entanglement_rows(sigmas, etas, duty, order)
-        artifacts.append(
-            _emit_table(
-                outdir,
-                "montecarlo_entanglement",
-                [
-                    "sigma_z_um",
-                    "mean_eta",
-                    "mean_concurrence",
-                    "std_concurrence",
-                    "mean_fidelity",
-                    "std_fidelity",
-                ],
-                [
-                    (
-                        r["sigma_z_um"],
-                        r["mean_eta"],
-                        r["mean_concurrence"],
-                        r["std_concurrence"],
-                        r["mean_fidelity"],
-                        r["std_fidelity"],
-                    )
-                    for r in ent
-                ],
-                fmt,
-            ).name
-        )
-    last = primary[-1]
+        artifacts.append(_emit_records(outdir, "montecarlo_entanglement", ent, fmt).name)
+    last = rows[-1]
     print(
         f"montecarlo: duty {duty:.4f}, {samples} samples; mean eta at "
         f"sigma_z {last['sigma_z_um']:g} um = {last['mean_eta']:.4f}"

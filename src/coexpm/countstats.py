@@ -51,6 +51,14 @@ __all__ = [
 ]
 
 
+def _check_tallies(counts, duration_s) -> None:
+    """ValidationError unless every count is finite and >= 0 and the duration finite and > 0."""
+    if not 0.0 < duration_s < np.inf:
+        raise ValidationError("duration must be positive and finite")
+    if not all(0.0 <= c < np.inf for c in counts):
+        raise ValidationError("counts must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Raw two-detector tallies over one acquisition."""
@@ -61,11 +69,7 @@ class CountRecord:
     duration_s: float
 
     def __post_init__(self):
-        if not 0.0 < self.duration_s < np.inf:
-            raise ValidationError("duration must be positive and finite")
-        counts = (self.counts_signal, self.counts_idler, self.coincidences)
-        if not all(0.0 <= c < np.inf for c in counts):
-            raise ValidationError("counts must be finite and >= 0")
+        _check_tallies((self.counts_signal, self.counts_idler, self.coincidences), self.duration_s)
 
     @property
     def rate_signal(self) -> float:
@@ -91,12 +95,8 @@ class HeraldedRecord:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration must be positive")
-        if min(
-            self.counts_herald, self.counts_herald_t1, self.counts_herald_t2, self.counts_triple
-        ) < 0:
-            raise ValidationError("counts must be >= 0")
+        counts = (self.counts_herald, self.counts_herald_t1, self.counts_herald_t2, self.counts_triple)
+        _check_tallies(counts, self.duration_s)
 
 
 def accidental_rate(rate_signal: float, rate_idler: float, tau_c_s: float) -> float:

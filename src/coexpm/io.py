@@ -85,59 +85,73 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_TOMO_COLUMNS = [
-    "setting_signal",
-    "setting_idler",
-    "coincidences",
-    "integration_time_s",
-    "accidentals",
-]
+def _label(cell: str) -> str:
+    return cell.strip().upper()
+
+
+def _finite(cell) -> float:
+    x = float(cell)
+    if not np.isfinite(x):
+        raise ValueError(f"{cell!r} is not finite")
+    return x
+
+
+# The tomography count table: each column, the parser of its CSV cells and,
+# for the one optional column, the value of an absent column or empty cell.
+_TOMO_COLUMNS = {
+    "setting_signal": (_label, None),
+    "setting_idler": (_label, None),
+    "coincidences": (_finite, None),
+    "integration_time_s": (_finite, None),
+    "accidentals": (_finite, 0.0),  # expected accidental counts
+}
+
+
+def _tomo_cell(row: dict, column: str):
+    """Parsed cell of `column`; the optional column reads its default when absent or empty."""
+    parse, default = _TOMO_COLUMNS[column]
+    return default if default is not None and not row.get(column) else parse(row[column])
 
 
 def read_tomography_counts(path) -> list[dict]:
-    """Tomography count table from CSV.
-
-    Required columns: setting_signal, setting_idler, coincidences,
-    integration_time_s; optional: accidentals (expected accidental counts).
+    """Tomography count table from a UTF-8 CSV file with the columns of
+    _TOMO_COLUMNS. Analyzer labels are stripped and upper-cased; numbers
+    must be finite. A file that cannot be decoded or parsed, a missing
+    column, a row whose length differs from the header's, or a bad field
+    raises ConfigError.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty counts file")
-        missing = [c for c in _TOMO_COLUMNS[:4] if c not in reader.fieldnames]
-        if missing:
-            raise ConfigError(f"{path}: missing columns {missing}")
-        records = []
-        for ln, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    {
-                        "setting_signal": row["setting_signal"].strip().upper(),
-                        "setting_idler": row["setting_idler"].strip().upper(),
-                        "coincidences": float(row["coincidences"]),
-                        "integration_time_s": float(row["integration_time_s"]),
-                        "accidentals": float(row.get("accidentals") or 0.0),
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{ln}: bad numeric field ({exc})") from None
+    records = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ConfigError(f"{path}: empty counts file")
+            required = [c for c, (_, default) in _TOMO_COLUMNS.items() if default is None]
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise ConfigError(f"{path}: missing columns {missing}")
+            for ln, row in enumerate(reader, start=2):
+                if None in row or None in row.values():  # DictReader's marks of a long or short row
+                    raise ConfigError(f"{path}:{ln}: row length differs from the header's")
+                try:
+                    records.append({c: _tomo_cell(row, c) for c in _TOMO_COLUMNS})
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{ln}: bad numeric field ({exc})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     if not records:
         raise ConfigError(f"{path}: no count rows")
     return records
 
 
 def write_tomography_counts(path: Path, records: list[dict]) -> None:
+    """Count table as CSV in the column order of _TOMO_COLUMNS; a record
+    without the optional column writes its default."""
     rows = [
-        [
-            r["setting_signal"],
-            r["setting_idler"],
-            r["coincidences"],
-            r["integration_time_s"],
-            r.get("accidentals", 0.0),
-        ]
+        [r[c] if default is None else r.get(c, default) for c, (_, default) in _TOMO_COLUMNS.items()]
         for r in records
     ]
-    write_csv(path, _TOMO_COLUMNS, rows)
+    write_csv(path, list(_TOMO_COLUMNS), rows)
 
 
 def density_matrix_to_dict(rho: DensityMatrix4) -> dict:

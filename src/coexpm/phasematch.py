@@ -49,7 +49,7 @@ __all__ = [
     "period_sweep",
 ]
 
-_AXIS_ALIASES = {"y": "y", "z": "z", "h": "y", "v": "z", "e": "e"}
+_AXIS_ALIASES = {"y": "y", "z": "z", "h": "y", "v": "z"}
 
 # Signal window: nondegenerate pair with the signal on the short side.
 _WINDOW_LO = 1.5
@@ -272,11 +272,7 @@ def solve_nbpm(
     SolverError with the bracket values when no sign change exists (e.g. pump
     beyond the degeneracy cutoff).
     """
-    if pump_nm <= 0:
-        raise ValidationError("pump wavelength must be positive")
-    bare = replace(spec, qpm_order=0)
-    sig, res = _solve_window(bare, pump_nm, None)
-    return _point(bare, pump_nm, sig, res, None)
+    return solve_qpm(replace(spec, qpm_order=0), pump_nm, None)
 
 
 def solve_qpm(

@@ -247,7 +247,7 @@ def _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, redraw_
         if attempts >= max_attempts:
             shortest = min(nominal[0], nominal[1] - nominal[0])
             raise SolverError(
-                f"{bad.size} of {len(out)} realizations still unordered after "
+                f"{bad.size} of the {len(out)} realizations of a row block still unordered after "
                 f"{max_attempts} resampling rounds (sigma_z = {sigma} um vs shortest "
                 f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
                 "efficiency sum regardless"

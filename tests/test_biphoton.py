@@ -283,6 +283,15 @@ def test_reconstruction_input_validation():
         bp.reconstruct_state(dup)
 
 
+@pytest.mark.parametrize("key", ["coincidences", "integration_time_s", "accidentals"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_counts_times_or_accidentals_are_rejected(key, bad):
+    counts = bp.simulate_tomography_counts(bp.bell_psi_plus(), 100.0, 1.0, seed=0, accidental_rate_hz=1.0)
+    counts[3][key] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        bp.reconstruct_state(counts)
+
+
 def test_rank_deficient_setting_set_is_rejected():
     # {H,V,D,A} x {H,V,D,A}: 16 distinct labels, but with no circular
     # analyzer the projectors are real and span only 9 of the 16 dimensions,

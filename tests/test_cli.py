@@ -450,6 +450,48 @@ def test_tomography_rejects_malformed_counts(tmp_path):
     assert cli.main(["tomography", "--config", cfg_path, "--out", str(tmp_path)]) == 2
 
 
+_COUNTS_HEADER = "setting_signal,setting_idler,coincidences,integration_time_s,accidentals\n"
+_GOOD_COUNT_ROWS = [f"{s},{i},100,10,0\n" for s, i in biphoton.tomography_settings()]
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        b"H,R,1\xff0,10,0\n",  # not UTF-8
+        b"H\n",  # shorter than the header: no idler label
+        b"H,R\n",  # shorter than the header: no numbers
+        b"H,R,100,10,0,7\n",  # longer than the header
+        b"H,R,nan,10,0\n",
+        b"H,R,inf,10,0\n",
+        b"H,R,100,nan,0\n",
+        b"H,R,100,inf,0\n",
+        b"H,R,100,10,nan\n",
+        b"H,R,100,10,inf\n",
+        b"H,R,100,10,-inf\n",
+    ],
+)
+def test_malformed_count_rows_exit_2_without_traceback_or_files(tmp_path, capsys, bad_row):
+    rows = [r.encode() for r in _GOOD_COUNT_ROWS]
+    rows[3] = bad_row
+    counts = tmp_path / "counts.csv"
+    counts.write_bytes(_COUNTS_HEADER.encode() + b"".join(rows))
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "tomography": {"counts_csv": str(counts)}})
+    out = tmp_path / "out"
+    assert cli.main(["tomography", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["dutycycle", "jspd", "fringes", "chsh", "tomography", "stats"])
+def test_same_seed_reruns_are_byte_identical(tmp_path, command, fmt):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main([command, "--out", str(out), "--seed", "7", "--format", fmt]) == 0
+    assert _tree_bytes(a) and _tree_bytes(a) == _tree_bytes(b)
+
+
 def test_stats_reports_library_numbers(tmp_path):
     assert cli.main(["stats", "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "stats.json").read_text())

@@ -263,6 +263,24 @@ def test_record_validation():
         cs.HeraldedRecord(10.0, 5.0, 5.0, -2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (math.nan, 5.0, 5.0, 1.0, 1.0),
+        (10.0, math.inf, 5.0, 1.0, 1.0),
+        (10.0, 5.0, 5.0, -1.0, 1.0),
+        (10.0, 5.0, 5.0, 1.0, math.inf),
+        (10.0, 5.0, 5.0, 1.0, math.nan),
+        (10.0, 5.0, 5.0, 1.0, 0.0),
+    ],
+)
+def test_heralded_record_checks_its_tallies_like_count_record(fields):
+    with pytest.raises(ValidationError, match="finite"):
+        cs.HeraldedRecord(*fields)
+    with pytest.raises(ValidationError, match="finite"):
+        cs.CountRecord(fields[0], fields[1], fields[3], fields[4])
+
+
 # ------------------------------------------------------- coincidence counting
 
 

@@ -203,6 +203,12 @@ def test_process_spec_accepts_polarization_aliases():
     assert (spec.pump_axis, spec.signal_axis, spec.idler_axis) == ("y", "z", "y")
 
 
+@pytest.mark.parametrize("label", ["e", "E", "x"])
+def test_axes_other_than_the_ktp_y_and_z_are_rejected(label):
+    with pytest.raises(ValidationError, match="unknown polarization axis"):
+        pm.ProcessSpec("y", label, "y")
+
+
 def test_validation_rejects_nonsense():
     with pytest.raises(ValidationError):
         pm.ProcessSpec(pump_axis="q", signal_axis="y", idler_axis="z")

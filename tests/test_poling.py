@@ -536,6 +536,14 @@ def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert raised_on and threading.main_thread() not in raised_on
 
 
+def test_hopeless_resample_error_counts_the_realizations_of_one_row_block():
+    # 5000 samples of 64 domains run in row blocks of 1024; the first block fails
+    rows = poling._blocks(5000, 64)[0][1]
+    assert rows == 1024
+    with pytest.raises(SolverError, match=rf"^{rows} of the {rows} realizations of a row block still unordered"):
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=5000, max_attempts=3)
+
+
 def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
     # Two workers, four blocks of five rows. Block 0 fails once block 1 has
     # started; 1, and 2 if a worker picks it up, hold their worker until the
