@@ -3,9 +3,11 @@
 Subcommands cover the full design-to-metrology chain: crystal design curves,
 duty-cycle balancing, fabrication Monte Carlo, joint spectra, polarization
 fringes, Bell tests, state tomography and counting statistics. Every command
-reads an optional strict JSON configuration, writes its artifacts plus a
-metadata sidecar (effective config, config hash, seed, data citations) into
-the output directory, and is byte-deterministic for a fixed config and seed.
+reads an optional strict JSON configuration, computes all of its artifacts,
+and only then writes them plus a metadata sidecar (effective config, config
+hash, seed, data citations) into the output directory. A command that fails
+writes no artifact; an I/O error can still stop after earlier files are
+written. Output is byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver/fit
 failure, 4 I/O error.
@@ -230,19 +232,16 @@ def _build_state(state_cfg: dict):
 # --- output helpers -----------------------------------------------------------
 
 
-def _emit_table(outdir: Path, stem: str, header: list[str], rows, fmt: str) -> Path:
+def _table(stem: str, header: list[str], rows, fmt: str) -> dict:
+    """The artifact of one table: {file name: content} in the chosen format."""
     if fmt == "json":
-        path = outdir / f"{stem}.json"
-        io.write_json(path, {"columns": header, "rows": [list(r) for r in rows]})
-    else:
-        path = outdir / f"{stem}.csv"
-        io.write_csv(path, header, rows)
-    return path
+        return {f"{stem}.json": {"columns": header, "rows": [list(r) for r in rows]}}
+    return {f"{stem}.csv": (header, rows)}
 
 
-def _emit_records(outdir: Path, stem: str, records: list[dict], fmt: str) -> Path:
-    """_emit_table of dict rows; the first row's key order is the header."""
-    return _emit_table(outdir, stem, list(records[0]), [list(r.values()) for r in records], fmt)
+def _records(stem: str, records: list[dict], fmt: str) -> dict:
+    """_table of dict rows; the first row's key order is the header."""
+    return _table(stem, list(records[0]), [list(r.values()) for r in records], fmt)
 
 
 def _citations() -> list[str]:
@@ -257,13 +256,18 @@ def _write_meta(outdir: Path, command: str, config: dict, seed: int | None, arti
         "seed": seed,
         "config": config,
         "config_sha256": io.config_digest(config),
-        "artifacts": sorted(artifacts),
+        "artifacts": artifacts,
         "dispersion_citations": _citations(),
     }
     io.write_json(outdir / f"{command}_meta.json", meta)
 
 
 # --- subcommands ----------------------------------------------------------------
+
+# Each handler takes its config section, the seed and the table format, and
+# returns (artifacts, message): the artifacts map each file name, in writing
+# order, to its content, a dict for a JSON document or a (header, rows) pair
+# for a CSV. It writes and prints nothing; run does, once all is computed.
 
 
 def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np.ndarray:
@@ -272,8 +276,7 @@ def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np
     return np.arange(start, stop + 0.5 * step, step)
 
 
-def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["design"]
+def _cmd_design(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     t = c["temperature_c"]
     pumps = _inclusive_grid(c, "pump_min_nm", "pump_max_nm", "pump_step_nm")
     sweep = phasematch.period_sweep(pumps, t)
@@ -281,13 +284,6 @@ def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         (pump, period, pt.signal_nm, pt.idler_nm, pt.splitting_nm)
         for pump, period, pt in sweep
     ]
-    curve = _emit_table(
-        outdir,
-        "design_curve",
-        ["pump_nm", "period_mm", "signal_nm", "idler_nm", "splitting_nm"],
-        rows,
-        fmt,
-    )
     cutoff = phasematch.degeneracy_pump_nm(t)
     pump_at, point = phasematch.solve_pump_for_period(
         c["fixed_period_mm"], t, pump_bracket_nm=(c["pump_min_nm"], c["pump_max_nm"])
@@ -304,17 +300,15 @@ def _cmd_design(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "sweep_rows_emitted": len(rows),
         "sweep_rows_skipped_past_cutoff": int(len(pumps) - len(rows)),
     }
-    io.write_json(outdir / "design_point.json", payload)
-    print(
+    header = ["pump_nm", "period_mm", "signal_nm", "idler_nm", "splitting_nm"]
+    return {**_table("design_curve", header, rows, fmt), "design_point.json": payload}, (
         f"design: period {c['fixed_period_mm']} mm at pump {pump_at:.3f} nm -> "
         f"signal {point.signal_nm:.3f} nm, idler {point.idler_nm:.3f} nm "
         f"(degeneracy cutoff {cutoff:.3f} nm)"
     )
-    return [curve.name, "design_point.json"]
 
 
-def _cmd_dutycycle(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["dutycycle"]
+def _cmd_dutycycle(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     order = c["qpm_order"]
     duty = poling.solve_balanced_duty_cycle(order)
     table = []
@@ -335,16 +329,13 @@ def _cmd_dutycycle(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "shared_efficiency_ratio": poling.efficiency_ratio(duty, 0),
         "fourier_orders": table,
     }
-    io.write_json(outdir / "dutycycle.json", payload)
-    print(
+    return {"dutycycle.json": payload}, (
         f"dutycycle: balanced duty cycle {duty:.6f} for order {order}, "
         f"penalty {payload['efficiency_penalty']:.6f}"
     )
-    return ["dutycycle.json"]
 
 
-def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["montecarlo"]
+def _cmd_montecarlo(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     order, sigmas, samples, reorder = c["qpm_order"], c["sigma_z_um"], c["samples"], c["reorder"]
     duty = c["duty_cycle"] if c["duty_cycle"] is not None else poling.solve_balanced_duty_cycle(order)
     # one eta grid feeds both the efficiency and the entanglement table
@@ -368,16 +359,15 @@ def _cmd_montecarlo(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             dict(r, comparison_mean_eta=cr["mean_eta"], comparison_std_eta=cr["std_eta"])
             for r, cr in zip(rows, comp_rows)
         ]
-    artifacts = [_emit_records(outdir, "montecarlo", rows, fmt).name]
+    artifacts = _records("montecarlo", rows, fmt)
     if c["entanglement"]:
         ent = biphoton._entanglement_rows(sigmas, etas, duty, order)
-        artifacts.append(_emit_records(outdir, "montecarlo_entanglement", ent, fmt).name)
+        artifacts.update(_records("montecarlo_entanglement", ent, fmt))
     last = rows[-1]
-    print(
+    return artifacts, (
         f"montecarlo: duty {duty:.4f}, {samples} samples; mean eta at "
         f"sigma_z {last['sigma_z_um']:g} um = {last['mean_eta']:.4f}"
     )
-    return artifacts
 
 
 def _jspd_process(c: dict) -> tuple[phasematch.ProcessSpec, float | None]:
@@ -389,14 +379,10 @@ def _jspd_process(c: dict) -> tuple[phasematch.ProcessSpec, float | None]:
     return replace(phasematch.QPM_PROCESS, temperature_c=t), c["period_mm"]
 
 
-def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["jspd"]
+def _cmd_jspd(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     spec, period = _jspd_process(c)
     pump, fwhm = c["pump_nm"], c["filter_fwhm_nm"]
-    if period is None:
-        point = phasematch.solve_nbpm(spec, pump)
-    else:
-        point = phasematch.solve_qpm(spec, pump, period)
+    point = phasematch.solve_qpm(spec, pump, period)
     span = 5.0 * max(fwhm, 2.0)
     smin = point.signal_nm - span if c["signal_min_nm"] is None else c["signal_min_nm"]
     smax = point.signal_nm + span if c["signal_max_nm"] is None else c["signal_max_nm"]
@@ -407,7 +393,6 @@ def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     grid = spectrum.joint_spectral_density(
         spec, pump, sgrid, igrid, c["length_mm"], filter_fwhm_nm=fwhm, period_mm=period, kernel=c["kernel"]
     )
-    # the summary comes first: a marginal without a width fails before any table is written
     lam_s, prof_s = spectrum.marginal_spectrum(grid, "signal")
     lam_i, prof_i = spectrum.marginal_spectrum(grid, "idler")
     peak_s, peak_i = spectrum.peak_location(grid)
@@ -428,27 +413,23 @@ def _cmd_jspd(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
     }
     rows = np.column_stack([grid.signal_nm, grid.values]).tolist()
     header = ["signal_nm\\idler_nm"] + [io.format_float(v) for v in igrid]
-    artifacts = [
-        _emit_table(outdir, "jspd", header, rows, fmt).name,
-        _emit_table(
-            outdir,
+    artifacts = {
+        **_table("jspd", header, rows, fmt),
+        **_table(
             "jspd_marginals",
             ["signal_nm", "signal_profile", "idler_nm", "idler_profile"],
             list(zip(lam_s, prof_s, lam_i, prof_i)),
             fmt,
-        ).name,
-        "jspd_summary.json",
-    ]
-    io.write_json(outdir / "jspd_summary.json", payload)
-    print(
+        ),
+        "jspd_summary.json": payload,
+    }
+    return artifacts, (
         f"jspd: peak at ({peak_s:.3f}, {peak_i:.3f}) nm, phase-matched point "
         f"({point.signal_nm:.3f}, {point.idler_nm:.3f}) nm"
     )
-    return artifacts
 
 
-def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["fringes"]
+def _cmd_fringes(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     state = _build_state(c["state"])
     thetas = _inclusive_grid(
         c, "theta_idler_start_deg", "theta_idler_stop_deg", "theta_idler_step_deg"
@@ -475,15 +456,7 @@ def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         (float(t), r.coincidences, a.coincidences, r.duration_s)
         for t, r, a in zip(thetas, records, analyzed)
     ]
-    artifacts = [
-        _emit_table(
-            outdir,
-            "fringes",
-            ["theta_idler_deg", "coincidences", "coincidences_net", "integration_time_s"],
-            rows,
-            fmt,
-        ).name
-    ]
+    header = ["theta_idler_deg", "coincidences", "coincidences_net", "integration_time_s"]
     fit = countstats.fit_visibility(thetas, [a.rate_coincidence for a in analyzed])
     payload = {
         "theta_signal_deg": c["theta_signal_deg"],
@@ -497,17 +470,13 @@ def _cmd_fringes(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         ),
         "subtracted": c["subtract_accidentals"],
     }
-    io.write_json(outdir / "fringes_fit.json", payload)
-    artifacts.append("fringes_fit.json")
-    print(
+    return {**_table("fringes", header, rows, fmt), "fringes_fit.json": payload}, (
         f"fringes: visibility {fit.percent:.2f}% +/- {100 * fit.visibility_se:.2f}% "
         f"at signal analyzer {c['theta_signal_deg']} deg"
     )
-    return artifacts
 
 
-def _cmd_chsh(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["chsh"]
+def _cmd_chsh(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     state = _build_state(c["state"])
     angles = c["angles_deg"]
     pairs = biphoton._chsh_pairs(angles)
@@ -528,14 +497,11 @@ def _cmd_chsh(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
         "classical_bound": 2.0,
         "tsirelson_bound": float(2.0 * np.sqrt(2.0)),
     }
-    io.write_json(outdir / "chsh.json", payload)
-    print(f"chsh: S = {s_three_term:.6f} (four-term variant {s_sym:.6f})")
-    return ["chsh.json"]
+    return {"chsh.json": payload}, f"chsh: S = {s_three_term:.6f} (four-term variant {s_sym:.6f})"
 
 
-def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["tomography"]
-    artifacts = []
+def _cmd_tomography(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
+    artifacts = {}
     if c["counts_csv"] is not None:
         records = io.read_tomography_counts(c["counts_csv"])
     else:
@@ -548,8 +514,7 @@ def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             accidental_rate_hz=c["accidental_rate_hz"],
             poisson=c["poisson"],
         )
-        io.write_tomography_counts(outdir / "tomography_counts.csv", records)
-        artifacts.append("tomography_counts.csv")
+        artifacts["tomography_counts.csv"] = io._tomography_table(records)  # a CSV in either format
     result = biphoton.reconstruct_state(records, subtract_accidentals=c["subtract_accidentals"])
     rho = result.rho
     target = biphoton.bell_psi_plus()
@@ -568,18 +533,15 @@ def _cmd_tomography(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             "chsh_s_canonical": biphoton.chsh_s(rho),
         },
     }
-    io.write_json(outdir / "tomography_result.json", payload)
-    artifacts.append("tomography_result.json")
+    artifacts["tomography_result.json"] = payload
     m = payload["metrics"]
-    print(
+    return artifacts, (
         f"tomography: method {result.method}, fidelity {m['fidelity_bell']:.6f}, "
         f"concurrence {m['concurrence']:.6f}"
     )
-    return artifacts
 
 
-def _cmd_stats(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
-    c = cfg["stats"]
+def _cmd_stats(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     rec = countstats.CountRecord(c["rate_signal_hz"], c["rate_idler_hz"], c["rate_coincidence_hz"], 1.0)
     tau = c["tau_c_s"]
     payload = {
@@ -612,23 +574,22 @@ def _cmd_stats(cfg: dict, outdir: Path, seed: int, fmt: str) -> list[str]:
             "pump_mw": pump,
             "rate_in_band_hz": per_nm * band * pump,
         }
-    io.write_json(outdir / "stats.json", payload)
-    print(
+    return {"stats.json": payload}, (
         f"stats: alpha_2d = {payload['alpha_2d']:.4f}, brightness = "
         f"{payload['brightness_hz']:.6g} s^-1"
     )
-    return ["stats.json"]
 
 
+# Each subcommand: its handler and its --help text (not a docstring: python -OO strips those).
 _COMMANDS = {
-    "design": _cmd_design,
-    "dutycycle": _cmd_dutycycle,
-    "montecarlo": _cmd_montecarlo,
-    "jspd": _cmd_jspd,
-    "fringes": _cmd_fringes,
-    "chsh": _cmd_chsh,
-    "tomography": _cmd_tomography,
-    "stats": _cmd_stats,
+    "design": (_cmd_design, "phase-matching design curve and fixed-period operating point"),
+    "dutycycle": (_cmd_dutycycle, "balanced poling duty cycle and Fourier orders"),
+    "montecarlo": (_cmd_montecarlo, "conversion efficiency vs domain-wall placement errors"),
+    "jspd": (_cmd_jspd, "filtered joint spectral density and marginals"),
+    "fringes": (_cmd_fringes, "polarization-correlation fringe scan and visibility fit"),
+    "chsh": (_cmd_chsh, "Bell parameter from correlation measurements"),
+    "tomography": (_cmd_tomography, "two-qubit state reconstruction from 16-setting counts"),
+    "stats": (_cmd_stats, "coincidence quality ratios and rate arithmetic"),
 }
 
 
@@ -645,16 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("design", "phase-matching design curve and fixed-period operating point"),
-        ("dutycycle", "balanced poling duty cycle and Fourier orders"),
-        ("montecarlo", "conversion efficiency vs domain-wall placement errors"),
-        ("jspd", "filtered joint spectral density and marginals"),
-        ("fringes", "polarization-correlation fringe scan and visibility fit"),
-        ("chsh", "Bell parameter from correlation measurements"),
-        ("tomography", "two-qubit state reconstruction from 16-setting counts"),
-        ("stats", "coincidence quality ratios and rate arithmetic"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file (strict schema)")
         p.add_argument("--out", default=".", help="output directory (default: current)")
@@ -671,14 +623,20 @@ def run(argv: list[str] | None = None) -> int:
     seed = config["seed"] if args.seed is None else _merge_config(DEFAULT_CONFIG["seed"], args.seed, "seed")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    handler = _COMMANDS[args.command]
     section = {
         "schema_version": 1,
         "seed": seed,
         args.command: config[args.command],
     }
-    artifacts = handler(config, outdir, seed, args.format)
-    _write_meta(outdir, args.command, section, seed, artifacts)
+    handler = _COMMANDS[args.command][0]
+    artifacts, message = handler(config[args.command], seed, args.format)
+    for name, content in artifacts.items():
+        if isinstance(content, dict):
+            io.write_json(outdir / name, content)
+        else:
+            io.write_csv(outdir / name, *content)
+    _write_meta(outdir, args.command, section, seed, sorted(artifacts))
+    print(message)
     return 0
 
 

@@ -129,8 +129,8 @@ def brightness(record: CountRecord, pump_mw: float | None = None) -> float:
         raise ValidationError("brightness undefined: zero coincidences")
     value = record.rate_signal * record.rate_idler / record.rate_coincidence
     if pump_mw is not None:
-        if pump_mw <= 0:
-            raise ValidationError("pump power must be positive")
+        if not 0.0 < pump_mw < np.inf:
+            raise ValidationError("pump power must be positive and finite")
         value /= pump_mw
     return value
 
@@ -148,15 +148,15 @@ def subtract_accidentals(record: CountRecord, tau_c_s: float) -> CountRecord:
 
 def apply_dead_time(true_rate: float, dead_time_s: float) -> float:
     """Registered rate of a non-paralyzable detector, R / (1 + R t_dead)."""
-    if dead_time_s < 0 or true_rate < 0:
-        raise ValidationError("rate and dead time must be >= 0")
+    if not (0.0 <= true_rate < np.inf and 0.0 <= dead_time_s < np.inf):
+        raise ValidationError("rate and dead time must be finite and >= 0")
     return true_rate / (1.0 + true_rate * dead_time_s)
 
 
 def correct_dead_time(measured_rate: float, dead_time_s: float) -> float:
     """Invert apply_dead_time: true rate R / (1 - R t_dead)."""
-    if dead_time_s < 0 or measured_rate < 0:
-        raise ValidationError("rate and dead time must be >= 0")
+    if not (0.0 <= measured_rate < np.inf and 0.0 <= dead_time_s < np.inf):
+        raise ValidationError("rate and dead time must be finite and >= 0")
     loss = measured_rate * dead_time_s
     if loss >= 1.0:
         raise ValidationError("measured rate saturates the dead time; cannot invert")
@@ -189,6 +189,8 @@ def fit_visibility(theta_deg, rates) -> VisibilityFit:
     y = np.asarray(rates, dtype=float)
     if th.ndim != 1 or th.shape != y.shape:
         raise ValidationError("theta and rates must be 1-d arrays of equal length")
+    if not (np.isfinite(th).all() and np.isfinite(y).all()):
+        raise ValidationError("theta and rates must be finite")
     distinct = np.unique(np.round(np.mod(th, np.pi), 12))
     if distinct.size < 4:
         raise FitError("need at least 4 distinct analyzer angles for a visibility fit")

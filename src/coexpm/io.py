@@ -116,9 +116,9 @@ def _tomo_cell(row: dict, column: str):
 def read_tomography_counts(path) -> list[dict]:
     """Tomography count table from a UTF-8 CSV file with the columns of
     _TOMO_COLUMNS. Analyzer labels are stripped and upper-cased; numbers
-    must be finite. A file that cannot be decoded or parsed, a missing
-    column, a row whose length differs from the header's, or a bad field
-    raises ConfigError.
+    must be finite. A file that cannot be decoded or parsed, a missing or
+    repeated column, a row whose length differs from the header's, or a bad
+    field raises ConfigError.
     """
     records = []
     try:
@@ -126,6 +126,9 @@ def read_tomography_counts(path) -> list[dict]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ConfigError(f"{path}: empty counts file")
+            repeated = sorted({c for c in reader.fieldnames if reader.fieldnames.count(c) > 1})
+            if repeated:  # DictReader would keep the last of them
+                raise ConfigError(f"{path}: repeated columns {repeated}")
             required = [c for c, (_, default) in _TOMO_COLUMNS.items() if default is None]
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
@@ -144,14 +147,19 @@ def read_tomography_counts(path) -> list[dict]:
     return records
 
 
-def write_tomography_counts(path: Path, records: list[dict]) -> None:
-    """Count table as CSV in the column order of _TOMO_COLUMNS; a record
-    without the optional column writes its default."""
+def _tomography_table(records: list[dict]) -> tuple[list[str], list[list]]:
+    """(header, rows) of the count table in the column order of _TOMO_COLUMNS;
+    a record without the optional column takes its default."""
     rows = [
         [r[c] if default is None else r.get(c, default) for c, (_, default) in _TOMO_COLUMNS.items()]
         for r in records
     ]
-    write_csv(path, list(_TOMO_COLUMNS), rows)
+    return list(_TOMO_COLUMNS), rows
+
+
+def write_tomography_counts(path: Path, records: list[dict]) -> None:
+    """Count table as CSV, see _tomography_table."""
+    write_csv(path, *_tomography_table(records))
 
 
 def density_matrix_to_dict(rho: DensityMatrix4) -> dict:

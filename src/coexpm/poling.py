@@ -185,8 +185,8 @@ class PolingStructure:
 
 
 def _check_geometry(period_mm: float, duty_cycle: float, num_domains: int):
-    if period_mm <= 0:
-        raise ValidationError("period_mm must be positive")
+    if not 0.0 < period_mm < np.inf:
+        raise ValidationError("period_mm must be positive and finite")
     _check_duty(duty_cycle)
     n = int(num_domains)
     if n < 2 or n % 2:

@@ -58,8 +58,8 @@ def filter_kernel(offsets_nm, fwhm_nm: float, kind: str = "gaussian") -> np.ndar
 
     "gaussian": truncated at +/-5 sigma. "box": top-hat of full width fwhm.
     """
-    if fwhm_nm <= 0:
-        raise ValidationError("filter FWHM must be positive")
+    if not 0.0 < fwhm_nm < np.inf:
+        raise ValidationError("filter FWHM must be positive and finite")
     x = np.asarray(offsets_nm, dtype=float)
     if kind == "gaussian":
         sig = fwhm_nm / np.sqrt(8.0 * np.log(2.0))

@@ -319,28 +319,43 @@ def test_every_domain_names_a_default_key_and_every_null_default_is_typed():
 
 
 @pytest.mark.parametrize(
-    "section",
+    ("command", "section", "reason"),
     [
-        # a grid narrower than the filtered marginal: no half-maximum crossing
-        {
-            "filter_fwhm_nm": 3.0,
-            "signal_min_nm": 1073.5,
-            "signal_max_nm": 1075,
-            "idler_min_nm": 1078.8,
-            "idler_max_nm": 1080.3,
-            "points": 31,
-        },
-        # a grid that misses the ridge: the density is zero everywhere
-        {"signal_min_nm": 800, "signal_max_nm": 820, "idler_min_nm": 1200, "idler_max_nm": 1300},
+        # a jspd grid narrower than the filtered marginal: no half-maximum crossing
+        (
+            "jspd",
+            {
+                "filter_fwhm_nm": 3.0,
+                "signal_min_nm": 1073.5,
+                "signal_max_nm": 1075,
+                "idler_min_nm": 1078.8,
+                "idler_max_nm": 1080.3,
+                "points": 31,
+            },
+            "marginal",
+        ),
+        # a jspd grid that misses the ridge: the density is zero everywhere
+        (
+            "jspd",
+            {"signal_min_nm": 800, "signal_max_nm": 820, "idler_min_nm": 1200, "idler_max_nm": 1300},
+            "marginal",
+        ),
+        # the fixed period is not reached within the pump range; the design curve is computed first
+        ("design", {"pump_min_nm": 530, "pump_max_nm": 531}, "not bracketed"),
+        # 0, 60, 120 and 180 deg are 3 distinct angles modulo 180; the fringe table is computed first
+        ("fringes", {"theta_idler_step_deg": 60}, "distinct analyzer angles"),
+        # simulated counts, all zero, come before the reconstruction fails
+        ("tomography", {"pair_rate_hz": 0}, "no counts"),
+        ("chsh", {"mode": "sampled", "pair_rate_hz": 0}, "no coincidences"),
     ],
-    ids=["narrow-grid", "grid-misses-ridge"],
+    ids=["jspd-narrow-grid", "jspd-grid-misses-ridge", "design", "fringes", "tomography", "chsh-sampled"],
 )
-def test_jspd_marginal_without_a_width_is_a_fit_failure_and_writes_no_table(tmp_path, capsys, section):
-    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "jspd": section})
+def test_a_failed_run_exits_3_and_writes_no_artifact(tmp_path, capsys, command, section, reason):
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, command: section})
     out = tmp_path / "out"
-    assert cli.main(["jspd", "--config", cfg_path, "--out", str(out)]) == 3
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "marginal" in err and "Traceback" not in err
+    assert err.startswith("solver error: ") and reason in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 
@@ -448,6 +463,11 @@ def test_tomography_rejects_malformed_counts(tmp_path):
     cfg = {"schema_version": 1, "tomography": {"counts_csv": str(bad)}}
     cfg_path = _write_config(tmp_path / "cfg.json", cfg)
     assert cli.main(["tomography", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    # a column named twice, in a table that is otherwise complete: the csv module would keep the last one
+    header = _COUNTS_HEADER.replace("accidentals", "coincidences")
+    bad.write_text(header + "".join(r.replace(",0\n", ",100\n") for r in _GOOD_COUNT_ROWS), encoding="utf-8")
+    assert cli.main(["tomography", "--config", cfg_path, "--out", str(tmp_path / "twice")]) == 2
+    assert list((tmp_path / "twice").iterdir()) == []
 
 
 _COUNTS_HEADER = "setting_signal,setting_idler,coincidences,integration_time_s,accidentals\n"

@@ -11,6 +11,7 @@ import pytest
 
 from coexpm import biphoton as bp
 from coexpm import countstats as cs
+from coexpm import poling, spectrum
 from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, werner_state
 from coexpm.errors import FitError, ValidationError
 
@@ -73,6 +74,37 @@ def test_dead_time_round_trip():
         assert cs.correct_dead_time(seen, 50e-9) == pytest.approx(rate, rel=1e-12)
     with pytest.raises(ValidationError):
         cs.correct_dead_time(2.1e7, 50e-9)  # beyond saturation 1/tau
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cs.apply_dead_time(_INF, 1e-9),
+        lambda: cs.apply_dead_time(100.0, _NAN),
+        lambda: cs.correct_dead_time(_NAN, 1e-9),
+        lambda: cs.correct_dead_time(100.0, _NAN),
+        lambda: cs.brightness(cs.CountRecord(2e4, 2e4, 400.0, 1.0), pump_mw=_NAN),
+        lambda: spectrum.filter_kernel(np.linspace(-1.0, 1.0, 5), _NAN),
+        lambda: poling.nominal_boundaries_um(_NAN, 0.7, 8),
+        lambda: cs.fit_visibility([0.0, 45.0, 90.0, 135.0], [10.0, _NAN, 10.0, 5.0]),
+    ],
+    ids=[
+        "apply_dead_time-rate",
+        "apply_dead_time-dead_time",
+        "correct_dead_time-rate",
+        "correct_dead_time-dead_time",
+        "brightness-pump",
+        "filter_kernel-fwhm",
+        "nominal_boundaries-period",
+        "fit_visibility-rate",
+    ],
+)
+def test_non_finite_library_inputs_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 # ------------------------------------------------------------ visibility fits
