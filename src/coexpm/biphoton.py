@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
-from .poling import _eta_grid, efficiency_ratio
+from .poling import efficiency_ratio, efficiency_samples
 from .util import _POISSON_MEAN_MAX, spawn_rng
 
 __all__ = [
@@ -595,7 +595,7 @@ def entanglement_vs_fabrication(
     and qpm order both report the same mean_eta for each sigma, and the rows
     of different sigma share their draws and are correlated.
     """
-    etas = _eta_grid(
+    etas = efficiency_samples(
         period_mm,
         duty_cycle,
         num_domains,

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from . import biphoton, countstats, dispersion, io, phasematch, poling, spectrum
 from .errors import ConfigError, FitError, SolverError, ValidationError
+from .util import _check_cells
 
 __all__ = ["main", "run", "DEFAULT_CONFIG"]
 
@@ -148,7 +149,8 @@ _DOMAINS = {
     "jspd.signal_max_nm": float,
     "jspd.idler_min_nm": float,
     "jspd.idler_max_nm": float,
-    "jspd.points": (">= 3", lambda v: v >= 3),  # the FWHM of a marginal needs 3 samples
+    # the FWHM of a marginal needs 3 samples; points**2 cells must fit util._CELL_BUDGET
+    "jspd.points": ("3 to 4096", lambda v: 3 <= v <= 4096),
     "fringes.theta_idler_step_deg": ("> 0", lambda v: v > 0),
     "chsh.angles_deg": ("4 entries (a, a', b, b')", lambda v: len(v) == 4),
     "chsh.mode": ("'expectation' or 'sampled'", lambda v: v in ("expectation", "sampled")),
@@ -273,6 +275,7 @@ def _write_meta(outdir: Path, command: str, config: dict, seed: int | None, arti
 def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np.ndarray:
     """Grid from c[start_key] by c[step_key] up to c[stop_key], within half a step."""
     start, stop, step = (c[k] for k in (start_key, stop_key, step_key))
+    _check_cells(f"the {start_key}..{stop_key} grid", (stop + 0.5 * step - start) / step)
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -339,7 +342,7 @@ def _cmd_montecarlo(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     order, sigmas, samples, reorder = c["qpm_order"], c["sigma_z_um"], c["samples"], c["reorder"]
     duty = c["duty_cycle"] if c["duty_cycle"] is not None else poling.solve_balanced_duty_cycle(order)
     # one eta grid feeds both the efficiency and the entanglement table
-    etas = poling._eta_grid(
+    etas = poling.efficiency_samples(
         c["period_mm"], duty, c["num_domains"], sigmas, samples, seed, qpm_order=order, reorder=reorder
     )
     rows = poling._efficiency_rows(sigmas, etas)
@@ -568,11 +571,17 @@ def _cmd_stats(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         per_nm = c["pair_rate_per_mw_per_nm"]
         band = c["filter_band_nm"] if c["filter_band_nm"] is not None else 1.0
         pump = c["pump_mw"] if c["pump_mw"] is not None else 1.0
+        rate = per_nm * band * pump
+        if not np.isfinite(rate):
+            raise ValidationError(
+                f"rate in band overflows: pair_rate_per_mw_per_nm {per_nm:g} x filter_band_nm {band:g} "
+                f"x pump_mw {pump:g}"
+            )
         payload["pair_rate_per_nm_reading"] = {
             "per_mw_per_nm": per_nm,
             "band_nm": band,
             "pump_mw": pump,
-            "rate_in_band_hz": per_nm * band * pump,
+            "rate_in_band_hz": rate,
         }
     return {"stats.json": payload}, (
         f"stats: alpha_2d = {payload['alpha_2d']:.4f}, brightness = "

@@ -25,7 +25,7 @@ formulas) is exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial
+from math import exp, factorial, isfinite
 
 import numpy as np
 
@@ -105,7 +105,13 @@ def accidental_rate(rate_signal: float, rate_idler: float, tau_c_s: float) -> fl
         raise ValidationError("coincidence window must be positive and finite")
     if not (0.0 <= rate_signal < np.inf and 0.0 <= rate_idler < np.inf):
         raise ValidationError("singles rates must be finite and >= 0")
-    return rate_signal * rate_idler * tau_c_s
+    value = rate_signal * rate_idler * tau_c_s
+    if not isfinite(value):
+        raise ValidationError(
+            f"accidental rate overflows: rate_signal {rate_signal:g} s^-1 x rate_idler {rate_idler:g} s^-1 "
+            f"x tau_c_s {tau_c_s:g} s"
+        )
+    return value
 
 def alpha_2d(record: CountRecord, tau_c_s: float) -> float:
     """Two-detector quality ratio R_c / (tau_c R_s R_i)."""
@@ -132,6 +138,11 @@ def brightness(record: CountRecord, pump_mw: float | None = None) -> float:
         if not 0.0 < pump_mw < np.inf:
             raise ValidationError("pump power must be positive and finite")
         value /= pump_mw
+    if not isfinite(value):
+        raise ValidationError(
+            f"brightness overflows: rate_signal {record.rate_signal:g} s^-1 x rate_idler {record.rate_idler:g} "
+            f"s^-1 / rate_coincidence {record.rate_coincidence:g} s^-1 / pump_mw {pump_mw}"
+        )
     return value
 
 

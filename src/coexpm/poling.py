@@ -265,23 +265,25 @@ def realize_structure(
     duty_cycle: float,
     num_domains: int,
     error_model: ErrorModel | None = None,
-    rng: np.random.Generator | None = None,
 ) -> PolingStructure:
-    """Draw one structure realization under the given error model, with the
-    Monte Carlo's sampler (one row of z, redraws from the same generator)."""
+    """Draw one structure realization under the given error model: the first
+    row of the Monte Carlo's block 0, whose z comes from spawn_rng(seed, 0)
+    and whose redraws come from spawn_rng(seed, 0, 0); seed None means 0. So
+    conversion_efficiency of the realization equals the one-sample
+    efficiency_samples at the same sigma, seed and reorder policy."""
     period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
     nominal = nominal_boundaries_um(period_mm, d, n)
     if error_model is None or error_model.sigma_z_um == 0.0:
         err = np.zeros(n)
     else:
         em = error_model
+        seed = 0 if em.seed is None else em.seed
         # the Monte Carlo's bounds, on the first-order phases of one sample
         _check_monte_carlo(period_mm, d, n, [em.sigma_z_um], 1, 1, 0.0, em.reorder, em.truncation_sigmas)
-        if rng is None:
-            rng = spawn_rng(em.seed) if em.seed is not None else np.random.default_rng()
-        z = _draw_z(rng, 1, n, em.truncation_sigmas)
+        z = _draw_z(spawn_rng(seed, 0), 1, n, em.truncation_sigmas)
         err = _scaled_errors(
-            z, em.sigma_z_um, z.copy(), nominal, em.truncation_sigmas, em.reorder, em.max_attempts, lambda: rng
+            z, em.sigma_z_um, z.copy(), nominal, em.truncation_sigmas, em.reorder, em.max_attempts,
+            lambda: spawn_rng(seed, 0, 0),
         )[0]
     return PolingStructure(period_mm, d, n, nominal, err)
 
@@ -446,21 +448,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _eta_grid(
-    period_mm,
-    duty_cycle,
-    num_domains,
+def efficiency_samples(
+    period_mm: float,
+    duty_cycle: float,
+    num_domains: int,
     sigma_z_grid_um,
-    samples,
-    seed,
-    qpm_order=1,
-    detuning_rad_per_um=0.0,
-    reorder="resample",
-    truncation_sigmas=3.0,
-    max_attempts=1000,
+    samples: int,
+    seed: int = 0,
+    qpm_order: int = 1,
+    detuning_rad_per_um: float = 0.0,
+    reorder: str = "resample",
+    truncation_sigmas: float = 3.0,
+    max_attempts: int = 1000,
 ) -> list[np.ndarray]:
-    """eta samples for each sigma of the grid, in grid order.
+    """eta for `samples` error realizations at each sigma of the grid, one
+    array per sigma, in grid order.
 
+    The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
+    efficiency is then error-independent and identically 1 at zero detuning).
     Inputs are validated on the calling thread. The row blocks then run on a
     pool of threads (numpy releases the GIL in its draws and array kernels).
     Block b draws z from spawn_rng(seed, b) and its redraws at grid index i
@@ -501,38 +506,6 @@ def _efficiency_rows(sigma_z_grid_um, etas) -> list[dict]:
     ]
 
 
-def efficiency_samples(
-    period_mm: float,
-    duty_cycle: float,
-    num_domains: int,
-    sigma_z_um: float,
-    samples: int,
-    rng: np.random.Generator,
-    qpm_order: int = 1,
-    detuning_rad_per_um: float = 0.0,
-    reorder: str = "resample",
-    truncation_sigmas: float = 3.0,
-    max_attempts: int = 1000,
-) -> np.ndarray:
-    """eta for `samples` independent error realizations at one sigma_z.
-
-    The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
-    efficiency is then error-independent and identically 1 at zero detuning).
-    The realizations are drawn in the row blocks of the sigma grid's sampler,
-    serially, on the caller's generator: each block's z, then its redraws.
-    """
-    sigmas, nominal, dk, detuning = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, [sigma_z_um], samples, qpm_order, detuning_rad_per_um, reorder,
-        truncation_sigmas,
-    )
-    return np.concatenate([
-        _block_eta(
-            rng, lambda i: rng, stop - a, sigmas, nominal, dk, detuning, truncation_sigmas, reorder, max_attempts
-        )[0]
-        for a, stop in _blocks(samples, nominal.size)
-    ])
-
-
 def monte_carlo_efficiency(
     period_mm: float,
     duty_cycle: float,
@@ -557,7 +530,7 @@ def monte_carlo_efficiency(
     rerun with the same seed and grid reproduces every row exactly, whether
     the blocks run in parallel or not.
     """
-    etas = _eta_grid(
+    etas = efficiency_samples(
         period_mm,
         duty_cycle,
         num_domains,

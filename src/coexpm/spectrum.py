@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
-from .util import fwhm_of_profile, sinc
+from .util import _check_cells, fwhm_of_profile, sinc
 
 __all__ = [
     "GAUSSIAN_TRUNCATION_SIGMAS",
@@ -158,6 +158,7 @@ def joint_spectral_density(
         raise ValidationError("filter FWHM must be finite and >= 0")
     if np.any(sgrid <= pump_nm):
         raise ValidationError("signal grid must lie above the pump wavelength")
+    _check_cells("the signal x idler grid", sgrid.size * igrid.size)
 
     if filter_fwhm_nm == 0.0:
         values = np.zeros((sgrid.size, igrid.size))
@@ -173,7 +174,10 @@ def joint_spectral_density(
         slope = (igrid[-1] / sgrid[0]) ** 2
         pad = _half_support(filter_fwhm_nm, kernel) * (1.0 + max(slope, 1.0 / slope))
         step = min(ds, di, filter_fwhm_nm) / ridge_oversample
-        mu = np.arange(sgrid[0] - pad, sgrid[-1] + pad + step, step)
+        lo, hi = sgrid[0] - pad, sgrid[-1] + pad + step
+        # each filter kernel is a dense (grid points, ridge samples) array
+        _check_cells("the ridge integral's filter kernel", max(sgrid.size, igrid.size) * ((hi - lo) / step))
+        mu = np.arange(lo, hi, step)
         mu = mu[mu > pump_nm * (1.0 + 1e-9)]
         inten = phase_matching_intensity(spec, pump_nm, mu, length_mm, period_mm=period_mm)
         ridge_i = idler_wavelength_nm(pump_nm, mu)

@@ -15,9 +15,9 @@ _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).m
 _CELL_BUDGET = 1 << 24
 
 
-def _check_cells(what: str, cells: int) -> None:
+def _check_cells(what: str, cells: float) -> None:
     if cells > _CELL_BUDGET:
-        raise ValidationError(f"{what} asks for {cells} cells, more than the budget of {_CELL_BUDGET}")
+        raise ValidationError(f"{what} asks for {cells:.6g} cells, more than the budget of {_CELL_BUDGET}")
 
 
 def sinc(x):

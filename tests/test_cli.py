@@ -284,6 +284,14 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("fringes", '{"state": {"kind": "efficiencies", "phase_rad": NaN}}'),
         ("fringes", '{"pair_rate_hz": 1e300}'),
         ("tomography", '{"integration_time_s": 1e300}'),
+        # grids over the cell budget, rejected before they are allocated
+        ("design", '{"pump_step_nm": 1e-300}'),
+        ("design", '{"pump_max_nm": 1e300}'),
+        ("fringes", '{"theta_idler_step_deg": 1e-300}'),
+        ("fringes", '{"theta_idler_stop_deg": 1e300}'),
+        ("jspd", '{"signal_max_nm": 1e300}'),
+        ("jspd", '{"filter_fwhm_nm": 1e-300}'),
+        ("jspd", '{"points": 1099511627776}'),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a bad number must not reach numpy and warn first
@@ -295,6 +303,27 @@ def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section
     assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path), *options]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "section, names",
+    [
+        ({"rate_signal_hz": 1e200, "rate_idler_hz": 1e200}, "accidental rate"),
+        ({"rate_signal_hz": 1e150, "rate_idler_hz": 1e150, "rate_coincidence_hz": 1e-10}, "brightness"),
+        ({"pair_rate_per_mw_per_nm": 1e200, "filter_band_nm": 1e200}, "pair_rate_per_mw_per_nm"),
+    ],
+    ids=["accidental-rate", "brightness", "rate-in-band"],
+)
+def test_stats_results_that_overflow_exit_2_where_they_are_computed(tmp_path, capsys, section, names):
+    # finite rates whose product overflows: the library call or the CLI's own
+    # product names its inputs, before any artifact is serialized
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, "stats": section})
+    out = tmp_path / "out"
+    assert cli.main(["stats", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and "overflows" in err
+    assert "stats.json" not in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_every_domain_names_a_default_key_and_every_null_default_is_typed():

@@ -107,6 +107,21 @@ def test_non_finite_library_inputs_raise_validation_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: cs.accidental_rate(1e200, 1e200, 1e-9), "rate_signal 1e+200"),
+        (lambda: cs.brightness(cs.CountRecord(1e150, 1e150, 1e-10, 1.0)), "rate_coincidence 1e-10"),
+        (lambda: cs.brightness(cs.CountRecord(1e154, 1e154, 1.0, 1.0), pump_mw=1e-10), "pump_mw 1e-10"),
+    ],
+    ids=["accidental_rate", "brightness", "brightness-per-mw"],
+)
+def test_finite_inputs_whose_result_overflows_raise_validation_error(call, named):
+    with pytest.raises(ValidationError, match="overflows") as err:
+        call()
+    assert named in str(err.value)
+
+
 # ------------------------------------------------------------ visibility fits
 
 

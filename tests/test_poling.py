@@ -211,14 +211,16 @@ def test_monte_carlo_reproducible_and_seed_sensitive():
     assert a != c
 
 
-def test_efficiency_samples_uses_caller_stream():
-    rng1 = spawn_rng(4, 0)
-    rng2 = spawn_rng(4, 0)
-    s1 = poling.efficiency_samples(2.0, 0.735, 8, 50.0, 32, rng1)
-    s2 = poling.efficiency_samples(2.0, 0.735, 8, 50.0, 32, rng2)
-    assert np.array_equal(s1, s2)
-    assert s1.shape == (32,)
-    assert np.all((s1 >= 0.0) & (s1 <= 1.0 + 1e-12))
+def test_efficiency_samples_are_fixed_by_the_seed():
+    # 400 um on 2 mm makes walls cross, so the redraw streams are used too
+    a = poling.efficiency_samples(2.0, 0.735, 8, [50.0, 400.0], 32, 4)
+    b = poling.efficiency_samples(2.0, 0.735, 8, [50.0, 400.0], 32, 4)
+    c = poling.efficiency_samples(2.0, 0.735, 8, [50.0, 400.0], 32, 5)
+    assert [eta.shape for eta in a] == [(32,), (32,)]
+    for same, other, eta in zip(b, c, a):
+        assert np.array_equal(eta, same)
+        assert not np.array_equal(eta, other)
+        assert np.all((eta >= 0.0) & (eta <= 1.0 + 1e-12))
 
 
 def _truncated_gaussian_cf(s, c=3.0):
@@ -256,18 +258,14 @@ def test_monte_carlo_mean_matches_analytic_expectation(period_mm, domains):
 def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
     # 300 samples span several row blocks at 1066 domains
     samples, sigma, detuning = 300, 10.0, 1e-4
-    eta = poling.efficiency_samples(
-        period_mm,
-        0.735,
-        domains,
-        sigma,
-        samples,
-        spawn_rng(5, 2),
-        detuning_rad_per_um=detuning,
-        reorder="allow",
+    [eta] = poling.efficiency_samples(
+        period_mm, 0.735, domains, [sigma], samples, 5, detuning_rad_per_um=detuning, reorder="allow"
     )
-    rng, rows = spawn_rng(5, 2), max(1, poling._BLOCK_CELLS // domains)
-    z = np.concatenate([_reference_z(rng, min(rows, samples - a), domains, 3.0) for a in range(0, samples, rows)])
+    rows = max(1, poling._BLOCK_CELLS // domains)
+    z = np.concatenate([
+        _reference_z(spawn_rng(5, b), min(rows, samples - a), domains, 3.0)
+        for b, a in enumerate(range(0, samples, rows))
+    ])
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
     phi = 2.0 * math.pi / (period_mm * 1e3) * (sigma * z) + detuning * nominal
     whole = poling._phasor_power(phi, np.empty((4,) + phi.shape))  # one block
@@ -383,12 +381,13 @@ def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detun
 
 
 def _reference_realization(period_mm, duty, domains, model):
-    """One row of the sampler's draw, redrawn from the same stream until its
-    walls are ordered."""
+    """One row of block 0's draw, from spawn_rng(seed, 0), redrawn from
+    spawn_rng(seed, 0, 0) until its walls are ordered."""
     nominal = poling.nominal_boundaries_um(period_mm, duty, domains)
-    rng = spawn_rng(model.seed)
-    z = _reference_z(rng, 1, domains, model.truncation_sigmas)
-    return _reference_resampled(rng, z, model.sigma_z_um, nominal, model.truncation_sigmas, model.max_attempts)[0]
+    z = _reference_z(spawn_rng(model.seed, 0), 1, domains, model.truncation_sigmas)
+    return _reference_resampled(
+        spawn_rng(model.seed, 0, 0), z, model.sigma_z_um, nominal, model.truncation_sigmas, model.max_attempts
+    )[0]
 
 
 @pytest.mark.parametrize("redrawn", [1.0, 0.6], ids=["all-rows", "row-runs"])
@@ -446,6 +445,22 @@ def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, 
     assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, model))
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+@pytest.mark.parametrize("detuning", [0.0, 1e-4])
+@pytest.mark.parametrize("reorder", ["resample", "allow"])
+@pytest.mark.parametrize("period_mm, domains, sigma", [(2.0, 8, 400.0), (0.015, 64, 1.5), (0.015, 1066, 1.2)])
+def test_realization_is_the_one_sample_monte_carlo(period_mm, domains, sigma, reorder, detuning, seed):
+    # each sigma makes the walls of some seeds cross, so "resample" redraws;
+    # seed None means 0
+    model = poling.ErrorModel(sigma_z_um=sigma, reorder=reorder, seed=seed)
+    structure = poling.realize_structure(period_mm, 0.735, domains, model)
+    got = poling.conversion_efficiency(structure, 2.0 * math.pi / (period_mm * 1e3), detuning)
+    [[want]] = poling.efficiency_samples(
+        period_mm, 0.735, domains, [sigma], 1, seed or 0, detuning_rad_per_um=detuning, reorder=reorder
+    )
+    assert got == want
+
+
 @pytest.fixture(params=[1, 3], ids=["one-thread", "three-thread"])
 def grid_cpus(request, monkeypatch):
     """Runs the row blocks on a one- or a three-thread pool, whatever the
@@ -465,13 +480,14 @@ def grid_cpus(request, monkeypatch):
     ],
 )
 def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, detuning):
-    # Both run the block sampler: the grid on the streams (seed, b) and
-    # (seed, b, i), efficiency_samples serially on the caller's generator.
+    # The threaded grid equals the block definition evaluated serially, one
+    # block after another, on the streams (seed, b) and (seed, b, i).
     # 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of 7 at 1066.
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     samples = 300 if domains > 8 else 2000
-    kwargs = dict(detuning_rad_per_um=detuning, reorder=reorder)
-    grid = poling._eta_grid(period_mm, 0.735, domains, sigmas, samples, 9, **kwargs)
+    grid = poling.efficiency_samples(
+        period_mm, 0.735, domains, sigmas, samples, 9, detuning_rad_per_um=detuning, reorder=reorder
+    )
     want = _reference_eta(
         period_mm, domains, sigmas, samples, lambda b: spawn_rng(9, b), lambda b, i: spawn_rng(9, b, i), detuning,
         reorder,
@@ -479,12 +495,6 @@ def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm
     assert len(grid) == len(sigmas)
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(grid[idx], want[idx]), sigma
-        serial = poling.efficiency_samples(period_mm, 0.735, domains, sigma, samples, spawn_rng(9, idx), **kwargs)
-        rng = spawn_rng(9, idx)
-        [want_serial] = _reference_eta(
-            period_mm, domains, [sigma], samples, lambda b: rng, lambda b, i: rng, detuning, reorder
-        )
-        assert np.array_equal(serial, want_serial), sigma
 
 
 def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
@@ -498,7 +508,7 @@ def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         worker = threading.Thread(
-            target=lambda: result.append(poling._eta_grid(0.1, 0.735, 130, sigmas, 40, 4, reorder="allow"))
+            target=lambda: result.append(poling.efficiency_samples(0.1, 0.735, 130, sigmas, 40, 4, reorder="allow"))
         )
         worker.start()
         worker.join(timeout=60)
@@ -511,9 +521,9 @@ def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
 
 
 def test_zero_sigma_at_zero_detuning_is_exactly_one():
-    eta = poling.efficiency_samples(0.015, 0.735, 1066, 0.0, 50, spawn_rng(0))
+    [eta] = poling.efficiency_samples(0.015, 0.735, 1066, [0.0], 50)
     assert eta.tobytes() == np.ones(50).tobytes()
-    detuned = poling.efficiency_samples(0.015, 0.735, 1066, 0.0, 50, spawn_rng(0), detuning_rad_per_um=1e-3)
+    [detuned] = poling.efficiency_samples(0.015, 0.735, 1066, [0.0], 50, detuning_rad_per_um=1e-3)
     assert np.all(detuned < 1.0)
 
 
@@ -643,13 +653,13 @@ def test_grid_memory_is_a_few_blocks_per_worker(reorder, samples):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_sigma_and_detuning_are_rejected(bad):
     with pytest.raises(ValidationError, match="sigma_z_um"):
-        poling.efficiency_samples(2.0, 0.735, 8, bad, 10, spawn_rng(0))
+        poling.efficiency_samples(2.0, 0.735, 8, [bad], 10)
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, bad], samples=10)
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.ErrorModel(sigma_z_um=bad)
     with pytest.raises(ValidationError, match="detuning"):
-        poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), detuning_rad_per_um=bad)
+        poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, detuning_rad_per_um=bad)
     with pytest.raises(ValidationError, match="detuning"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=bad)
 
@@ -666,28 +676,27 @@ def test_huge_detuning_raises_or_stays_finite():
         with pytest.raises(ValidationError, match="detuning"):
             poling.conversion_efficiency(structure, 3e-3, detuning)
     # phases up to 8e17 rad: every table index is reduced before its cast
-    for sigma in (0.0, 10.0):
-        eta = poling.efficiency_samples(2.0, 0.735, 8, sigma, 50, spawn_rng(0), detuning_rad_per_um=1e14)
+    for eta in poling.efficiency_samples(2.0, 0.735, 8, [0.0, 10.0], 50, detuning_rad_per_um=1e14):
         assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
     assert 0.0 <= poling.conversion_efficiency(structure, 3e-3, 1e14) <= 1.0
 
 
 @pytest.mark.filterwarnings("error")  # no overflow warning, no NaN row
-def test_huge_sigma_raises_before_any_draw():
+def test_huge_sigma_raises_before_any_draw(monkeypatch):
     # 2 trunc sigma dk overflows the phase's table steps; at order 0 (dk = 0)
     # the wall errors themselves overflow
-    rng = spawn_rng(0)
-    state = rng.bit_generator.state
+    spawned = []
+    monkeypatch.setattr(poling, "spawn_rng", lambda *key: spawned.append(key) or spawn_rng(*key))
     for sigma, order in ((1e308, 1), (2e307, 1), (1e308, 0)):
         with pytest.raises(ValidationError, match="sigma_z_um"):
-            poling.efficiency_samples(2.0, 0.735, 8, sigma, 3, rng, qpm_order=order, reorder="allow")
+            poling.efficiency_samples(2.0, 0.735, 8, [sigma], 3, qpm_order=order, reorder="allow")
         with pytest.raises(ValidationError, match="sigma_z_um"):
             poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, sigma], samples=3, qpm_order=order)
-    assert rng.bit_generator.state == state
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.realize_structure(2.0, 0.735, 8, poling.ErrorModel(sigma_z_um=1e308, reorder="allow"))
+    assert spawned == []
     # the largest sigma the phase bound takes still gives a finite eta
-    eta = poling.efficiency_samples(2.0, 0.735, 8, 1e300, 3, rng, reorder="allow")
+    [eta] = poling.efficiency_samples(2.0, 0.735, 8, [1e300], 3, reorder="allow")
     assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
 
 
@@ -696,6 +705,6 @@ def test_non_positive_truncation_is_rejected():
     # the largest phase unbounded
     for trunc in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="truncation_sigmas"):
-            poling.efficiency_samples(2.0, 0.735, 8, 10.0, 10, spawn_rng(0), truncation_sigmas=trunc)
+            poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, truncation_sigmas=trunc)
         with pytest.raises(ValidationError, match="truncation_sigmas"):
             poling.ErrorModel(sigma_z_um=10.0, truncation_sigmas=trunc)
