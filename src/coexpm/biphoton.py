@@ -23,7 +23,7 @@ a Psi+ Bell state when r1 = r2 and phi = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
+_HERMITIAN_TOL = 1e-9  # largest |rho - rho^dagger| entry accepted, then symmetrized
 
 SINGLE_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -97,13 +98,12 @@ class DensityMatrix4:
     """Validated 4x4 density matrix on the polarization pair space."""
 
     matrix: np.ndarray
-    tolerance: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (4, 4):
             raise ValidationError("density matrix must be 4x4")
-        if np.max(np.abs(rho - rho.conj().T)) > max(self.tolerance, 1e-9):
+        if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.real(np.trace(rho)))
@@ -386,7 +386,7 @@ def simulate_tomography_counts(
     settings = tomography_settings() if settings is None else list(settings)
     kets = [_label_ket(*s) for s in settings]
     counts = _analyzer_counts(
-        state, kets, pair_rate_hz, integration_time_s, seed or 0, poisson, accidental_rate_hz
+        state, kets, pair_rate_hz, integration_time_s, seed, poisson, accidental_rate_hz
     )
     return [
         {
@@ -575,7 +575,7 @@ def entanglement_vs_fabrication(
     samples: int = 2000,
     seed: int = 0,
     relative_phase_rad: float = 0.0,
-    reorder: str = "allow",
+    reorder: str = "resample",
     qpm_order: int = 1,
 ) -> list[dict]:
     """Concurrence/fidelity statistics of the emitted state vs wall errors.

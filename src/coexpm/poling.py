@@ -39,7 +39,6 @@ __all__ = [
     "efficiency_ratio",
     "solve_balanced_duty_cycle",
     "efficiency_penalty",
-    "ErrorModel",
     "PolingStructure",
     "nominal_boundaries_um",
     "realize_structure",
@@ -139,32 +138,6 @@ def efficiency_penalty(duty_cycle: float) -> float:
     return float(1.0 / s**2)
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    """Gaussian domain-wall placement errors.
-
-    Errors are zero-mean Gaussian with standard deviation sigma_z_um,
-    truncated at +/- truncation_sigmas, then mean-subtracted per realization
-    (a global crystal shift does not dephase anything). reorder selects what
-    happens when a draw makes boundaries cross: "resample" redraws the whole
-    realization (up to max_attempts), "allow" keeps the draw and evaluates the
-    efficiency sum as written.
-    """
-
-    sigma_z_um: float = 0.0
-    truncation_sigmas: float = 3.0
-    reorder: str = "resample"
-    max_attempts: int = 1000
-    seed: int | None = None
-
-    def __post_init__(self):
-        _check_sigma(self.sigma_z_um)
-        if self.reorder not in ("resample", "allow"):
-            raise ValidationError("reorder must be 'resample' or 'allow'")
-        if not 0.0 < self.truncation_sigmas < math.inf:
-            raise ValidationError("truncation_sigmas must be finite and > 0")
-
-
 @dataclass(frozen=True, eq=False)
 class PolingStructure:
     """A realized N-domain structure (nominal geometry + boundary errors)."""
@@ -260,32 +233,39 @@ def _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, redraw_
     return out
 
 
+def _block_errors(seed, b, rows, sigmas, nominal, trunc, reorder, max_attempts):
+    """Yield the wall errors of row block b at each sigma of the grid, in order.
+
+    z is drawn once from spawn_rng(seed, b) and sigma i gets sigma * z (common
+    random numbers), its crossing rows redrawn from spawn_rng(seed, b, i) under
+    "resample". Every sigma reuses one (rows, N) array, free for the caller to
+    overwrite until it asks for the next."""
+    z = _draw_z(spawn_rng(seed, b), rows, nominal.size, trunc)
+    out = np.empty_like(z)
+    for i, sigma in enumerate(sigmas):
+        yield _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, lambda: spawn_rng(seed, b, i))
+
+
 def realize_structure(
     period_mm: float,
     duty_cycle: float,
     num_domains: int,
-    error_model: ErrorModel | None = None,
+    sigma_z_um: float = 0.0,
+    seed: int = 0,
+    reorder: str = "resample",
+    truncation_sigmas: float = 3.0,
+    max_attempts: int = 1000,
 ) -> PolingStructure:
-    """Draw one structure realization under the given error model: the first
-    row of the Monte Carlo's block 0, whose z comes from spawn_rng(seed, 0)
-    and whose redraws come from spawn_rng(seed, 0, 0); seed None means 0. So
-    conversion_efficiency of the realization equals the one-sample
-    efficiency_samples at the same sigma, seed and reorder policy."""
-    period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
-    nominal = nominal_boundaries_um(period_mm, d, n)
-    if error_model is None or error_model.sigma_z_um == 0.0:
-        err = np.zeros(n)
-    else:
-        em = error_model
-        seed = 0 if em.seed is None else em.seed
-        # the Monte Carlo's bounds, on the first-order phases of one sample
-        _check_monte_carlo(period_mm, d, n, [em.sigma_z_um], 1, 1, 0.0, em.reorder, em.truncation_sigmas)
-        z = _draw_z(spawn_rng(seed, 0), 1, n, em.truncation_sigmas)
-        err = _scaled_errors(
-            z, em.sigma_z_um, z.copy(), nominal, em.truncation_sigmas, em.reorder, em.max_attempts,
-            lambda: spawn_rng(seed, 0, 0),
-        )[0]
-    return PolingStructure(period_mm, d, n, nominal, err)
+    """One structure realization: row 0 of block 0 of efficiency_samples,
+    drawn by its block code under the same keywords (wall errors sigma_z_um *
+    z, z a row-centred unit Gaussian truncated at +/- truncation_sigmas), so
+    conversion_efficiency of it equals the one-sample efficiency_samples bit
+    for bit. The Monte Carlo's bounds apply, on the first-order phases."""
+    [sigma], nominal, _, _ = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, [sigma_z_um], 1, 1, 0.0, reorder, truncation_sigmas
+    )
+    [err] = next(_block_errors(seed, 0, 1, [sigma], nominal, truncation_sigmas, reorder, max_attempts))
+    return PolingStructure(float(period_mm), float(duty_cycle), nominal.size, nominal, err)
 
 
 def conversion_efficiency(
@@ -321,7 +301,7 @@ def _check_monte_carlo(
 ):
     """Validated Monte Carlo inputs: (sigma values, nominal walls, operating
     mismatch, detuning)."""
-    period_mm, d, n = _check_geometry(period_mm, duty_cycle, num_domains)
+    nominal = nominal_boundaries_um(period_mm, duty_cycle, num_domains)
     sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -331,9 +311,7 @@ def _check_monte_carlo(
     if not 0.0 < truncation_sigmas < math.inf:
         raise ValidationError("truncation_sigmas must be finite and > 0")
     detuning = float(detuning_rad_per_um)
-    nominal = nominal_boundaries_um(period_mm, d, n)
-    lam_um = period_mm * 1e3
-    dk = qpm_order * 2.0 * np.pi / lam_um
+    dk = qpm_order * 2.0 * np.pi / (float(period_mm) * 1e3)
     # walls err by at most 2 trunc sigma: the truncation, then the row mean
     sigma = max(sigmas, default=0.0)
     _check_phase(
@@ -408,27 +386,22 @@ def _phasor_power(phi, work) -> np.ndarray:
     return re * re + im * im
 
 
-def _block_eta(z_rng, redraw_rng, rows, sigmas, nominal, dk, detuning, trunc, reorder, max_attempts):
-    """eta of one block of `rows` realizations at every sigma of the grid, as
+def _block_eta(seed, b, rows, sigmas, nominal, dk, detuning, trunc, reorder, max_attempts):
+    """eta of row block b, `rows` realizations, at every sigma of the grid, as
     a (len(sigmas), rows) array.
 
-    z is drawn once from z_rng and each sigma evaluates sigma * z while z is
-    still in cache, so the rows of different sigma share their draws (common
-    random numbers); rows that cross at grid index i are redrawn from
-    redraw_rng(i) into the sigma-scaled copy. The phasor sums take no complex
-    exponential (_phasor_power). Runs only private code and numpy, so it may
-    run on a worker thread.
+    Each sigma's errors (_block_errors) are evaluated while the block's z is
+    still in cache. The phasor sums take no complex exponential
+    (_phasor_power). Runs only private code and numpy, so it may run on a
+    worker thread.
     """
-    z = _draw_z(z_rng, rows, nominal.size, trunc)
     detune = detuning * nominal
-    phi = np.empty_like(z)
-    work = np.empty((4,) + z.shape)
+    work = np.empty((4, rows, nominal.size))
     eta = np.empty((len(sigmas), rows))
-    for i, sigma in enumerate(sigmas):
-        if sigma == 0.0 and detuning == 0.0:
+    for i, phi in enumerate(_block_errors(seed, b, rows, sigmas, nominal, trunc, reorder, max_attempts)):
+        if sigmas[i] == 0.0 and detuning == 0.0:
             eta[i] = 1.0
             continue
-        _scaled_errors(z, sigma, phi, nominal, trunc, reorder, max_attempts, lambda: redraw_rng(i))
         phi *= dk  # the phases replace the errors in place
         phi += detune
         eta[i] = _phasor_power(phi, work)
@@ -482,8 +455,7 @@ def efficiency_samples(
     def run(b):
         a, stop = blocks[b]
         eta[:, a:stop] = _block_eta(
-            spawn_rng(seed, b), lambda i: spawn_rng(seed, b, i), stop - a, sigmas, nominal, dk, detuning,
-            truncation_sigmas, reorder, max_attempts,
+            seed, b, stop - a, sigmas, nominal, dk, detuning, truncation_sigmas, reorder, max_attempts
         )
 
     # one thread per CPU this process may use, at most one per block. When a

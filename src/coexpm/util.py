@@ -29,14 +29,15 @@ def sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator for stream (seed, *key).
+def spawn_rng(seed: int | None, *key: int) -> np.random.Generator:
+    """Deterministic child generator for stream (seed, *key); seed None means 0.
 
     Streams derived from the same seed but different keys are statistically
     independent and do not depend on the order in which they are created, so
     results are reproducible regardless of evaluation scheduling.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    seq = np.random.SeedSequence(0 if seed is None else seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:

@@ -122,6 +122,18 @@ def test_density_matrix_validation():
         bp.as_density_matrix(skew)
 
 
+def test_hermiticity_threshold_is_1e_9():
+    good = np.eye(4) / 4.0
+    for defect, accepted in ((5e-10, True), (2e-9, False)):
+        rho = good.astype(complex)
+        rho[0, 1] = 1j * defect  # |rho - rho^dagger| = defect at (0, 1) and (1, 0)
+        if accepted:
+            np.testing.assert_allclose(bp.DensityMatrix4(rho).matrix[0, 1], 0.5j * defect, rtol=0, atol=1e-24)
+        else:
+            with pytest.raises(ValidationError, match="Hermitian"):
+                bp.DensityMatrix4(rho)
+
+
 # ------------------------------------------------------------- polarizer algebra
 
 
@@ -425,6 +437,20 @@ def test_entanglement_survives_fabrication_noise():
     assert all(a >= b for a, b in zip(f_means, f_means[1:]))
     assert c_means[-1] > 0.95
     assert f_means[-1] > 0.99
+
+
+def test_entanglement_and_monte_carlo_share_the_reorder_default():
+    from coexpm.errors import SolverError
+    from coexpm.poling import monte_carlo_efficiency
+
+    # 5 um errors on a 15 um period make walls cross; "resample" gives up
+    for run in (monte_carlo_efficiency, bp.entanglement_vs_fabrication):
+        with pytest.raises(SolverError, match="use reorder='allow'"):
+            run(0.015, 0.735, 64, [5.0], samples=50)
+    sigmas = [0.0, 100.0, 400.0]
+    mc = monte_carlo_efficiency(2.0, 0.735, 8, sigmas, samples=200, seed=3)
+    ent = bp.entanglement_vs_fabrication(2.0, 0.735, 8, sigmas, samples=200, seed=3)
+    assert [r["mean_eta"] for r in ent] == [r["mean_eta"] for r in mc]
 
 
 def test_entanglement_closed_form_matches_density_matrix_path():

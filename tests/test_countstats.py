@@ -464,3 +464,26 @@ def test_counts_too_large_for_the_poisson_sampler_are_rejected_before_any_draw(m
     # the largest mean the sampler takes passes the check
     cs._check_stream(1.0, 1e-9, cs._POISSON_MEAN_MAX)
     np.random.default_rng(0).poisson(cs._POISSON_MEAN_MAX)
+
+
+_BELL = bell_psi_plus()
+# every public function that takes a seed, called with a small input whose
+# draws depend on it
+_SEEDED = {
+    "efficiency_samples": lambda seed: poling.efficiency_samples(2.0, 0.735, 8, [50.0, 400.0], 16, seed),
+    "monte_carlo_efficiency": lambda seed: poling.monte_carlo_efficiency(2.0, 0.735, 8, [400.0], 16, seed),
+    "realize_structure": lambda seed: poling.realize_structure(2.0, 0.735, 8, 400.0, seed).boundary_error_um,
+    "entanglement_vs_fabrication": lambda seed: bp.entanglement_vs_fabrication(2.0, 0.735, 8, [400.0], 16, seed),
+    "simulate_tomography_counts": lambda seed: bp.simulate_tomography_counts(_BELL, 1e3, 1.0, seed),
+    "simulate_counts": lambda seed: cs.simulate_counts(_BELL, [AnalyzerSetting(0.0, 90.0)], 1e3, 1.0, seed),
+    "simulate_pair_stream": lambda seed: cs.simulate_pair_stream(1e5, 1e-3, 1e-9, seed),
+    "simulate_heralded": lambda seed: cs.simulate_heralded(1e5, 1e-2, 1e-9, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seed_none_is_seed_zero(name):
+    run = _SEEDED[name]
+    np.testing.assert_equal(run(None), run(0))
+    with pytest.raises(AssertionError):  # the seed does pick the draws
+        np.testing.assert_equal(run(1), run(0))

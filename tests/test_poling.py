@@ -140,8 +140,7 @@ def test_nominal_boundaries_walk_the_duty_cycle():
 
 
 def test_realized_structure_statistics():
-    model = poling.ErrorModel(sigma_z_um=30.0, seed=99)
-    st = poling.realize_structure(2.0, 0.735, 64, model)
+    st = poling.realize_structure(2.0, 0.735, 64, sigma_z_um=30.0, seed=99)
     err = st.boundary_error_um
     assert err.shape == (64,)
     assert abs(err.mean()) < 1e-9  # mean-subtracted draws
@@ -154,16 +153,14 @@ def test_realized_structure_statistics():
 
 
 def test_zero_error_structure_is_nominal_and_perfect():
-    model = poling.ErrorModel(sigma_z_um=0.0, seed=1)
-    st = poling.realize_structure(2.0, 0.735258, 8, model)
+    st = poling.realize_structure(2.0, 0.735258, 8, sigma_z_um=0.0, seed=1)
     assert np.all(st.boundary_error_um == 0.0)
     eta = poling.conversion_efficiency(st, 2.0 * math.pi / 2000.0)
     assert eta == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conversion_efficiency_matches_direct_phasor_sum():
-    model = poling.ErrorModel(sigma_z_um=40.0, seed=5)
-    st = poling.realize_structure(2.0, 0.735, 8, model)
+    st = poling.realize_structure(2.0, 0.735, 8, sigma_z_um=40.0, seed=5)
     dk = 2.0 * math.pi / 2000.0
     detune = 3.0e-5
     got = poling.conversion_efficiency(st, dk, detuning_rad_per_um=detune)
@@ -301,15 +298,13 @@ def test_phasor_kernel_matches_complex_exp_at_table_nodes(offset):
 
 def test_resample_policy_gives_up_on_hopeless_geometry():
     # 50 um errors on a 15 um period cannot keep walls ordered
-    model = poling.ErrorModel(sigma_z_um=50.0, reorder="resample", max_attempts=5, seed=0)
     with pytest.raises(SolverError, match="use reorder='allow'"):
-        poling.realize_structure(0.015, 0.7, 32, model)
+        poling.realize_structure(0.015, 0.7, 32, sigma_z_um=50.0, seed=0, reorder="resample", max_attempts=5)
 
 
 def test_allow_policy_keeps_the_raw_draw():
     # walls may cross for sigma >> period; the phasor sum stays well defined
-    model = poling.ErrorModel(sigma_z_um=50.0, reorder="allow", seed=0)
-    st = poling.realize_structure(0.015, 0.7, 32, model)
+    st = poling.realize_structure(0.015, 0.7, 32, sigma_z_um=50.0, seed=0, reorder="allow")
     assert st.boundary_um.shape == (32,)
     assert np.any(np.diff(st.boundary_um) < 0.0)  # this draw does cross
     eta = poling.conversion_efficiency(st, 2.0 * math.pi / 15.0)
@@ -322,11 +317,11 @@ def test_validation():
     with pytest.raises(ValidationError):
         poling.fourier_coefficient(1.0, 1)
     with pytest.raises(ValidationError):
-        poling.ErrorModel(sigma_z_um=-1.0)
+        poling.realize_structure(2.0, 0.7, 8, sigma_z_um=-1.0)
     with pytest.raises(ValidationError):
-        poling.ErrorModel(sigma_z_um=1.0, reorder="wiggle")
+        poling.realize_structure(2.0, 0.7, 8, sigma_z_um=1.0, reorder="wiggle")
     with pytest.raises(ValidationError):
-        poling.realize_structure(2.0, 0.7, 7, poling.ErrorModel(sigma_z_um=0.0))
+        poling.realize_structure(2.0, 0.7, 7, sigma_z_um=0.0)
     with pytest.raises(ValidationError):
         poling.solve_balanced_duty_cycle(0)
 
@@ -380,14 +375,12 @@ def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detun
     return [np.concatenate(e) for e in etas]
 
 
-def _reference_realization(period_mm, duty, domains, model):
+def _reference_realization(period_mm, duty, domains, sigma, seed, trunc):
     """One row of block 0's draw, from spawn_rng(seed, 0), redrawn from
     spawn_rng(seed, 0, 0) until its walls are ordered."""
     nominal = poling.nominal_boundaries_um(period_mm, duty, domains)
-    z = _reference_z(spawn_rng(model.seed, 0), 1, domains, model.truncation_sigmas)
-    return _reference_resampled(
-        spawn_rng(model.seed, 0, 0), z, model.sigma_z_um, nominal, model.truncation_sigmas, model.max_attempts
-    )[0]
+    z = _reference_z(spawn_rng(seed, 0), 1, domains, trunc)
+    return _reference_resampled(spawn_rng(seed, 0, 0), z, sigma, nominal, trunc)[0]
 
 
 @pytest.mark.parametrize("redrawn", [1.0, 0.6], ids=["all-rows", "row-runs"])
@@ -440,9 +433,10 @@ def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samp
 def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, sigma, trunc):
     # sigma 400 um on 2 mm and 1.5 um on 15 um make walls cross, so these
     # realizations are resampled
-    model = poling.ErrorModel(sigma_z_um=sigma, truncation_sigmas=trunc, seed=17)
-    got = poling.realize_structure(period_mm, 0.735, domains, model).boundary_error_um
-    assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, model))
+    got = poling.realize_structure(
+        period_mm, 0.735, domains, sigma_z_um=sigma, seed=17, truncation_sigmas=trunc
+    ).boundary_error_um
+    assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, sigma, 17, trunc))
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
@@ -452,11 +446,10 @@ def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, 
 def test_realization_is_the_one_sample_monte_carlo(period_mm, domains, sigma, reorder, detuning, seed):
     # each sigma makes the walls of some seeds cross, so "resample" redraws;
     # seed None means 0
-    model = poling.ErrorModel(sigma_z_um=sigma, reorder=reorder, seed=seed)
-    structure = poling.realize_structure(period_mm, 0.735, domains, model)
+    structure = poling.realize_structure(period_mm, 0.735, domains, sigma_z_um=sigma, seed=seed, reorder=reorder)
     got = poling.conversion_efficiency(structure, 2.0 * math.pi / (period_mm * 1e3), detuning)
     [[want]] = poling.efficiency_samples(
-        period_mm, 0.735, domains, [sigma], 1, seed or 0, detuning_rad_per_um=detuning, reorder=reorder
+        period_mm, 0.735, domains, [sigma], 1, seed, detuning_rad_per_um=detuning, reorder=reorder
     )
     assert got == want
 
@@ -657,7 +650,7 @@ def test_non_finite_sigma_and_detuning_are_rejected(bad):
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, bad], samples=10)
     with pytest.raises(ValidationError, match="sigma_z_um"):
-        poling.ErrorModel(sigma_z_um=bad)
+        poling.realize_structure(2.0, 0.735, 8, sigma_z_um=bad)
     with pytest.raises(ValidationError, match="detuning"):
         poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, detuning_rad_per_um=bad)
     with pytest.raises(ValidationError, match="detuning"):
@@ -671,7 +664,7 @@ def test_huge_detuning_raises_or_stays_finite():
     for detuning in (1e305, -1e303):
         with pytest.raises(ValidationError, match="detuning"):
             poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=detuning)
-    structure = poling.realize_structure(2.0, 0.735, 8, poling.ErrorModel(sigma_z_um=10.0, seed=1))
+    structure = poling.realize_structure(2.0, 0.735, 8, sigma_z_um=10.0, seed=1)
     for detuning in (1e305, -1e303, math.nan):
         with pytest.raises(ValidationError, match="detuning"):
             poling.conversion_efficiency(structure, 3e-3, detuning)
@@ -693,7 +686,7 @@ def test_huge_sigma_raises_before_any_draw(monkeypatch):
         with pytest.raises(ValidationError, match="sigma_z_um"):
             poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, sigma], samples=3, qpm_order=order)
     with pytest.raises(ValidationError, match="sigma_z_um"):
-        poling.realize_structure(2.0, 0.735, 8, poling.ErrorModel(sigma_z_um=1e308, reorder="allow"))
+        poling.realize_structure(2.0, 0.735, 8, sigma_z_um=1e308, reorder="allow")
     assert spawned == []
     # the largest sigma the phase bound takes still gives a finite eta
     [eta] = poling.efficiency_samples(2.0, 0.735, 8, [1e300], 3, reorder="allow")
@@ -707,4 +700,4 @@ def test_non_positive_truncation_is_rejected():
         with pytest.raises(ValidationError, match="truncation_sigmas"):
             poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, truncation_sigmas=trunc)
         with pytest.raises(ValidationError, match="truncation_sigmas"):
-            poling.ErrorModel(sigma_z_um=10.0, truncation_sigmas=trunc)
+            poling.realize_structure(2.0, 0.735, 8, sigma_z_um=10.0, truncation_sigmas=trunc)
