@@ -48,10 +48,7 @@ __all__ = [
     "coincidence_probability",
     "correlation",
     "chsh_s",
-    "chsh_s_symmetric",
     "tomography_settings",
-    "setting_projector",
-    "expected_tomography_rates",
     "simulate_tomography_counts",
     "reconstruct_state",
     "TomographyResult",
@@ -143,8 +140,8 @@ def state_from_efficiencies(
     efficiency weights |VH>; the grating amplitude carries
     exp(i relative_phase_rad). Only the ratio of the two efficiencies matters.
     """
-    if r_birefringent < 0 or r_grating < 0:
-        raise ValidationError("channel efficiencies must be >= 0")
+    if not (0 <= r_birefringent < np.inf and 0 <= r_grating < np.inf and np.isfinite(relative_phase_rad)):
+        raise ValidationError("channel efficiencies must be finite and >= 0, the relative phase finite")
     if r_birefringent + r_grating == 0:
         raise ValidationError("at least one channel efficiency must be positive")
     amp = np.zeros(4, dtype=complex)
@@ -301,14 +298,9 @@ def chsh_s(state, angles_deg=CANONICAL_CHSH_ANGLES) -> float:
     and stays <= 2 for any product state. Away from the canonical angles the
     three-term form is not a faithful separability witness (product states can
     exceed 2), so angle choices other than the canonical set should be
-    interpreted with care; see chsh_s_symmetric for the four-term variant.
+    interpreted with care; the chsh command also reports the four-term sum.
     """
     return _chsh_values([correlation(state, *pair) for pair in _chsh_pairs(angles_deg)])[0]
-
-
-def chsh_s_symmetric(state, angles_deg=CANONICAL_CHSH_ANGLES) -> float:
-    """Four-term Bell parameter |E(a,b)| + |E(a,b')| + |E(a',b)| + |E(a',b')|."""
-    return _chsh_values([correlation(state, *pair) for pair in _chsh_pairs(angles_deg)])[1]
 
 
 def _analyzer_counts(
@@ -354,18 +346,6 @@ def _label_ket(label_signal: str, label_idler: str) -> np.ndarray:
         return np.kron(SINGLE_KETS[label_signal.upper()], SINGLE_KETS[label_idler.upper()])
     except KeyError as exc:
         raise ValidationError(f"unknown analyzer label {exc.args[0]!r}; use H/V/D/A/R/L") from None
-
-
-def setting_projector(label_signal: str, label_idler: str) -> np.ndarray:
-    """Rank-1 projector |l_s l_i><l_s l_i| for labeled analyzer settings."""
-    k = _label_ket(label_signal, label_idler)
-    return np.outer(k, k.conj())
-
-
-def expected_tomography_rates(state, settings=None) -> np.ndarray:
-    """Coincidence probabilities p_k = Tr(rho P_k) for each setting."""
-    settings = tomography_settings() if settings is None else list(settings)
-    return _probabilities(state, [_label_ket(*s) for s in settings])
 
 
 def simulate_tomography_counts(

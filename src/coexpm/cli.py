@@ -139,7 +139,7 @@ DEFAULT_CONFIG = {
 _DOMAINS = {
     "seed": (">= 0", lambda v: v >= 0),  # numpy's SeedSequence takes no negative seed
     "design.pump_step_nm": ("> 0", lambda v: v > 0),
-    "dutycycle.max_fourier_order": (">= 0", lambda v: v >= 0),
+    "dutycycle.max_fourier_order": ("0 to 4096", lambda v: 0 <= v <= 4096),
     "montecarlo.duty_cycle": float,  # null -> balanced duty cycle for qpm_order
     "montecarlo.sigma_z_um": ("non-empty", len),
     "montecarlo.comparison": dict,
@@ -275,7 +275,7 @@ def _write_meta(outdir: Path, command: str, config: dict, seed: int | None, arti
 def _inclusive_grid(c: dict, start_key: str, stop_key: str, step_key: str) -> np.ndarray:
     """Grid from c[start_key] by c[step_key] up to c[stop_key], within half a step."""
     start, stop, step = (c[k] for k in (start_key, stop_key, step_key))
-    _check_cells(f"the {start_key}..{stop_key} grid", (stop + 0.5 * step - start) / step)
+    _check_cells(f"the {start_key}..{stop_key} grid", abs((stop + 0.5 * step - start) / step))
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -571,6 +571,8 @@ def _cmd_stats(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         per_nm = c["pair_rate_per_mw_per_nm"]
         band = c["filter_band_nm"] if c["filter_band_nm"] is not None else 1.0
         pump = c["pump_mw"] if c["pump_mw"] is not None else 1.0
+        if per_nm < 0 or band <= 0:
+            raise ValidationError(f"pair_rate_per_mw_per_nm must be >= 0 and filter_band_nm > 0, got {per_nm}, {band}")
         rate = per_nm * band * pump
         if not np.isfinite(rate):
             raise ValidationError(

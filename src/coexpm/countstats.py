@@ -31,7 +31,7 @@ import numpy as np
 
 from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
-from .util import _POISSON_MEAN_MAX, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_int, spawn_rng
 
 __all__ = [
     "CountRecord",
@@ -359,6 +359,8 @@ def simulate_heralded(
     _check_stream(duration_s, tau_c_s, pair_rate_hz)
     if not (0.0 < eta_herald <= 1.0 and 0.0 < eta_target <= 1.0):
         raise ValidationError("detection efficiencies must be in (0, 1]")
+    if _check_int("max_multiplicity", max_multiplicity, 1) > 170:  # 171! overflows a float
+        raise ValidationError(f"max_multiplicity must be <= 170, got {max_multiplicity}")
     rng = spawn_rng(seed, 3)
     n_bins = duration_s / tau_c_s
     mu = pair_rate_hz * tau_c_s

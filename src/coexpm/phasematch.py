@@ -34,6 +34,7 @@ from scipy.optimize import brentq
 
 from .dispersion import ktp_axes, wavevector
 from .errors import SolverError, ValidationError
+from .util import _check_int
 
 __all__ = [
     "ProcessSpec",
@@ -82,8 +83,7 @@ class ProcessSpec:
         object.__setattr__(self, "pump_axis", _axis(self.pump_axis))
         object.__setattr__(self, "signal_axis", _axis(self.signal_axis))
         object.__setattr__(self, "idler_axis", _axis(self.idler_axis))
-        if self.qpm_order < 0 or int(self.qpm_order) != self.qpm_order:
-            raise ValidationError("qpm_order must be a nonnegative integer")
+        object.__setattr__(self, "qpm_order", _check_int("qpm_order", self.qpm_order, 0))
 
     def swapped(self) -> "ProcessSpec":
         """Same process with the signal/idler polarization roles exchanged."""

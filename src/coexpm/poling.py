@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import SolverError, ValidationError
-from .util import _check_cells, sinc, spawn_rng
+from .util import _check_cells, _check_int, sinc, spawn_rng
 
 __all__ = [
     "fourier_coefficient",
@@ -78,7 +78,7 @@ def _check_duty(duty_cycle: float) -> float:
 def fourier_coefficient(duty_cycle: float, order: int) -> complex:
     """Complex Fourier coefficient c_m of the square poling profile."""
     d = _check_duty(duty_cycle)
-    m = int(order)
+    m = _check_int("order", order)
     if m == 0:
         return complex(2.0 * d - 1.0)
     x = np.pi * m * d
@@ -100,9 +100,7 @@ def solve_balanced_duty_cycle(order: int = 1) -> float:
     returned. The bracket is located by a dense scan (step 1e-5) and
     refined with Brent's method.
     """
-    m = int(order)
-    if m < 1:
-        raise ValidationError("order must be >= 1")
+    m = _check_int("order", order, 1)
 
     def g(d):
         return np.abs(2.0 * d - 1.0) - np.abs(2.0 * d * sinc(np.pi * m * d))
@@ -161,9 +159,9 @@ def _check_geometry(period_mm: float, duty_cycle: float, num_domains: int):
     if not 0.0 < period_mm < np.inf:
         raise ValidationError("period_mm must be positive and finite")
     _check_duty(duty_cycle)
-    n = int(num_domains)
-    if n < 2 or n % 2:
-        raise ValidationError("num_domains must be a positive even integer")
+    n = _check_int("num_domains", num_domains, 2)
+    if n % 2:
+        raise ValidationError(f"num_domains must be even, got {n}")
     _check_cells("num_domains", n)
     return float(period_mm), float(duty_cycle), n
 
@@ -262,7 +260,7 @@ def realize_structure(
     conversion_efficiency of it equals the one-sample efficiency_samples bit
     for bit. The Monte Carlo's bounds apply, on the first-order phases."""
     [sigma], nominal, _, _ = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, [sigma_z_um], 1, 1, 0.0, reorder, truncation_sigmas
+        period_mm, duty_cycle, num_domains, [sigma_z_um], 1, 1, 0.0, reorder, truncation_sigmas, max_attempts
     )
     [err] = next(_block_errors(seed, 0, 1, [sigma], nominal, truncation_sigmas, reorder, max_attempts))
     return PolingStructure(float(period_mm), float(duty_cycle), nominal.size, nominal, err)
@@ -297,21 +295,21 @@ def _check_phase(largest_rad: float, inputs: str) -> None:
 
 def _check_monte_carlo(
     period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
-    truncation_sigmas,
+    truncation_sigmas, max_attempts,
 ):
     """Validated Monte Carlo inputs: (sigma values, nominal walls, operating
     mismatch, detuning)."""
     nominal = nominal_boundaries_um(period_mm, duty_cycle, num_domains)
     sigmas = [_check_sigma(s) for s in np.asarray(sigma_z_grid_um, dtype=float)]
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = _check_int("samples", samples, 1)
+    _check_int("max_attempts", max_attempts, 1)
     _check_cells("samples x sigma values", samples * len(sigmas))
     if reorder not in ("resample", "allow"):
         raise ValidationError("reorder must be 'resample' or 'allow'")
     if not 0.0 < truncation_sigmas < math.inf:
         raise ValidationError("truncation_sigmas must be finite and > 0")
     detuning = float(detuning_rad_per_um)
-    dk = qpm_order * 2.0 * np.pi / (float(period_mm) * 1e3)
+    dk = _check_int("qpm_order", qpm_order, 0) * 2.0 * np.pi / (float(period_mm) * 1e3)
     # walls err by at most 2 trunc sigma: the truncation, then the row mean
     sigma = max(sigmas, default=0.0)
     _check_phase(
@@ -439,15 +437,15 @@ def efficiency_samples(
 
     The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
     efficiency is then error-independent and identically 1 at zero detuning).
-    Inputs are validated on the calling thread. The row blocks then run on a
-    pool of threads (numpy releases the GIL in its draws and array kernels).
-    Block b draws z from spawn_rng(seed, b) and its redraws at grid index i
-    from spawn_rng(seed, b, i), whichever thread evaluates it, so the result
-    does not depend on the number of workers.
+    Inputs but the seed (checked by spawn_rng) are validated on the calling
+    thread; the row blocks then run on a pool of threads (numpy releases the
+    GIL in its draws and array kernels). Block b draws z from spawn_rng(seed,
+    b) and its redraws at grid index i from spawn_rng(seed, b, i), whichever
+    thread evaluates it, so the result does not depend on the number of workers.
     """
     sigmas, nominal, dk, detuning = _check_monte_carlo(
         period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
-        truncation_sigmas,
+        truncation_sigmas, max_attempts,
     )
     eta = np.empty((len(sigmas), samples))
     blocks = _blocks(samples, nominal.size)

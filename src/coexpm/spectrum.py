@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
-from .util import _check_cells, fwhm_of_profile, sinc
+from .util import _check_cells, _check_int, fwhm_of_profile, sinc
 
 __all__ = [
     "GAUSSIAN_TRUNCATION_SIGMAS",
@@ -156,6 +156,7 @@ def joint_spectral_density(
     di = _uniform_step(igrid, "idler")
     if not 0.0 <= filter_fwhm_nm < np.inf:
         raise ValidationError("filter FWHM must be finite and >= 0")
+    _check_int("ridge_oversample", ridge_oversample, 1)
     if np.any(sgrid <= pump_nm):
         raise ValidationError("signal grid must lie above the pump wavelength")
     _check_cells("the signal x idler grid", sgrid.size * igrid.size)

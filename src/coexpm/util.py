@@ -20,6 +20,16 @@ def _check_cells(what: str, cells: float) -> None:
         raise ValidationError(f"{what} asks for {cells:.6g} cells, more than the budget of {_CELL_BUDGET}")
 
 
+def _check_int(name: str, value, lo: int | None = None) -> int:
+    """value as an int: an int or numpy integer, not a bool, and >= lo. Anything
+    else (a float, even 2.0, NaN or +-inf) is a ValidationError, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {value}")
+    return int(value)
+
+
 def sinc(x):
     """Unnormalized sinc: sin(x)/x, with sinc(0) = 1.
 
@@ -30,13 +40,14 @@ def sinc(x):
 
 
 def spawn_rng(seed: int | None, *key: int) -> np.random.Generator:
-    """Deterministic child generator for stream (seed, *key); seed None means 0.
+    """Deterministic child generator for stream (seed, *key); seed None means 0,
+    any other seed is an integer >= 0.
 
     Streams derived from the same seed but different keys are statistically
     independent and do not depend on the order in which they are created, so
     results are reproducible regardless of evaluation scheduling.
     """
-    seq = np.random.SeedSequence(0 if seed is None else seed, spawn_key=key)
+    seq = np.random.SeedSequence(0 if seed is None else _check_int("seed", seed, 0), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -30,6 +30,12 @@ def _random_product_state(rng):
     return np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
 
 
+def _projector(label_signal, label_idler):
+    """Rank-1 projector |l_s l_i><l_s l_i| from the public single-photon kets."""
+    k = np.kron(bp.SINGLE_KETS[label_signal], bp.SINGLE_KETS[label_idler])
+    return np.outer(k, k.conj())
+
+
 # ---------------------------------------------------------------- state algebra
 
 
@@ -40,6 +46,17 @@ def test_state_from_efficiencies_places_amplitudes():
     assert abs(amps[1]) ** 2 == pytest.approx(0.9)  # 0.18 / 0.20
     assert abs(amps[2]) ** 2 == pytest.approx(0.1)
     assert np.angle(amps[2] / amps[1]) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+    ids=["r1-inf", "r2-inf", "r1-nan", "r1-negative", "phase-inf", "phase-nan"],
+)
+def test_non_finite_or_negative_channel_inputs_are_rejected(args):
+    # they used to reach sqrt and exp and warn instead of raising
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        bp.state_from_efficiencies(*args)
 
 
 def test_bell_state_is_balanced():
@@ -189,7 +206,8 @@ def test_diagonal_basis_fringe_is_perfect_for_bell():
 def test_chsh_maximal_for_bell_at_canonical_angles():
     s = bp.chsh_s(bp.bell_psi_plus())
     assert s == pytest.approx(2.0 * ROOT2, abs=1e-12)
-    s4 = bp.chsh_s_symmetric(bp.bell_psi_plus())
+    e = [bp.correlation(bp.bell_psi_plus(), *pair) for pair in bp._chsh_pairs(bp.CANONICAL_CHSH_ANGLES)]
+    s4 = bp._chsh_values(e)[1]  # the four-term S the chsh command reports
     assert s4 == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
 
@@ -232,15 +250,14 @@ def test_three_term_estimator_can_exceed_two_at_pathological_angles():
 def test_sixteen_settings_span_the_state_space():
     settings = bp.tomography_settings()
     assert len(settings) == 16
-    basis = np.array([bp.setting_projector(a, b).reshape(-1) for a, b in settings])
+    basis = np.array([_projector(a, b).reshape(-1) for a, b in settings])
     assert np.linalg.matrix_rank(basis) == 16
 
 
 def test_expected_rates_for_bell_state():
     bell = bp.bell_psi_plus()
-    rates = dict(
-        zip(bp.tomography_settings(), bp.expected_tomography_rates(bell))
-    )
+    records = bp.simulate_tomography_counts(bell, 1.0, 1.0, poisson=False)
+    rates = {(r["setting_signal"], r["setting_idler"]): r["coincidences"] for r in records}
     assert rates[("H", "V")] == pytest.approx(0.5, abs=1e-12)
     assert rates[("V", "H")] == pytest.approx(0.5, abs=1e-12)
     assert rates[("H", "H")] == pytest.approx(0.0, abs=1e-12)
@@ -341,7 +358,7 @@ def test_profiled_nll_gradient_matches_central_differences():
     st = bp.werner_state(0.9)
     records = bp.simulate_tomography_counts(st, 439.0, 10.0, seed=4)
     amat = np.array(
-        [bp.setting_projector(r["setting_signal"], r["setting_idler"]) for r in records]
+        [_projector(r["setting_signal"], r["setting_idler"]) for r in records]
     ).conj().reshape(16, 16)
     counts = np.array([r["coincidences"] for r in records])
     freqs = counts / counts.sum()
@@ -371,7 +388,7 @@ def _kkt_residuals(result, records):
     times = np.array([r["integration_time_s"] for r in records])
     weights = times / times[0]
     proj = np.array(
-        [bp.setting_projector(r["setting_signal"], r["setting_idler"]) for r in records]
+        [_projector(r["setting_signal"], r["setting_idler"]) for r in records]
     )
     rho = result.rho.matrix
     p = np.real(np.einsum("kij,ji->k", proj, rho))

@@ -206,7 +206,8 @@ def test_expectation_chsh_equals_the_library_s_at_other_angles(tmp_path):
     result = json.loads((tmp_path / "chsh.json").read_text())
     psi = biphoton.state_from_efficiencies(1.0, 0.6, 0.3)
     assert result["s"] == biphoton.chsh_s(psi, angles)
-    assert result["s_symmetric"] == biphoton.chsh_s_symmetric(psi, angles)
+    e = [biphoton.correlation(psi, *pair) for pair in biphoton._chsh_pairs(angles)]
+    assert result["s_symmetric"] == biphoton._chsh_values(e)[1]
 
 
 def test_sampled_chsh_draws_only_the_streams_of_its_16_settings(tmp_path, monkeypatch):
@@ -264,6 +265,8 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("dutycycle", '{"qpm_order": 1.5}'),
         ("dutycycle", '{"max_fourier_order": 2.5}'),
         ("dutycycle", '{"max_fourier_order": -3}'),
+        ("dutycycle", '{"max_fourier_order": 4097}'),  # one table row per order
+        ("dutycycle", '{"max_fourier_order": 1180591620717411303424}'),  # 2**70
         ("fringes --seed -2", "{}"),
         ("fringes", '{}, "seed": -1'),  # a negative top-level seed
         ("jspd", '{"points": -5}'),
@@ -279,6 +282,9 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("stats", '{"dead_time_s": NaN}'),
         ("stats", '{"pair_rate_per_mw_per_nm": Infinity}'),
         ("stats", '{"pair_rate_per_mw_per_nm": 2.0, "filter_band_nm": NaN}'),
+        ("stats", '{"pair_rate_per_mw_per_nm": -10.0}'),
+        ("stats", '{"pair_rate_per_mw_per_nm": 2.0, "filter_band_nm": 0.0}'),
+        ("stats", '{"pair_rate_per_mw_per_nm": 2.0, "filter_band_nm": -1.0}'),
         ("jspd", '{"process": "grating", "period_mm": NaN}'),
         ("tomography", '{"counts_csv": 3}'),
         ("fringes", '{"state": {"kind": "efficiencies", "phase_rad": NaN}}'),
@@ -292,6 +298,13 @@ def test_sampled_chsh_without_coincidences_is_a_fit_failure(tmp_path, capsys):
         ("jspd", '{"signal_max_nm": 1e300}'),
         ("jspd", '{"filter_fwhm_nm": 1e-300}'),
         ("jspd", '{"points": 1099511627776}'),
+        # grids reversed by a huge magnitude, whose point count is hugely negative
+        ("design", '{"pump_min_nm": 1e300}'),
+        ("design", '{"pump_min_nm": 1180591620717411303424}'),
+        ("design", '{"pump_max_nm": -1e300}'),
+        ("fringes", '{"theta_idler_start_deg": 1e300}'),
+        ("fringes", '{"theta_idler_start_deg": 1180591620717411303424}'),
+        ("fringes", '{"theta_idler_stop_deg": -1e300}'),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a bad number must not reach numpy and warn first
@@ -303,6 +316,16 @@ def test_bad_numbers_exit_2_without_traceback(tmp_path, capsys, command, section
     assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path), *options]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [("design", {"pump_min_nm": 900.0}), ("fringes", {"theta_idler_start_deg": 400.0})],
+)
+def test_modestly_reversed_grid_bounds_still_reach_the_solver(tmp_path, command, section):
+    # a grid reversed by a little is empty, not over the budget; the solvers exit 3 as before
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, command: section})
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
 
 
 @pytest.mark.parametrize(

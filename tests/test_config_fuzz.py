@@ -27,6 +27,8 @@ SMALL = {
 }
 COUNTS = "<valid counts file>"  # replaced by the path of a 16-setting counts table
 BAD = st.sampled_from([None, math.nan, math.inf, -math.inf, -1, -0.5, 0, True, "x", [], {}])
+# finite but extreme: past every bound and grid budget, below every step, past int64
+EXTREME = [1e300, -1e300, 1e-300, 2**70]
 OTHER_STRINGS = {
     "birefringent": ["grating"],
     "expectation": ["sampled"],
@@ -44,8 +46,8 @@ def _mostly(good, bad=BAD):
 def _numbers(default):
     """Valid-typed numbers near a float default (or plain ones for a null default)."""
     if default is None:
-        return st.sampled_from([0.5, 1.0, 2.0, 538.4, 1075.0, 1080.0])
-    return st.sampled_from([default, 0.5 * default, 1.5 * default, -default, 0.0, 1.0])
+        return st.sampled_from([0.5, 1.0, 2.0, 538.4, 1075.0, 1080.0, *EXTREME])
+    return st.sampled_from([default, 0.5 * default, 1.5 * default, -default, 0.0, 1.0, *EXTREME])
 
 
 def _values(default, path):
@@ -58,7 +60,7 @@ def _values(default, path):
     elif isinstance(default, bool):
         good = st.booleans()
     elif isinstance(default, int):
-        good = st.integers(-2, 9)
+        good = st.one_of(st.integers(-2, 9), st.sampled_from(EXTREME))
     elif isinstance(default, str):
         good = st.sampled_from([default, *OTHER_STRINGS.get(default, []), "other"])
     elif isinstance(default, list):
