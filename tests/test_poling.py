@@ -354,24 +354,66 @@ def _reference_resampled(rng, z, sigma, nominal, trunc, max_attempts=1000):
     raise AssertionError("reference gave up")
 
 
-def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
-    """eta per sigma from the block definition: block b draws z from
-    z_rng(b), each sigma takes sigma * z, redraws its crossing rows from
-    redraw_rng(b, i) under "resample", and sums the phasors with
-    _phasor_power."""
+def _reference_phases(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
+    """Yield (b, i, z, crossed, phi) from the block definition: block b draws
+    z from z_rng(b), each sigma i takes sigma * z, redraws the rows that
+    crossed from redraw_rng(b, i) under "resample", and has the phases phi."""
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
     dk = 2.0 * math.pi / (period_mm * 1e3)
     rows = max(1, poling._BLOCK_CELLS // domains)
-    etas = [[] for _ in sigmas]
     for b, a in enumerate(range(0, samples, rows)):
         z = _reference_z(z_rng(b), min(rows, samples - a), domains, trunc)
         for i, sigma in enumerate(sigmas):
+            crossed = np.zeros(len(z), dtype=bool)
+            err = sigma * z
             if reorder == "resample":
+                crossed = ~_is_ordered(nominal + err)
                 err = _reference_resampled(redraw_rng(b, i), z, sigma, nominal, trunc)
-            else:
-                err = sigma * z
-            phi = dk * err + detuning * nominal
-            etas[i].append(poling._phasor_power(phi, np.empty((4,) + phi.shape)))
+            yield b, i, z, crossed, dk * err + detuning * nominal
+
+
+def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
+    """eta per sigma from the block definition (_reference_phases), each sigma
+    summed on its own with _phasor_power."""
+    etas = [[] for _ in sigmas]
+    for _, i, _, _, phi in _reference_phases(
+        period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc
+    ):
+        etas[i].append(poling._phasor_power(phi, np.empty((4,) + phi.shape)))
+    return [np.concatenate(e) for e in etas]
+
+
+def _table_phasors(phi):
+    """exp(-i phi) by the table kernel, as one complex array."""
+    re, im = poling._phasors(phi.copy(), np.empty((4,) + phi.shape))
+    return re + 1j * im
+
+
+def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, detuning, reorder, trunc=3.0):
+    """eta per sigma as the sampler steps the grid, written plainly on the
+    block definition (_reference_phases, streams (seed, b) and (seed, b, i)).
+    Where _step_plan gives a step, a block's phasors are those of the sigma
+    before times the step's phasors exp(-i dk step z), except on the rows
+    redrawn at this sigma or the one before; elsewhere, and on those rows,
+    they come from the phases. sigma 0 at zero detuning has phasors 1."""
+    dk = 2.0 * math.pi / (period_mm * 1e3)
+    plan = poling._step_plan(sigmas, detuning, domains)
+    etas = [[] for _ in sigmas]
+    for _, i, z, crossed, phi in _reference_phases(
+        period_mm, domains, sigmas, samples, lambda b: spawn_rng(seed, b), lambda b, i: spawn_rng(seed, b, i),
+        detuning, reorder, trunc,
+    ):
+        if sigmas[i] == 0.0 and detuning == 0.0:
+            q = np.ones(z.shape, dtype=complex)
+        elif plan[i] is None:
+            q = _table_phasors(phi)
+        else:
+            q = q * _table_phasors(dk * (plan[i] * z))
+            stale = crossed | crossed_before
+            q[stale] = _table_phasors(phi[stale])
+        crossed_before = crossed
+        re, im = q.real.mean(axis=-1), q.imag.mean(axis=-1)
+        etas[i].append(re * re + im * im)
     return [np.concatenate(e) for e in etas]
 
 
@@ -400,8 +442,9 @@ def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
     z[mask, 1] = z[mask, 0] - 60.0  # 20 * 60 um back: wall 2 before wall 1
     before = z.copy()
     got_rng, want_rng = spawn_rng(3, *shape), spawn_rng(3, *shape)
-    got = poling._scaled_errors(z, 20.0, np.empty(shape), nominal, trunc, "resample", 2, lambda: got_rng)
+    got, redrawn = poling._scaled_errors(z, 20.0, np.empty(shape), nominal, trunc, "resample", 2, lambda: got_rng)
     want = 20.0 * _reference_z(want_rng, int(mask.sum()), domains, trunc)
+    assert np.array_equal(redrawn, np.flatnonzero(mask))
     assert np.array_equal(got[mask], want)
     assert np.array_equal(got[~mask], 20.0 * before[~mask])
     assert np.array_equal(z, before)  # the shared draw stays intact
@@ -417,10 +460,11 @@ def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samp
     z = _reference_z(spawn_rng(5), samples, domains, trunc)
     before = z.copy()
     got_rng, want_rng = spawn_rng(6), spawn_rng(6)
-    got = poling._scaled_errors(
+    got, redrawn = poling._scaled_errors(
         z, sigma, np.empty_like(z), nominal, trunc, "resample", 1000, lambda: got_rng
     )
     want = _reference_resampled(want_rng, z, sigma, nominal, trunc)
+    assert np.array_equal(redrawn, np.flatnonzero(~_is_ordered(nominal + sigma * z)))
     assert np.array_equal(got, want)
     assert np.array_equal(z, before)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -470,21 +514,45 @@ def grid_cpus(request, monkeypatch):
         (2.0, 8, "resample", [0.0, 10.0, 50.0, 100.0, 400.0]),
         (0.015, 1066, "allow", [0.0, 1.0, 10.0, 100.0]),
         (0.015, 1066, "resample", [0.0, 0.3, 0.6, 0.9]),
+        (2.0, 8, "resample", [0.0, 100.0, 200.0, 300.0, 400.0, 500.0]),
+        (0.015, 1066, "allow", [0.0, 2.5, 5.0, 7.5, 10.0, 11.0, 12.0, 13.0]),
     ],
 )
 def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, detuning):
-    # The threaded grid equals the block definition evaluated serially, one
-    # block after another, on the streams (seed, b) and (seed, b, i).
-    # 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of 7 at 1066.
+    # The threaded grid equals the stepped block definition evaluated
+    # serially, one block after another, on the streams (seed, b) and
+    # (seed, b, i). 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of
+    # 7 at 1066.
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
+    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, detuning)
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, reorder, sigmas",
+    [
+        (2.0, 8, "resample", [0.0, 100.0, 200.0, 300.0, 400.0, 500.0]),
+        # about 60% of the rows cross their walls at 1 um and are redrawn
+        (0.015, 1066, "resample", [0.0, 0.25, 0.5, 0.75, 1.0]),
+        (0.015, 1066, "allow", [0.0, 2.5, 5.0, 7.5, 10.0, 11.0, 12.0, 13.0]),
+    ],
+)
+def test_small_kernel_chunks_equal_serial_efficiency_samples(
+    grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas
+):
+    # 1 Ki-cell kernel chunks in 8 Ki-cell blocks: the chunks split rows, and
+    # the redrawn rows are gathered 128 at a time at 8 domains and taken one
+    # by one at 1066
+    monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
+    monkeypatch.setattr(poling, "_CHUNK_CELLS", 1 << 10)
+    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, 1e-4)
+
+
+def _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, detuning):
     samples = 300 if domains > 8 else 2000
     grid = poling.efficiency_samples(
         period_mm, 0.735, domains, sigmas, samples, 9, detuning_rad_per_um=detuning, reorder=reorder
     )
-    want = _reference_eta(
-        period_mm, domains, sigmas, samples, lambda b: spawn_rng(9, b), lambda b, i: spawn_rng(9, b, i), detuning,
-        reorder,
-    )
+    want = _reference_stepped_eta(period_mm, domains, sigmas, samples, 9, detuning, reorder)
     assert len(grid) == len(sigmas)
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(grid[idx], want[idx]), sigma
@@ -508,9 +576,124 @@ def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not worker.is_alive() and len(result) == 1
-    want = _reference_eta(0.1, 130, sigmas, 40, lambda b: spawn_rng(4, b), None, 0.0, "allow")
+    want = _reference_stepped_eta(0.1, 130, sigmas, 40, 4, 0.0, "allow")
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(result[0][idx], want[idx]), sigma
+
+
+@pytest.mark.parametrize(
+    "sigmas, detuning, domains, plan",
+    [
+        # the default montecarlo grid: sigma 0 has phasors 1, then one step
+        ([10.0 * k for k in range(11)], 0.0, 1066, [None] + [10.0] * 10),
+        ([10.0 * k for k in range(11)], 1e-4, 8, [None] + [10.0] * 10),
+        # anchors at index 0, 16 and 32
+        ([float(k) for k in range(40)], 0.0, 8, [None] + [1.0] * 15 + [None] + [1.0] * 15 + [None] + [1.0] * 7),
+        # a step is taken where it repeats, before or after
+        ([1.0, 2.0, 4.0, 8.0], 0.0, 130, [None] * 4),
+        ([0.0, 0.3, 0.6, 0.9], 0.0, 1066, [None, 0.3, 0.3, None]),  # 0.9 - 0.6 is not 0.3
+        ([0.0, 1.0, 2.0, 4.0, 6.0, 7.0], 0.0, 1066, [None, 1.0, 1.0, 2.0, 2.0, None]),
+        ([5.0, 0.0, 5.0, 10.0], 0.0, 8, [None, None, 5.0, 5.0]),
+        ([5.0, 0.0, 5.0, 10.0], 1e-4, 8, [None, None, 5.0, 5.0]),
+        ([5.0, 0.0, 5.0, 0.0, 5.0], 1e-4, 8, [None] * 5),
+        # fewer than 8 domains: every sigma directly
+        ([10.0 * k for k in range(11)], 0.0, 6, [None] * 11),
+        ([10.0 * k for k in range(11)], 1e-4, 2, [None] * 11),
+        ([], 0.0, 8, []),
+    ],
+)
+def test_step_plan(sigmas, detuning, domains, plan):
+    assert poling._step_plan(sigmas, detuning, domains) == plan
+
+
+def _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, reorder):
+    """The stepped grid against the complex exponential of the block
+    definition's phases, within the table kernel's bound 16 eps * max(1,
+    |Phi|) for each sigma; the sigmas evaluated directly equal the per-sigma
+    kernel bit for bit."""
+    eps = np.finfo(float).eps
+    grid = poling.efficiency_samples(
+        period_mm, 0.735, domains, sigmas, samples, 3, detuning_rad_per_um=detuning, reorder=reorder
+    )
+    keys = (lambda b: spawn_rng(3, b), lambda b, i: spawn_rng(3, b, i))
+    want = [[] for _ in sigmas]
+    largest = np.ones(len(sigmas))
+    for _, i, _, _, phi in _reference_phases(period_mm, domains, sigmas, samples, *keys, detuning, reorder):
+        want[i].append(np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
+        largest[i] = max(largest[i], np.max(np.abs(phi)))
+    per_sigma = _reference_eta(period_mm, domains, sigmas, samples, *keys, detuning, reorder)
+    for i, step in enumerate(poling._step_plan(sigmas, detuning, domains)):
+        assert np.max(np.abs(grid[i] - np.concatenate(want[i]))) <= 16 * eps * largest[i], sigmas[i]
+        if step is None:
+            assert np.array_equal(grid[i], per_sigma[i]), sigmas[i]
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, sigmas, samples, detuning, reorder",
+    [
+        (0.015, 1066, [0.5 * k for k in range(200)], 61, 0.0, "allow"),
+        (2.0, 8, [5.0 * k for k in range(200)], 500, 1e-4, "allow"),
+        # runs of repeated steps between steps that do not repeat
+        (0.015, 1066, [0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 4.5, 7.0, 10.0, 13.0, 13.25, 20.0, 30.0], 100, 1e-4, "allow"),
+        # about 60% of the rows cross their walls at 1 um and are redrawn
+        (0.015, 1066, [0.125 * k for k in range(9)], 100, 0.0, "resample"),
+        (2.0, 8, [25.0 * k for k in range(24)], 2000, 1e-4, "resample"),
+        # below 8 domains every sigma is evaluated directly: stepped, nothing
+        # would average the rounding that 15 steps since an anchor add up
+        # (about 27 eps at 2 domains on this grid)
+        (2.0, 2, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
+        (2.0, 4, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
+        (2.0, 6, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
+    ],
+)
+def test_stepped_grid_stays_within_the_kernel_bound(period_mm, domains, sigmas, samples, detuning, reorder):
+    _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, reorder)
+
+
+def _truncated_gaussian_std(period_mm, domains, sigma):
+    """std of eta for i.i.d. truncated-Gaussian walls at zero detuning, from
+    E|S|^4 of the phasor sum S with a = chi(dk sigma), c = chi(2 dk sigma)
+    and the falling factorials N^(k): E|S|^4 = N + (4a^2 + c^2 + 2) N^(2) +
+    (2c + 4) a^2 N^(3) + a^4 N^(4), E[eta^2] = E|S|^4 / N^4."""
+    n = domains
+    dk = 2.0 * math.pi / (period_mm * 1e3)
+    a, c = _truncated_gaussian_cf(dk * sigma), _truncated_gaussian_cf(2.0 * dk * sigma)
+    n2 = n * (n - 1)
+    n3 = n2 * (n - 2)
+    n4 = n3 * (n - 3)
+    fourth = n + (4 * a * a + c * c + 2) * n2 + (2 * c + 4) * a * a * n3 + a**4 * n4
+    mean = 1.0 / n + (1.0 - 1.0 / n) * a * a
+    return math.sqrt(fourth / n**4 - mean * mean)
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, sigma, std",
+    [
+        (2.0, 8, 300.0, 0.179175),
+        (2.0, 8, 100.0, 0.039538),
+        (0.015, 1066, 1.0, 0.0060366),
+        (0.015, 1066, 2.0, 0.0150590),
+    ],
+)
+def test_std_oracle_values(period_mm, domains, sigma, std):
+    assert _truncated_gaussian_std(period_mm, domains, sigma) == pytest.approx(std, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "period_mm, domains, sigmas",
+    [(2.0, 8, [50.0 * k for k in range(11)]), (0.015, 1066, [0.25 * k for k in range(11)])],
+)
+def test_monte_carlo_std_matches_analytic_expectation(period_mm, domains, sigmas):
+    # a stepped 11-sigma grid; the delta-method standard error of the sample
+    # std s is sqrt((m4 - s^4) / n) / (2 s), from the samples' own moments
+    samples = 2000
+    etas = poling.efficiency_samples(period_mm, 0.735, domains, sigmas, samples, 42, reorder="allow")
+    assert poling._step_plan(sigmas, 0.0, domains)[2:] == [sigmas[1]] * 9
+    for sigma, eta in zip(sigmas[1:], etas[1:]):
+        s = eta.std(ddof=1)
+        m4 = np.mean((eta - eta.mean()) ** 4)
+        standard_error = math.sqrt((m4 - s**4) / samples) / (2.0 * s)
+        assert abs(s - _truncated_gaussian_std(period_mm, domains, sigma)) < 4.0 * standard_error, sigma
 
 
 def test_zero_sigma_at_zero_detuning_is_exactly_one():
@@ -641,6 +824,42 @@ def test_grid_memory_is_a_few_blocks_per_worker(reorder, samples):
     finally:
         tracemalloc.stop()
     assert peak <= workers * blocks + etas + 2**20
+
+
+def test_long_grating_memory_is_a_few_rows_per_worker():
+    # above 2^14 domains one row outgrows a kernel chunk and a block is one
+    # row; the kernel still runs a chunk of cells at a time
+    domains, samples = 70000, 2
+    sigmas = [0.125 * k for k in range(11)]
+    workers = min(poling._usable_cpus(), len(poling._blocks(samples, domains)))
+    blocks = 10 * domains * 8  # the bound above, for a block of one row
+    tracemalloc.start()
+    try:
+        poling.efficiency_samples(0.015, 0.735, domains, sigmas, samples, reorder="allow")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * blocks + 2**20
+
+
+@pytest.mark.parametrize(
+    "grid", [5.0, np.float64(5.0), [[1.0, 2.0]], np.zeros((2, 2)), ["a"], [1.0, "b"], [[1.0], [2.0, 3.0]], None, [1j]]
+)
+def test_sigma_grid_must_be_one_dimensional_numbers(grid):
+    from coexpm import biphoton
+
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
+        poling.efficiency_samples(2.0, 0.7, 8, grid, 10)
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
+        poling.monte_carlo_efficiency(2.0, 0.7, 8, grid, samples=10)
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
+        biphoton.entanglement_vs_fabrication(2.0, 0.7, 8, grid, samples=10)
+
+
+@pytest.mark.parametrize("sigma", ["a", [1.0], None, 1j])
+def test_realized_sigma_must_be_a_number(sigma):
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.realize_structure(2.0, 0.7, 8, sigma_z_um=sigma)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
