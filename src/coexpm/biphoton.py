@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
 from .poling import efficiency_ratio, efficiency_samples
-from .util import _POISSON_MEAN_MAX, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_real, spawn_rng
 
 __all__ = [
     "PolarizationState",
@@ -573,8 +573,10 @@ def entanglement_vs_fabrication(
 
     eta is drawn as in monte_carlo_efficiency, so at the same seed, geometry
     and qpm order both report the same mean_eta for each sigma, and the rows
-    of different sigma share their draws and are correlated.
+    of different sigma share their draws and are correlated. The relative
+    phase must be a finite number; it is checked before any draw.
     """
+    phase = _check_real("relative_phase_rad", relative_phase_rad)
     etas = efficiency_samples(
         period_mm,
         duty_cycle,
@@ -585,7 +587,7 @@ def entanglement_vs_fabrication(
         qpm_order=qpm_order,
         reorder=reorder,
     )
-    return _entanglement_rows(sigma_z_grid_um, etas, duty_cycle, qpm_order, relative_phase_rad)
+    return _entanglement_rows(sigma_z_grid_um, etas, duty_cycle, qpm_order, phase)
 
 
 def _entanglement_rows(sigma_z_grid_um, etas, duty_cycle, qpm_order=1, relative_phase_rad=0.0):

@@ -26,9 +26,10 @@ of a realization at sigma_i are then those at sigma_(i-1) times
 exp(-i delta_k (sigma_i - sigma_(i-1)) z), so along a grid with a repeated
 step one table pass per step and one complex multiply per sigma replace a
 table pass per sigma. The phases are evaluated directly at every 16th sigma
-(the anchors), where a step does not repeat, on the realizations redrawn
-at that sigma or the one before, and at every sigma of a grating of fewer
-than 8 domains. The stepped eta stays within 16 eps * max(1, |Phi|) of the
+(the anchors), where a step does not repeat, and at every sigma of a
+grating of fewer than 8 domains. A row block that redraws a realization at
+a sigma ("resample") evaluates all its rows directly at that sigma and the
+next. The stepped eta stays within 16 eps * max(1, |Phi|) of the
 complex-exponential sum on the grids tested.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import SolverError, ValidationError
-from .util import _check_cells, _check_int, sinc, spawn_rng
+from .util import _check_cells, _check_int, _check_real, sinc, spawn_rng
 
 __all__ = [
     "fourier_coefficient",
@@ -82,18 +83,8 @@ _TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
 _SCAN_STEP = 1e-5
 
 
-def _check_sigma(sigma_z_um) -> float:
-    try:
-        s = float(sigma_z_um)
-    except (TypeError, ValueError):
-        raise ValidationError(f"sigma_z_um must be a number, got {sigma_z_um!r}") from None
-    if not (np.isfinite(s) and s >= 0.0):
-        raise ValidationError(f"sigma_z_um must be finite and >= 0, got {s}")
-    return s
-
-
 def _check_duty(duty_cycle: float) -> float:
-    d = float(duty_cycle)
+    d = _check_real("duty_cycle", duty_cycle)
     if not 0.0 < d < 1.0:
         raise ValidationError(f"duty cycle {d} outside (0, 1)")
     return d
@@ -180,14 +171,15 @@ class PolingStructure:
 
 
 def _check_geometry(period_mm: float, duty_cycle: float, num_domains: int):
-    if not 0.0 < period_mm < np.inf:
-        raise ValidationError("period_mm must be positive and finite")
-    _check_duty(duty_cycle)
+    period = _check_real("period_mm", period_mm)
+    if period <= 0.0:
+        raise ValidationError(f"period_mm must be positive, got {period}")
+    d = _check_duty(duty_cycle)
     n = _check_int("num_domains", num_domains, 2)
     if n % 2:
         raise ValidationError(f"num_domains must be even, got {n}")
     _check_cells("num_domains", n)
-    return float(period_mm), float(duty_cycle), n
+    return period, d, n
 
 
 def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int) -> np.ndarray:
@@ -275,8 +267,8 @@ def realize_structure(
     one-sample efficiency_samples bit for bit. The Monte Carlo's bounds
     apply, on the first-order phases."""
     [sigma], nominal, _, _ = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, [_check_sigma(sigma_z_um)], 1, 1, 0.0, reorder, truncation_sigmas,
-        max_attempts,
+        period_mm, duty_cycle, num_domains, [_check_real("sigma_z_um", sigma_z_um, 0.0)], 1, 1, 0.0, reorder,
+        truncation_sigmas, max_attempts,
     )
     z = _draw_z(spawn_rng(seed, 0), 1, nominal.size, truncation_sigmas)
     [err], _ = _scaled_errors(
@@ -292,7 +284,8 @@ def conversion_efficiency(
 ) -> float:
     """Relative efficiency eta of the realized structure at the given mismatch,
     summed by the Monte Carlo's phasor kernel (_phasor_power)."""
-    dk, detuning = float(delta_k_rad_per_um), float(detuning_rad_per_um)
+    dk = _check_real("delta_k_rad_per_um", delta_k_rad_per_um)
+    detuning = _check_real("detuning_rad_per_um", detuning_rad_per_um)
     err, nominal = structure.boundary_error_um, structure.boundary_nominal_um
     _check_phase(
         abs(dk) * float(np.max(np.abs(err))) + abs(detuning) * float(np.max(np.abs(nominal))),
@@ -325,15 +318,15 @@ def _check_monte_carlo(
         raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers ({exc})") from None
     if grid.ndim != 1:
         raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers, got {grid.ndim} dimensions")
-    sigmas = [_check_sigma(s) for s in grid]
+    sigmas = [_check_real("sigma_z_um", s, 0.0) for s in grid]
     samples = _check_int("samples", samples, 1)
     _check_int("max_attempts", max_attempts, 1)
     _check_cells("samples x sigma values", samples * len(sigmas))
     if reorder not in ("resample", "allow"):
         raise ValidationError("reorder must be 'resample' or 'allow'")
-    if not 0.0 < truncation_sigmas < math.inf:
-        raise ValidationError("truncation_sigmas must be finite and > 0")
-    detuning = float(detuning_rad_per_um)
+    if _check_real("truncation_sigmas", truncation_sigmas) <= 0.0:
+        raise ValidationError(f"truncation_sigmas must be > 0, got {truncation_sigmas}")
+    detuning = _check_real("detuning_rad_per_um", detuning_rad_per_um)
     dk = _check_int("qpm_order", qpm_order, 0) * 2.0 * np.pi / (float(period_mm) * 1e3)
     # walls err by at most 2 trunc sigma: the truncation, then the row mean
     sigma = max(sigmas, default=0.0)
@@ -460,45 +453,19 @@ def _step_plan(sigmas, detuning, num_domains) -> list:
     return plan
 
 
-def _phasor_cells(q, phi, work) -> None:
-    """q = exp(-i phi) for the same-shaped phases phi (overwritten) and
-    complex q, both contiguous, by the table kernel on at most len(work[0])
-    cells at a time. The kernel is elementwise, so the cells give the bits of
-    one whole-array pass, and its memory stays that chunk's whatever the
-    row length."""
-    q, phi = q.reshape(-1), phi.reshape(-1)
+def _phasor_cells(q, x, dk, offset, work) -> None:
+    """q = exp(-i (dk x + offset)) by the table kernel, for complex q and the
+    same-shaped x, both contiguous; x is overwritten with the phases. The
+    kernel runs on at most len(work[0]) cells at a time. It is elementwise,
+    so the cells give the bits of one whole-array pass, and its memory stays
+    that chunk's whatever the row length."""
+    x *= dk
+    x += offset
+    q, phi = q.reshape(-1), x.reshape(-1)
     chunk = work.shape[1]
     for a in range(0, phi.size, chunk):
         cells = slice(a, a + chunk)
         _phasors(phi[cells], work[:, : min(chunk, phi.size - a)], (q.real[cells], q.imag[cells]))
-
-
-def _phasor_rows(q, x, dk, offset, rows, work) -> None:
-    """q[rows] = exp(-i (dk x[rows] + offset)) by the table kernel, for the
-    ascending row indices rows, or for every row if rows is None, when x is
-    overwritten with the phases in place. work holds the kernel's four
-    arrays of a chunk's cells (_phasor_cells). Indexed rows are gathered
-    a chunk of rows at a time, or taken one row (a view) at a time once a
-    row fills a chunk, so no copy is larger than a chunk or a row."""
-    if rows is None:
-        x *= dk
-        x += offset
-        _phasor_cells(q, x, work)
-        return
-    n = x.shape[-1]
-    per_chunk = work.shape[1] // n
-    if per_chunk <= 1:
-        for r in rows:
-            _phasor_rows(q[r : r + 1], x[r : r + 1], dk, offset, None, work)
-        return
-    for a in range(0, len(rows), per_chunk):
-        sel = rows[a : a + per_chunk]
-        phi = x[sel]
-        phi *= dk
-        phi += offset
-        re, im = _phasors(phi, work[:, : phi.size].reshape((4,) + phi.shape))
-        q.real[sel] = re
-        q.imag[sel] = im
 
 
 def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorder, max_attempts):
@@ -512,11 +479,12 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorde
     its phasors at sigma_i are those at sigma_(i-1) times the step phasors
     exp(-i dk (sigma_i - sigma_(i-1)) z). Where plan (_step_plan) gives a
     step, the block multiplies by the step's phasors, evaluated once while
-    the step repeats, and evaluates directly only the rows redrawn at this
-    sigma or the one before; elsewhere it evaluates every row directly. A
-    plan with no step runs one whole-block kernel pass per sigma and holds
-    no phasors. Runs only private code and numpy, so it may run on a worker
-    thread.
+    the step repeats. It evaluates every row from its phases where plan
+    gives no step, and also at a sigma where the block redrew a row, at that
+    sigma or the one before: a redrawn row has no phasors to step from or
+    to. A plan with no step runs one whole-block kernel pass per sigma and
+    holds no phasors. Runs only private code and numpy, so it may run on a
+    worker thread.
     """
     detune = detuning * nominal
     z = _draw_z(spawn_rng(seed, b), rows, nominal.size, trunc)
@@ -534,9 +502,9 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorde
         work = np.empty((4,) + z.shape)
     eta = np.empty((len(sigmas), rows))
     held = None
-    no_rows = redrawn_before = np.empty(0, dtype=np.intp)
+    redrawn_before = False
     for i, (sigma, step) in enumerate(zip(sigmas, plan)):
-        redrawn = no_rows
+        redrawn = False
         if sigma == 0.0 and detuning == 0.0:  # every phasor is exactly 1
             eta[i] = 1.0
             if q is not None:
@@ -547,19 +515,19 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorde
             err += detune
             eta[i] = _phasor_power(err, work)
         else:
-            if step is not None and step != held:
-                np.multiply(z, step, out=err)  # err is free until _scaled_errors
-                _phasor_rows(step_q, err, dk, 0.0, None, work)
-                held = step
             if step is None or reorder == "resample":
-                err, redrawn = _scaled_errors(
+                err, redrawn_rows = _scaled_errors(
                     z, sigma, err, nominal, trunc, reorder, max_attempts, lambda: spawn_rng(seed, b, i)
                 )
-            if step is None:
-                _phasor_rows(q, err, dk, detune, None, work)
+                redrawn = redrawn_rows.size > 0
+            if step is None or redrawn or redrawn_before:
+                _phasor_cells(q, err, dk, detune, work)
             else:
+                if step != held:
+                    np.multiply(z, step, out=err)  # this sigma's errors are not needed
+                    _phasor_cells(step_q, err, dk, 0.0, work)
+                    held = step
                 q *= step_q
-                _phasor_rows(q, err, dk, detune, np.union1d(redrawn_before, redrawn), work)
             eta[i] = _power(q.real, q.imag)
         redrawn_before = redrawn
     return eta
@@ -609,11 +577,12 @@ def efficiency_samples(
     once while the step repeats (to the last bit: 0.1 * k for k <= 10 rounds
     some of its steps apart and steps 8 of its 11 sigma). The phases are
     evaluated directly at the first sigma and every 16th after it, at a step
-    that does not repeat, at sigma 0 without detuning (eta = 1 exactly), on
-    the rows redrawn at a sigma or the one before it, and at every sigma of
-    a grating of fewer than 8 domains. A grid with nothing to step, so every
-    one-sigma grid, runs the per-sigma table kernel and keeps its bits, and
-    so does every directly evaluated sigma. A stepped sigma's eta differs in
+    that does not repeat, at sigma 0 without detuning (eta = 1 exactly), and
+    at every sigma of a grating of fewer than 8 domains; a row block that
+    redraws a realization at a sigma evaluates all its rows directly there
+    and at the next sigma. A grid with nothing to step, so every one-sigma
+    grid, runs the per-sigma table kernel and keeps its bits, and so does
+    every directly evaluated sigma of a block. A stepped sigma's eta differs in
     the last digits, each step since the anchor adding its rounding; on the
     grids tested it stayed within 16 eps * max(1, |Phi|) of the
     complex-exponential sum (up to 13.5 eps at 8 domains, 7 eps at 64 and
@@ -677,9 +646,10 @@ def monte_carlo_efficiency(
     rerun with the same seed and grid reproduces every row exactly, whether
     the blocks run in parallel or not. Where the grid repeats a step, the
     rows are evaluated by stepping the phasors from sigma to sigma, as
-    efficiency_samples describes; the first sigma's row, and every row of a
-    grid with no repeated step (so of a one-sigma grid), equals the
-    per-sigma evaluation bit for bit.
+    efficiency_samples describes; a row block that redraws realizations at a
+    sigma evaluates that sigma and the next from the phases instead. The
+    first sigma's row, and every row of a grid with no repeated step (so of
+    a one-sigma grid), equals the per-sigma evaluation bit for bit.
     """
     etas = efficiency_samples(
         period_mm,

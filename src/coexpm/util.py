@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -28,6 +31,20 @@ def _check_int(name: str, value, lo: int | None = None) -> int:
     if lo is not None and value < lo:
         raise ValidationError(f"{name} must be >= {lo}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value, lo: float | None = None) -> float:
+    """value as a finite float: an int, float or numpy number, not a bool, and
+    >= lo. Anything else (a string, even a numeric one, None, NaN or +-inf)
+    is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x}")
+    if lo is not None and x < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {x}")
+    return x
 
 
 def sinc(x):

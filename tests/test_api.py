@@ -4,7 +4,10 @@ Every name a module exports resolves, and the set of exported names is
 pinned, so a change to the surface is deliberate. Every integer argument of
 the library, seeds included, takes an int or a numpy integer and nothing
 else: a bool, a float (even an integral one), NaN or an infinity is a
-ValidationError, never a truncation, a raw numpy error or a hang.
+ValidationError, never a truncation, a raw numpy error or a hang. The real
+arguments of poling and the sampler's relative phase take a finite int,
+float or numpy number: a string (even a numeric one), None, a bool or a
+non-finite value is a ValidationError.
 """
 
 import importlib
@@ -19,7 +22,7 @@ import pytest
 
 from coexpm import countstats, poling
 from coexpm import spectrum as sp
-from coexpm.biphoton import AnalyzerSetting, bell_psi_plus
+from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, entanglement_vs_fabrication
 from coexpm.errors import ValidationError
 from coexpm.phasematch import NBPM_PROCESS, ProcessSpec
 from coexpm.util import spawn_rng
@@ -75,9 +78,10 @@ def test_every_public_name_resolves_and_the_surface_is_pinned(name):
     assert set(module.__all__) == PUBLIC[name]
 
 
-def _samples(num_domains=8, samples=16, seed=0, qpm_order=1, max_attempts=1000):
+def _samples(num_domains=8, samples=16, seed=0, qpm_order=1, max_attempts=1000, **kwargs):
     return poling.efficiency_samples(
-        2.0, 0.735, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order, max_attempts=max_attempts
+        2.0, 0.735, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order, max_attempts=max_attempts,
+        **kwargs,
     )
 
 
@@ -148,6 +152,47 @@ def test_a_numpy_integer_is_the_same_integer(name):
 
 def test_process_spec_stores_its_order_as_an_int():
     assert type(ProcessSpec(qpm_order=np.int64(1)).qpm_order) is int
+
+
+_STRUCTURE = poling.realize_structure(2.0, 0.735, 8, 10.0)
+# (call taking the real number, a valid value)
+REAL_ARGUMENTS = {
+    "fourier_coefficient.duty_cycle": (lambda v: poling.fourier_coefficient(v, 1), 0.7),
+    "efficiency_penalty.duty_cycle": (poling.efficiency_penalty, 0.7),
+    "nominal_boundaries_um.period_mm": (lambda v: poling.nominal_boundaries_um(v, 0.7, 8), 2.0),
+    "realize_structure.sigma_z_um": (lambda v: poling.realize_structure(2.0, 0.735, 8, v).boundary_um, 400.0),
+    "realize_structure.truncation_sigmas": (
+        lambda v: poling.realize_structure(2.0, 0.735, 8, 400.0, truncation_sigmas=v).boundary_um, 2.0,
+    ),
+    "efficiency_samples.truncation_sigmas": (lambda v: _samples(truncation_sigmas=v), 2.0),
+    "efficiency_samples.detuning_rad_per_um": (lambda v: _samples(detuning_rad_per_um=v), 1e-4),
+    "conversion_efficiency.delta_k_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, v), 3e-3),
+    "conversion_efficiency.detuning_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, 3e-3, v), 1e-4),
+    "entanglement_vs_fabrication.relative_phase_rad": (
+        lambda v: entanglement_vs_fabrication(2.0, 0.7, 8, [1.0], 3, relative_phase_rad=v)[0]["mean_fidelity"], 0.3,
+    ),
+}
+
+REAL_CASES = [
+    pytest.param(name, value, id=f"{name}={value!r}")
+    for name, (_, valid) in REAL_ARGUMENTS.items()
+    # a numeric string is rejected, not parsed
+    for value in ["a", str(valid), None, True, np.True_, 1j, [valid], math.nan, math.inf, -math.inf]
+]
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning from a NaN reaching numpy
+@pytest.mark.parametrize("name, value", REAL_CASES)
+def test_real_arguments_take_only_finite_numbers(name, value):
+    call = REAL_ARGUMENTS[name][0]
+    with pytest.raises(ValidationError, match=name.split(".")[1]):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_a_numpy_float_is_the_same_number(name):
+    call, valid = REAL_ARGUMENTS[name]
+    np.testing.assert_equal(call(np.float64(valid)), call(valid))
 
 
 # Walls of a 15 um grating at sigma = 50 um always cross, so a resampling

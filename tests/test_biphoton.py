@@ -482,3 +482,15 @@ def test_entanglement_closed_form_matches_density_matrix_path():
             st = bp.state_from_efficiencies(r_bire, r_grating * e, phi)
             assert c == pytest.approx(bp.concurrence(st), abs=1e-12)
             assert f == pytest.approx(bp.fidelity(st, bell), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning from np.cos
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_non_finite_relative_phase_is_rejected_before_sampling(monkeypatch, phase):
+    # state_from_efficiencies rejects such a phase; so must the sampler,
+    # before it draws anything, instead of returning NaN fidelities
+    sampled = []
+    monkeypatch.setattr(bp, "efficiency_samples", lambda *a, **k: sampled.append(a) or [])
+    with pytest.raises(ValidationError, match="relative_phase_rad"):
+        bp.entanglement_vs_fabrication(2.0, 0.7, 8, [1.0], samples=3, relative_phase_rad=phase)
+    assert sampled == []

@@ -392,10 +392,10 @@ def _table_phasors(phi):
 def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, detuning, reorder, trunc=3.0):
     """eta per sigma as the sampler steps the grid, written plainly on the
     block definition (_reference_phases, streams (seed, b) and (seed, b, i)).
-    Where _step_plan gives a step, a block's phasors are those of the sigma
-    before times the step's phasors exp(-i dk step z), except on the rows
-    redrawn at this sigma or the one before; elsewhere, and on those rows,
-    they come from the phases. sigma 0 at zero detuning has phasors 1."""
+    Where _step_plan gives a step and the block redrew no row at this sigma
+    or the one before, a block's phasors are those of the sigma before times
+    the step's phasors exp(-i dk step z); elsewhere they come from the
+    phases. sigma 0 at zero detuning has phasors 1."""
     dk = 2.0 * math.pi / (period_mm * 1e3)
     plan = poling._step_plan(sigmas, detuning, domains)
     etas = [[] for _ in sigmas]
@@ -405,12 +405,10 @@ def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, detuning, 
     ):
         if sigmas[i] == 0.0 and detuning == 0.0:
             q = np.ones(z.shape, dtype=complex)
-        elif plan[i] is None:
+        elif plan[i] is None or crossed.any() or crossed_before.any():
             q = _table_phasors(phi)
         else:
             q = q * _table_phasors(dk * (plan[i] * z))
-            stale = crossed | crossed_before
-            q[stale] = _table_phasors(phi[stale])
         crossed_before = crossed
         re, im = q.real.mean(axis=-1), q.imag.mean(axis=-1)
         etas[i].append(re * re + im * im)
@@ -539,9 +537,9 @@ def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm
 def test_small_kernel_chunks_equal_serial_efficiency_samples(
     grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas
 ):
-    # 1 Ki-cell kernel chunks in 8 Ki-cell blocks: the chunks split rows, and
-    # the redrawn rows are gathered 128 at a time at 8 domains and taken one
-    # by one at 1066
+    # 1 Ki-cell kernel chunks in 8 Ki-cell blocks: the chunks split the rows
+    # at 1066 domains, and a block that redrew rows is evaluated whole, a
+    # chunk at a time, at 8 domains and at 1066
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     monkeypatch.setattr(poling, "_CHUNK_CELLS", 1 << 10)
     _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, 1e-4)
@@ -609,23 +607,29 @@ def test_step_plan(sigmas, detuning, domains, plan):
 def _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, reorder):
     """The stepped grid against the complex exponential of the block
     definition's phases, within the table kernel's bound 16 eps * max(1,
-    |Phi|) for each sigma; the sigmas evaluated directly equal the per-sigma
-    kernel bit for bit."""
+    |Phi|) for each sigma. The rows a block evaluates whole, where the plan
+    gives no step or the block redrew a row at this sigma or the one before,
+    equal the per-sigma kernel (_reference_eta) bit for bit."""
     eps = np.finfo(float).eps
     grid = poling.efficiency_samples(
         period_mm, 0.735, domains, sigmas, samples, 3, detuning_rad_per_um=detuning, reorder=reorder
     )
     keys = (lambda b: spawn_rng(3, b), lambda b, i: spawn_rng(3, b, i))
+    plan = poling._step_plan(sigmas, detuning, domains)
     want = [[] for _ in sigmas]
+    whole = [[] for _ in sigmas]
     largest = np.ones(len(sigmas))
-    for _, i, _, _, phi in _reference_phases(period_mm, domains, sigmas, samples, *keys, detuning, reorder):
+    for _, i, z, crossed, phi in _reference_phases(period_mm, domains, sigmas, samples, *keys, detuning, reorder):
         want[i].append(np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
         largest[i] = max(largest[i], np.max(np.abs(phi)))
+        evaluated_whole = plan[i] is None or crossed.any() or crossed_before.any()
+        whole[i].append(np.full(len(z), evaluated_whole))
+        crossed_before = crossed
     per_sigma = _reference_eta(period_mm, domains, sigmas, samples, *keys, detuning, reorder)
-    for i, step in enumerate(poling._step_plan(sigmas, detuning, domains)):
+    for i in range(len(sigmas)):
         assert np.max(np.abs(grid[i] - np.concatenate(want[i]))) <= 16 * eps * largest[i], sigmas[i]
-        if step is None:
-            assert np.array_equal(grid[i], per_sigma[i]), sigmas[i]
+        rows = np.concatenate(whole[i])
+        assert np.array_equal(grid[i][rows], per_sigma[i][rows]), sigmas[i]
 
 
 @pytest.mark.parametrize(
