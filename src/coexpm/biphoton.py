@@ -140,8 +140,9 @@ def state_from_efficiencies(
     efficiency weights |VH>; the grating amplitude carries
     exp(i relative_phase_rad). Only the ratio of the two efficiencies matters.
     """
-    if not (0 <= r_birefringent < np.inf and 0 <= r_grating < np.inf and np.isfinite(relative_phase_rad)):
-        raise ValidationError("channel efficiencies must be finite and >= 0, the relative phase finite")
+    r_birefringent = _check_real("r_birefringent", r_birefringent, 0.0)
+    r_grating = _check_real("r_grating", r_grating, 0.0)
+    relative_phase_rad = _check_real("relative_phase_rad", relative_phase_rad)
     if r_birefringent + r_grating == 0:
         raise ValidationError("at least one channel efficiency must be positive")
     amp = np.zeros(4, dtype=complex)
@@ -157,8 +158,7 @@ def bell_psi_plus() -> PolarizationState:
 
 def werner_state(p: float, pure: PolarizationState | None = None) -> DensityMatrix4:
     """p |psi><psi| + (1-p) I/4 (white-noise admixture model)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("mixing parameter p must be in [0, 1]")
+    p = _check_real("p", p, 0.0, 1.0)
     if pure is None:
         pure = bell_psi_plus()
     rho = p * pure.density().matrix + (1.0 - p) * np.eye(4) / 4.0
@@ -222,8 +222,8 @@ class AnalyzerSetting:
     theta_idler_deg: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.theta_signal_deg, self.theta_idler_deg])):
-            raise ValidationError("analyzer angles must be finite")
+        for name in ("theta_signal_deg", "theta_idler_deg"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
 
     @property
     def hwp_signal_deg(self) -> float:
@@ -255,7 +255,8 @@ def coincidence_probability(state, setting: AnalyzerSetting) -> float:
 def _correlation_settings(pairs) -> list[AnalyzerSetting]:
     """Analyzers (t_s, t_i), (t_s+90, t_i+90), (t_s+90, t_i), (t_s, t_i+90) of each pair."""
     offsets = ((0.0, 0.0), (90.0, 90.0), (90.0, 0.0), (0.0, 90.0))
-    return [AnalyzerSetting(ts + ds, ti + di) for ts, ti in pairs for ds, di in offsets]
+    bases = [AnalyzerSetting(ts, ti) for ts, ti in pairs]  # checks each angle before the offsets add to it
+    return [AnalyzerSetting(b.theta_signal_deg + ds, b.theta_idler_deg + di) for b in bases for ds, di in offsets]
 
 
 def _correlations(outcomes) -> list[float]:
@@ -311,11 +312,12 @@ def _analyzer_counts(
     t (pair_hz <k|rho|k> + R_acc)) with (R_s, R_i) = singles_hz and
     R_acc = accidental_hz + R_s R_i tau_c, or with poisson=True a draw from
     the stream spawn_rng(seed, k), singles with a positive mean first."""
-    rate_s, rate_i = singles_hz
-    if not all(0.0 <= r < np.inf for r in (pair_hz, accidental_hz, rate_s, rate_i)):
-        raise ValidationError("pair, accidental and singles rates must be finite and >= 0")
-    if not (0.0 < t < np.inf and 0.0 < tau_c_s < np.inf):
-        raise ValidationError("integration time and coincidence window must be finite and > 0")
+    pair_hz = _check_real("pair_rate_hz", pair_hz, 0.0)
+    t = _check_real("integration_time_s", t, above=0.0)
+    accidental_hz = _check_real("accidental_rate_hz", accidental_hz, 0.0)
+    rate_s = _check_real("singles_rate_s_hz", singles_hz[0], 0.0)
+    rate_i = _check_real("singles_rate_i_hz", singles_hz[1], 0.0)
+    tau_c_s = _check_real("tau_c_s", tau_c_s, above=0.0)
     acc = accidental_hz + rate_s * rate_i * tau_c_s
     probs = _probabilities(state, kets).tolist()
     means = [(rate_s * t, rate_i * t, pair_hz * p * t + acc * t) for p in probs]

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import biphoton, countstats, dispersion, io, phasematch, poling, spectrum
 from .errors import ConfigError, FitError, SolverError, ValidationError
-from .util import _check_cells
+from .util import _check_cells, _check_real
 
 __all__ = ["main", "run", "DEFAULT_CONFIG"]
 
@@ -568,11 +568,9 @@ def _cmd_stats(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
             "idler": countstats.correct_dead_time(rec.rate_idler, dt),
         }
     if c["pair_rate_per_mw_per_nm"] is not None:
-        per_nm = c["pair_rate_per_mw_per_nm"]
-        band = c["filter_band_nm"] if c["filter_band_nm"] is not None else 1.0
+        per_nm = _check_real("pair_rate_per_mw_per_nm", c["pair_rate_per_mw_per_nm"], 0.0)
+        band = 1.0 if c["filter_band_nm"] is None else _check_real("filter_band_nm", c["filter_band_nm"], above=0.0)
         pump = c["pump_mw"] if c["pump_mw"] is not None else 1.0
-        if per_nm < 0 or band <= 0:
-            raise ValidationError(f"pair_rate_per_mw_per_nm must be >= 0 and filter_band_nm > 0, got {per_nm}, {band}")
         rate = per_nm * band * pump
         if not np.isfinite(rate):
             raise ValidationError(

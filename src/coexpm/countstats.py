@@ -24,14 +24,14 @@ formulas) is exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import exp, factorial, isfinite
 
 import numpy as np
 
 from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
-from .util import _POISSON_MEAN_MAX, _check_int, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_int, _check_real, spawn_rng
 
 __all__ = [
     "CountRecord",
@@ -51,12 +51,12 @@ __all__ = [
 ]
 
 
-def _check_tallies(counts, duration_s) -> None:
-    """ValidationError unless every count is finite and >= 0 and the duration finite and > 0."""
-    if not 0.0 < duration_s < np.inf:
-        raise ValidationError("duration must be positive and finite")
-    if not all(0.0 <= c < np.inf for c in counts):
-        raise ValidationError("counts must be finite and >= 0")
+def _check_tallies(record) -> None:
+    """Store the record's counts as floats >= 0 and its duration_s, the last
+    field, as a float > 0; the ValidationError names the first that is not."""
+    for f in fields(record)[:-1]:
+        object.__setattr__(record, f.name, _check_real(f.name, getattr(record, f.name), 0.0))
+    object.__setattr__(record, "duration_s", _check_real("duration_s", record.duration_s, above=0.0))
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class CountRecord:
     duration_s: float
 
     def __post_init__(self):
-        _check_tallies((self.counts_signal, self.counts_idler, self.coincidences), self.duration_s)
+        _check_tallies(self)
 
     @property
     def rate_signal(self) -> float:
@@ -95,16 +95,14 @@ class HeraldedRecord:
     duration_s: float
 
     def __post_init__(self):
-        counts = (self.counts_herald, self.counts_herald_t1, self.counts_herald_t2, self.counts_triple)
-        _check_tallies(counts, self.duration_s)
+        _check_tallies(self)
 
 
 def accidental_rate(rate_signal: float, rate_idler: float, tau_c_s: float) -> float:
     """Uncorrelated-stream coincidence rate R_s R_i tau_c."""
-    if not 0.0 < tau_c_s < np.inf:
-        raise ValidationError("coincidence window must be positive and finite")
-    if not (0.0 <= rate_signal < np.inf and 0.0 <= rate_idler < np.inf):
-        raise ValidationError("singles rates must be finite and >= 0")
+    rate_signal = _check_real("rate_signal", rate_signal, 0.0)
+    rate_idler = _check_real("rate_idler", rate_idler, 0.0)
+    tau_c_s = _check_real("tau_c_s", tau_c_s, above=0.0)
     value = rate_signal * rate_idler * tau_c_s
     if not isfinite(value):
         raise ValidationError(
@@ -135,9 +133,7 @@ def brightness(record: CountRecord, pump_mw: float | None = None) -> float:
         raise ValidationError("brightness undefined: zero coincidences")
     value = record.rate_signal * record.rate_idler / record.rate_coincidence
     if pump_mw is not None:
-        if not 0.0 < pump_mw < np.inf:
-            raise ValidationError("pump power must be positive and finite")
-        value /= pump_mw
+        value /= _check_real("pump_mw", pump_mw, above=0.0)
     if not isfinite(value):
         raise ValidationError(
             f"brightness overflows: rate_signal {record.rate_signal:g} s^-1 x rate_idler {record.rate_idler:g} "
@@ -159,15 +155,15 @@ def subtract_accidentals(record: CountRecord, tau_c_s: float) -> CountRecord:
 
 def apply_dead_time(true_rate: float, dead_time_s: float) -> float:
     """Registered rate of a non-paralyzable detector, R / (1 + R t_dead)."""
-    if not (0.0 <= true_rate < np.inf and 0.0 <= dead_time_s < np.inf):
-        raise ValidationError("rate and dead time must be finite and >= 0")
+    true_rate = _check_real("true_rate", true_rate, 0.0)
+    dead_time_s = _check_real("dead_time_s", dead_time_s, 0.0)
     return true_rate / (1.0 + true_rate * dead_time_s)
 
 
 def correct_dead_time(measured_rate: float, dead_time_s: float) -> float:
     """Invert apply_dead_time: true rate R / (1 - R t_dead)."""
-    if not (0.0 <= measured_rate < np.inf and 0.0 <= dead_time_s < np.inf):
-        raise ValidationError("rate and dead time must be finite and >= 0")
+    measured_rate = _check_real("measured_rate", measured_rate, 0.0)
+    dead_time_s = _check_real("dead_time_s", dead_time_s, 0.0)
     loss = measured_rate * dead_time_s
     if loss >= 1.0:
         raise ValidationError("measured rate saturates the dead time; cannot invert")
@@ -279,16 +275,15 @@ def _binned_coincidences(bins_a: np.ndarray, bins_b: np.ndarray) -> int:
     return int(np.sum(lengths[:-1][shared] * lengths[1:][shared]))
 
 
-def _check_stream(duration_s: float, tau_c_s: float, *rates_hz: float) -> None:
-    """Reject an event simulation's timing and rates before any draw.
+def _check_stream(duration_s: float, tau_c_s: float, **rates_hz: float) -> None:
+    """Reject an event simulation's timing and its named rates before any draw.
 
     Every Poisson mean a simulator draws with is at most rate x duration.
     """
-    if not (0.0 < duration_s < np.inf and 0.0 < tau_c_s < np.inf):
-        raise ValidationError("duration and coincidence window must be positive and finite")
-    if not all(0.0 <= r < np.inf for r in rates_hz):
-        raise ValidationError("rates must be finite and >= 0")
-    if any(r * duration_s > _POISSON_MEAN_MAX for r in rates_hz):
+    duration_s = _check_real("duration_s", duration_s, above=0.0)
+    _check_real("tau_c_s", tau_c_s, above=0.0)
+    rates = [_check_real(name, r, 0.0) for name, r in rates_hz.items()]
+    if any(r * duration_s > _POISSON_MEAN_MAX for r in rates):
         raise ValidationError(
             f"expected counts rate x duration must not exceed {_POISSON_MEAN_MAX:.6g}"
         )
@@ -312,9 +307,12 @@ def simulate_pair_stream(
     events, exactly as a time tagger with window tau_c would count them.
     With pair_rate_hz = 0 this is a pure accidental (uncorrelated) source.
     """
-    _check_stream(duration_s, tau_c_s, pair_rate_hz, background_rate_s_hz, background_rate_i_hz)
-    if not (0.0 <= eta_signal <= 1.0 and 0.0 <= eta_idler <= 1.0):
-        raise ValidationError("arm efficiencies must be in [0, 1]")
+    _check_stream(
+        duration_s, tau_c_s,
+        pair_rate_hz=pair_rate_hz, background_rate_s_hz=background_rate_s_hz, background_rate_i_hz=background_rate_i_hz,
+    )
+    eta_signal = _check_real("eta_signal", eta_signal, 0.0, 1.0)
+    eta_idler = _check_real("eta_idler", eta_idler, 0.0, 1.0)
     n_bins = int(np.ceil(duration_s / tau_c_s))
     if n_bins >= 2**63:
         raise ValidationError("duration / coincidence window must be below 2**63 bins")
@@ -356,9 +354,9 @@ def simulate_heralded(
     the binned model); k = 1 bins are tallied with one multinomial draw and
     k >= 2 bins with vectorized per-bin draws.
     """
-    _check_stream(duration_s, tau_c_s, pair_rate_hz)
-    if not (0.0 < eta_herald <= 1.0 and 0.0 < eta_target <= 1.0):
-        raise ValidationError("detection efficiencies must be in (0, 1]")
+    _check_stream(duration_s, tau_c_s, pair_rate_hz=pair_rate_hz)
+    eta_herald = _check_real("eta_herald", eta_herald, hi=1.0, above=0.0)
+    eta_target = _check_real("eta_target", eta_target, hi=1.0, above=0.0)
     if _check_int("max_multiplicity", max_multiplicity, 1) > 170:  # 171! overflows a float
         raise ValidationError(f"max_multiplicity must be <= 170, got {max_multiplicity}")
     rng = spawn_rng(seed, 3)

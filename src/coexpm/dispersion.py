@@ -95,7 +95,9 @@ def ktp_axes() -> dict[str, CrystalDispersion]:
 
 
 def _check_range(value, lo: float, hi: float, what: str, unit: str) -> None:
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":  # a bool, a string (even a numeric one), a complex or an object
+        raise ValidationError(f"{what} must be a real number or an array of them, got {value!r}")
     if arr.size == 0:
         return
     # min and max propagate NaN, and every comparison with NaN is False,

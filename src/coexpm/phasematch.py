@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .dispersion import ktp_axes, wavevector
 from .errors import SolverError, ValidationError
-from .util import _check_int
+from .util import _check_int, _check_real
 
 __all__ = [
     "ProcessSpec",
@@ -84,6 +84,7 @@ class ProcessSpec:
         object.__setattr__(self, "signal_axis", _axis(self.signal_axis))
         object.__setattr__(self, "idler_axis", _axis(self.idler_axis))
         object.__setattr__(self, "qpm_order", _check_int("qpm_order", self.qpm_order, 0))
+        object.__setattr__(self, "temperature_c", _check_real("temperature_c", self.temperature_c))
 
     def swapped(self) -> "ProcessSpec":
         """Same process with the signal/idler polarization roles exchanged."""
@@ -141,8 +142,11 @@ def delta_k(
 ):
     """Collinear mismatch delta_k - m*2pi/Lambda in rad/um (array-friendly in pump and signal).
 
-    With no period (or order 0) this is the bare material mismatch.
+    With no period (or order 0) this is the bare material mismatch; a given
+    period is a finite number > 0 whatever the order.
     """
+    if period_mm is not None:
+        period_mm = _check_real("period_mm", period_mm, above=0.0)
     axes = _axes()
     idler_nm = idler_wavelength_nm(pump_nm, signal_nm)
     t = spec.temperature_c
@@ -151,8 +155,6 @@ def delta_k(
     ki = wavevector(axes[spec.idler_axis], np.asarray(idler_nm, float) * 1e-3, t)
     dk = kp - ks - ki
     if spec.qpm_order and period_mm is not None:
-        if period_mm <= 0:
-            raise ValidationError("poling period must be positive")
         dk = dk - spec.qpm_order * 2.0 * np.pi / (period_mm * 1e3)
     return dk
 
@@ -282,12 +284,11 @@ def solve_qpm(
 ) -> PhaseMatchPoint:
     """Grating-assisted pair for the given pump and poling period.
 
-    With period None (or infinite) and order m the grating term vanishes and
+    With period None (or +inf) and order m the grating term vanishes and
     the result coincides exactly with the order-0 solve.
     """
-    if pump_nm <= 0:
-        raise ValidationError("pump wavelength must be positive")
-    if period_mm is not None and not np.isfinite(period_mm):
+    pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
+    if period_mm == np.inf:
         period_mm = None
     sig, res = _solve_window(spec, pump_nm, period_mm)
     return _point(spec, pump_nm, sig, res, period_mm)
@@ -330,9 +331,8 @@ def solve_pump_for_period(
     degeneracy cutoff, so the search bracket is capped there. Returns
     (pump_nm, point) like solve_coexistence.
     """
-    if not period_mm > 0:
-        raise ValidationError(f"period_mm must be positive, got {period_mm!r}")
-    lo, hi = pump_bracket_nm
+    period_mm = _check_real("period_mm", period_mm, above=0.0)
+    lo, hi = (_check_real("pump_bracket_nm", b, above=0.0) for b in pump_bracket_nm)
     cutoff = degeneracy_pump_nm(temperature_c, bracket_nm=(lo, max(hi, lo + 1.0) + 60.0))
     hi = min(hi, cutoff - 1e-6)
     if hi <= lo:
@@ -370,7 +370,7 @@ def degeneracy_pump_nm(
         sig = 2.0 * pump * (1.0 - 1e-12)
         return delta_k(nb, pump, sig)
 
-    lo, hi = bracket_nm
+    lo, hi = (_check_real("bracket_nm", b, above=0.0) for b in bracket_nm)
     g_lo, g_hi = g(lo), g(hi)
     if np.sign(g_lo) == np.sign(g_hi):
         raise SolverError(

@@ -83,16 +83,9 @@ _TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
 _SCAN_STEP = 1e-5
 
 
-def _check_duty(duty_cycle: float) -> float:
-    d = _check_real("duty_cycle", duty_cycle)
-    if not 0.0 < d < 1.0:
-        raise ValidationError(f"duty cycle {d} outside (0, 1)")
-    return d
-
-
 def fourier_coefficient(duty_cycle: float, order: int) -> complex:
     """Complex Fourier coefficient c_m of the square poling profile."""
-    d = _check_duty(duty_cycle)
+    d = _check_real("duty_cycle", duty_cycle, above=0.0, below=1.0)
     m = _check_int("order", order)
     if m == 0:
         return complex(2.0 * d - 1.0)
@@ -144,11 +137,11 @@ def efficiency_penalty(duty_cycle: float) -> float:
     Ratio of the ideal first-order efficiency ceiling to the balanced shared
     efficiency; equals 1/[pi D sinc(pi D)]^2.
     """
-    d = _check_duty(duty_cycle)
-    s = np.sin(np.pi * d)
-    if s == 0.0:
-        raise ValidationError("penalty diverges at integer duty cycle")
-    return float(1.0 / s**2)
+    d = _check_real("duty_cycle", duty_cycle, above=0.0, below=1.0)
+    s2 = np.sin(np.pi * d) ** 2
+    if s2 < 1.0 / np.finfo(float).max:  # sin(pi D) > 0 on (0, 1), but 1/sin^2 overflows for D below ~2.4e-155
+        raise ValidationError(f"efficiency penalty overflows at duty_cycle {d}")
+    return float(1.0 / s2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +164,13 @@ class PolingStructure:
 
 
 def _check_geometry(period_mm: float, duty_cycle: float, num_domains: int):
-    period = _check_real("period_mm", period_mm)
-    if period <= 0.0:
-        raise ValidationError(f"period_mm must be positive, got {period}")
-    d = _check_duty(duty_cycle)
     n = _check_int("num_domains", num_domains, 2)
     if n % 2:
         raise ValidationError(f"num_domains must be even, got {n}")
     _check_cells("num_domains", n)
-    return period, d, n
+    # the last wall, n/2 periods in, stays a finite number of um, with a factor 2 to spare
+    period = _check_real("period_mm", period_mm, hi=np.finfo(float).max / (n * 1e3), above=0.0)
+    return period, _check_real("duty_cycle", duty_cycle, above=0.0, below=1.0), n
 
 
 def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int) -> np.ndarray:
@@ -318,14 +309,13 @@ def _check_monte_carlo(
         raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers ({exc})") from None
     if grid.ndim != 1:
         raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers, got {grid.ndim} dimensions")
-    sigmas = [_check_real("sigma_z_um", s, 0.0) for s in grid]
+    sigmas = [_check_real("sigma_z_um", s, 0.0) for s in sigma_z_grid_um]  # as given, not as converted
     samples = _check_int("samples", samples, 1)
     _check_int("max_attempts", max_attempts, 1)
     _check_cells("samples x sigma values", samples * len(sigmas))
     if reorder not in ("resample", "allow"):
         raise ValidationError("reorder must be 'resample' or 'allow'")
-    if _check_real("truncation_sigmas", truncation_sigmas) <= 0.0:
-        raise ValidationError(f"truncation_sigmas must be > 0, got {truncation_sigmas}")
+    _check_real("truncation_sigmas", truncation_sigmas, above=0.0)
     detuning = _check_real("detuning_rad_per_um", detuning_rad_per_um)
     dk = _check_int("qpm_order", qpm_order, 0) * 2.0 * np.pi / (float(period_mm) * 1e3)
     # walls err by at most 2 trunc sigma: the truncation, then the row mean

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
-from .util import _check_cells, _check_int, fwhm_of_profile, sinc
+from .util import _check_cells, _check_int, _check_real, fwhm_of_profile, sinc
 
 __all__ = [
     "GAUSSIAN_TRUNCATION_SIGMAS",
@@ -45,8 +45,8 @@ def phase_matching_intensity(
     period_mm: float | None = None,
 ):
     """Ridge profile sinc^2(delta_k_eff L / 2) along the energy-conservation line."""
-    if not 0.0 < length_mm < np.inf:
-        raise ValidationError("crystal length must be positive and finite")
+    pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
+    length_mm = _check_real("length_mm", length_mm, above=0.0)
     dk = delta_k(spec, pump_nm, signal_nm, period_mm=period_mm)
     arg = 0.5 * dk * length_mm * 1e3
     out = np.asarray(sinc(arg)) ** 2
@@ -58,8 +58,7 @@ def filter_kernel(offsets_nm, fwhm_nm: float, kind: str = "gaussian") -> np.ndar
 
     "gaussian": truncated at +/-5 sigma. "box": top-hat of full width fwhm.
     """
-    if not 0.0 < fwhm_nm < np.inf:
-        raise ValidationError("filter FWHM must be positive and finite")
+    fwhm_nm = _check_real("fwhm_nm", fwhm_nm, above=0.0)
     x = np.asarray(offsets_nm, dtype=float)
     if kind == "gaussian":
         sig = fwhm_nm / np.sqrt(8.0 * np.log(2.0))
@@ -150,12 +149,12 @@ def joint_spectral_density(
     integration substep relative to the finer of grid step and kernel width.
     With normalize=True the result is scaled to unit peak.
     """
+    pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
+    filter_fwhm_nm = _check_real("filter_fwhm_nm", filter_fwhm_nm, 0.0)
     sgrid = np.asarray(signal_grid_nm, dtype=float)
     igrid = np.asarray(idler_grid_nm, dtype=float)
     ds = _uniform_step(sgrid, "signal")
     di = _uniform_step(igrid, "idler")
-    if not 0.0 <= filter_fwhm_nm < np.inf:
-        raise ValidationError("filter FWHM must be finite and >= 0")
     _check_int("ridge_oversample", ridge_oversample, 1)
     if np.any(sgrid <= pump_nm):
         raise ValidationError("signal grid must lie above the pump wavelength")
@@ -172,7 +171,8 @@ def joint_spectral_density(
     else:
         # The idler-filter acceptance maps back to the ridge parameter with
         # slope |d lambda_i / d mu| = (lambda_i / mu)^2.
-        slope = (igrid[-1] / sgrid[0]) ** 2
+        with np.errstate(over="ignore"):  # a slope past the float range gives an inf cell count, rejected below
+            slope = (igrid[-1] / sgrid[0]) ** 2
         pad = _half_support(filter_fwhm_nm, kernel) * (1.0 + max(slope, 1.0 / slope))
         step = min(ds, di, filter_fwhm_nm) / ridge_oversample
         lo, hi = sgrid[0] - pad, sgrid[-1] + pad + step

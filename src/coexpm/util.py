@@ -33,10 +33,14 @@ def _check_int(name: str, value, lo: int | None = None) -> int:
     return int(value)
 
 
-def _check_real(name: str, value, lo: float | None = None) -> float:
-    """value as a finite float: an int, float or numpy number, not a bool, and
-    >= lo. Anything else (a string, even a numeric one, None, NaN or +-inf)
-    is a ValidationError."""
+def _check_real(
+    name: str, value, lo: float | None = None, hi: float | None = None,
+    above: float | None = None, below: float | None = None,
+) -> float:
+    """value as a finite float: an int, float or numpy number, not a bool,
+    with lo <= value <= hi and above < value < below, each bound where given.
+    Anything else (a string, even a numeric one, None, NaN or +-inf) is a
+    ValidationError that names the argument."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     x = float(value)
@@ -44,6 +48,12 @@ def _check_real(name: str, value, lo: float | None = None) -> float:
         raise ValidationError(f"{name} must be finite, got {x}")
     if lo is not None and x < lo:
         raise ValidationError(f"{name} must be >= {lo}, got {x}")
+    if above is not None and x <= above:
+        raise ValidationError(f"{name} must be > {above}, got {x}")
+    if hi is not None and x > hi:
+        raise ValidationError(f"{name} must be <= {hi}, got {x}")
+    if below is not None and x >= below:
+        raise ValidationError(f"{name} must be < {below}, got {x}")
     return x
 
 

@@ -4,13 +4,15 @@ Every name a module exports resolves, and the set of exported names is
 pinned, so a change to the surface is deliberate. Every integer argument of
 the library, seeds included, takes an int or a numpy integer and nothing
 else: a bool, a float (even an integral one), NaN or an infinity is a
-ValidationError, never a truncation, a raw numpy error or a hang. The real
-arguments of poling and the sampler's relative phase take a finite int,
-float or numpy number: a string (even a numeric one), None, a bool or a
-non-finite value is a ValidationError.
+ValidationError, never a truncation, a raw numpy error or a hang. Every real
+argument of the library takes a finite int, float or numpy number within its
+bounds: a string (even a numeric one), None, a bool, a non-finite or an
+out-of-bounds value is a ValidationError that names the argument. A
+parameter annotated float must be one of those rows or a listed exemption.
 """
 
 import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -20,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coexpm import countstats, poling
+from coexpm import biphoton, countstats, poling
+from coexpm import phasematch as pm
 from coexpm import spectrum as sp
 from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, entanglement_vs_fabrication
 from coexpm.errors import ValidationError
-from coexpm.phasematch import NBPM_PROCESS, ProcessSpec
+from coexpm.phasematch import NBPM_PROCESS, QPM_PROCESS, ProcessSpec
 from coexpm.util import spawn_rng
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,15 +81,17 @@ def test_every_public_name_resolves_and_the_surface_is_pinned(name):
     assert set(module.__all__) == PUBLIC[name]
 
 
-def _samples(num_domains=8, samples=16, seed=0, qpm_order=1, max_attempts=1000, **kwargs):
+def _samples(
+    period_mm=2.0, duty_cycle=0.735, num_domains=8, samples=16, seed=0, qpm_order=1, max_attempts=1000, **kwargs
+):
     return poling.efficiency_samples(
-        2.0, 0.735, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order, max_attempts=max_attempts,
-        **kwargs,
+        period_mm, duty_cycle, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order,
+        max_attempts=max_attempts, **kwargs,
     )
 
 
-def _structure(num_domains=8, max_attempts=1000):
-    return poling.realize_structure(2.0, 0.735, num_domains, 400.0, max_attempts=max_attempts).boundary_um
+def _structure(period_mm=2.0, duty_cycle=0.735, num_domains=8, sigma_z_um=400.0, **kwargs):
+    return poling.realize_structure(period_mm, duty_cycle, num_domains, sigma_z_um, **kwargs).boundary_um
 
 
 _SETTING = [AnalyzerSetting(0.0, 90.0)]
@@ -155,29 +160,181 @@ def test_process_spec_stores_its_order_as_an_int():
 
 
 _STRUCTURE = poling.realize_structure(2.0, 0.735, 8, 10.0)
-# (call taking the real number, a valid value)
+_BELL = bell_psi_plus()
+_RECORD = countstats.CountRecord(21800.0, 26800.0, 439.0, 1.0)
+
+
+def _mc(period_mm=2.0, duty_cycle=0.735, **kwargs):
+    rows = poling.monte_carlo_efficiency(period_mm, duty_cycle, 8, [0.0, 400.0], samples=16, **kwargs)
+    return [r["mean_eta"] for r in rows]
+
+
+def _entangled(period_mm=2.0, duty_cycle=0.7, **kwargs):
+    return [r["mean_fidelity"] for r in entanglement_vs_fabrication(period_mm, duty_cycle, 8, [1.0], 3, **kwargs)]
+
+
+def _jsd(pump_nm=538.4, length_mm=8.0, **kwargs):
+    grid = np.linspace(1070.0, 1078.0, 5), np.linspace(1076.0, 1084.0, 5)
+    return sp.joint_spectral_density(NBPM_PROCESS, pump_nm, *grid, length_mm, **kwargs).values
+
+
+def _tomography(pair_rate_hz=439.0, integration_time_s=10.0, **kwargs):
+    counts = biphoton.simulate_tomography_counts(_BELL, pair_rate_hz, integration_time_s, seed=1, **kwargs)
+    return [r["coincidences"] for r in counts]
+
+
+def _fringe(pair_rate_hz=439.0, integration_time_s=10.0, **kwargs):
+    [record] = countstats.simulate_counts(_BELL, _SETTING, pair_rate_hz, integration_time_s, seed=1, **kwargs)
+    return record.coincidences
+
+
+def _stream(pair_rate_hz=1e5, duration_s=1e-3, tau_c_s=1e-9, **kwargs):
+    return countstats.simulate_pair_stream(pair_rate_hz, duration_s, tau_c_s, 7, **kwargs)
+
+
+def _heralded(pair_rate_hz=1e5, duration_s=1e-2, tau_c_s=1e-9, **kwargs):
+    return countstats.simulate_heralded(pair_rate_hz, duration_s, tau_c_s, 7, **kwargs)
+
+
+# (call taking the real number, a valid value, finite values outside its bounds)
 REAL_ARGUMENTS = {
-    "fourier_coefficient.duty_cycle": (lambda v: poling.fourier_coefficient(v, 1), 0.7),
-    "efficiency_penalty.duty_cycle": (poling.efficiency_penalty, 0.7),
-    "nominal_boundaries_um.period_mm": (lambda v: poling.nominal_boundaries_um(v, 0.7, 8), 2.0),
-    "realize_structure.sigma_z_um": (lambda v: poling.realize_structure(2.0, 0.735, 8, v).boundary_um, 400.0),
-    "realize_structure.truncation_sigmas": (
-        lambda v: poling.realize_structure(2.0, 0.735, 8, 400.0, truncation_sigmas=v).boundary_um, 2.0,
+    # poling
+    "fourier_coefficient.duty_cycle": (lambda v: poling.fourier_coefficient(v, 1), 0.7, (0.0, 1.0)),
+    "efficiency_ratio.duty_cycle": (lambda v: poling.efficiency_ratio(v, 1), 0.7, (-0.5, 1.5)),
+    # a duty cycle so small that the penalty 1/sin^2(pi D) overflows
+    "efficiency_penalty.duty_cycle": (poling.efficiency_penalty, 0.7, (0.0, 1.0, 1e-200)),
+    # a period so long that the last wall is beyond the float range
+    "nominal_boundaries_um.period_mm": (lambda v: poling.nominal_boundaries_um(v, 0.7, 8), 2.0, (0.0, -2.0, 1e308)),
+    "nominal_boundaries_um.duty_cycle": (lambda v: poling.nominal_boundaries_um(2.0, v, 8), 0.7, (0.0, 1.0)),
+    "realize_structure.period_mm": (lambda v: _structure(period_mm=v), 2.0, (0.0, 1e308)),
+    "realize_structure.duty_cycle": (lambda v: _structure(duty_cycle=v), 0.735, (0.0, 1.0)),
+    "realize_structure.sigma_z_um": (lambda v: _structure(sigma_z_um=v), 400.0, (-1.0,)),
+    "realize_structure.truncation_sigmas": (lambda v: _structure(truncation_sigmas=v), 2.0, (0.0,)),
+    "efficiency_samples.period_mm": (lambda v: _samples(period_mm=v), 2.0, (0.0, 1e308)),
+    "efficiency_samples.duty_cycle": (lambda v: _samples(duty_cycle=v), 0.735, (0.0, 1.0)),
+    "efficiency_samples.truncation_sigmas": (lambda v: _samples(truncation_sigmas=v), 2.0, (0.0,)),
+    "efficiency_samples.detuning_rad_per_um": (lambda v: _samples(detuning_rad_per_um=v), 1e-4, ()),
+    "monte_carlo_efficiency.period_mm": (lambda v: _mc(period_mm=v), 2.0, (0.0, 1e308)),
+    "monte_carlo_efficiency.duty_cycle": (lambda v: _mc(duty_cycle=v), 0.735, (0.0, 1.0)),
+    "monte_carlo_efficiency.truncation_sigmas": (lambda v: _mc(truncation_sigmas=v), 2.0, (0.0,)),
+    "monte_carlo_efficiency.detuning_rad_per_um": (lambda v: _mc(detuning_rad_per_um=v), 1e-4, ()),
+    "conversion_efficiency.delta_k_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, v), 3e-3, ()),
+    "conversion_efficiency.detuning_rad_per_um": (
+        lambda v: poling.conversion_efficiency(_STRUCTURE, 3e-3, v), 1e-4, (),
     ),
-    "efficiency_samples.truncation_sigmas": (lambda v: _samples(truncation_sigmas=v), 2.0),
-    "efficiency_samples.detuning_rad_per_um": (lambda v: _samples(detuning_rad_per_um=v), 1e-4),
-    "conversion_efficiency.delta_k_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, v), 3e-3),
-    "conversion_efficiency.detuning_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, 3e-3, v), 1e-4),
-    "entanglement_vs_fabrication.relative_phase_rad": (
-        lambda v: entanglement_vs_fabrication(2.0, 0.7, 8, [1.0], 3, relative_phase_rad=v)[0]["mean_fidelity"], 0.3,
+    # phasematch
+    "ProcessSpec.temperature_c": (lambda v: ProcessSpec(temperature_c=v).temperature_c, 25.0, ()),
+    "delta_k.period_mm": (lambda v: pm.delta_k(QPM_PROCESS, 538.4, 1074.0, v), 2.0, (0.0, -2.0)),
+    "solve_nbpm.pump_nm": (lambda v: pm.solve_nbpm(NBPM_PROCESS, v).signal_nm, 538.4, (0.0, -538.4)),
+    "solve_qpm.pump_nm": (lambda v: pm.solve_qpm(QPM_PROCESS, v, 2.0).signal_nm, 538.4, (0.0,)),
+    "solve_qpm.period_mm": (lambda v: pm.solve_qpm(QPM_PROCESS, 538.4, v).signal_nm, 2.0, (0.0, -2.0)),
+    "solve_coexistence.pump_nm": (lambda v: pm.solve_coexistence(v)[0], 538.4, (0.0,)),
+    "solve_coexistence.temperature_c": (lambda v: pm.solve_coexistence(538.4, v)[0], 30.0, ()),
+    "solve_pump_for_period.period_mm": (lambda v: pm.solve_pump_for_period(v)[0], 2.0, (0.0, -2.0)),
+    "solve_pump_for_period.temperature_c": (lambda v: pm.solve_pump_for_period(2.0, v)[0], 30.0, ()),
+    "solve_pump_for_period.pump_bracket_nm": (
+        lambda v: pm.solve_pump_for_period(2.0, pump_bracket_nm=(v, 545.0))[0], 530.0, (0.0, -530.0),
     ),
+    "degeneracy_pump_nm.temperature_c": (pm.degeneracy_pump_nm, 30.0, ()),
+    "degeneracy_pump_nm.bracket_nm": (lambda v: pm.degeneracy_pump_nm(bracket_nm=(v, 600.0)), 500.0, (0.0,)),
+    "period_sweep.temperature_c": (lambda v: [row[:2] for row in pm.period_sweep([536.0, 538.0], v)], 30.0, ()),
+    # spectrum
+    "phase_matching_intensity.pump_nm": (
+        lambda v: sp.phase_matching_intensity(NBPM_PROCESS, v, 1074.0, 8.0), 538.4, (0.0,),
+    ),
+    "phase_matching_intensity.length_mm": (
+        lambda v: sp.phase_matching_intensity(NBPM_PROCESS, 538.4, 1074.0, v), 8.0, (0.0, -8.0),
+    ),
+    "phase_matching_intensity.period_mm": (
+        lambda v: sp.phase_matching_intensity(QPM_PROCESS, 538.4, 1074.0, 8.0, v), 2.0, (0.0,),
+    ),
+    "filter_kernel.fwhm_nm": (lambda v: sp.filter_kernel([0.0, 0.5], v), 1.0, (0.0, -1.0)),
+    "joint_spectral_density.pump_nm": (lambda v: _jsd(pump_nm=v), 538.4, (0.0,)),
+    "joint_spectral_density.length_mm": (lambda v: _jsd(length_mm=v), 8.0, (0.0,)),
+    "joint_spectral_density.filter_fwhm_nm": (lambda v: _jsd(filter_fwhm_nm=v), 2.0, (-2.0,)),
+    "joint_spectral_density.period_mm": (lambda v: _jsd(period_mm=v), 2.0, (0.0,)),
+    # biphoton
+    "AnalyzerSetting.theta_signal_deg": (lambda v: AnalyzerSetting(v, 90.0).ket(), 30.0, ()),
+    "AnalyzerSetting.theta_idler_deg": (lambda v: AnalyzerSetting(0.0, v).ket(), 30.0, ()),
+    "state_from_efficiencies.r_birefringent": (
+        lambda v: biphoton.state_from_efficiencies(v, 1.0).amplitudes, 0.5, (-1.0,),
+    ),
+    "state_from_efficiencies.r_grating": (lambda v: biphoton.state_from_efficiencies(1.0, v).amplitudes, 0.5, (-1.0,)),
+    "state_from_efficiencies.relative_phase_rad": (
+        lambda v: biphoton.state_from_efficiencies(1.0, 1.0, v).amplitudes, 0.3, (),
+    ),
+    "werner_state.p": (lambda v: biphoton.werner_state(v).matrix, 0.5, (-0.1, 1.1)),
+    "correlation.theta_signal_deg": (lambda v: biphoton.correlation(_BELL, v, 30.0), 10.0, ()),
+    "correlation.theta_idler_deg": (lambda v: biphoton.correlation(_BELL, 10.0, v), 30.0, ()),
+    "simulate_tomography_counts.pair_rate_hz": (lambda v: _tomography(pair_rate_hz=v), 439.0, (-1.0,)),
+    "simulate_tomography_counts.integration_time_s": (lambda v: _tomography(integration_time_s=v), 10.0, (0.0,)),
+    "simulate_tomography_counts.accidental_rate_hz": (lambda v: _tomography(accidental_rate_hz=v), 5.0, (-1.0,)),
+    "entanglement_vs_fabrication.period_mm": (lambda v: _entangled(period_mm=v), 2.0, (0.0, 1e308)),
+    "entanglement_vs_fabrication.duty_cycle": (lambda v: _entangled(duty_cycle=v), 0.7, (0.0, 1.0)),
+    "entanglement_vs_fabrication.relative_phase_rad": (lambda v: _entangled(relative_phase_rad=v), 0.3, ()),
+    # countstats
+    "CountRecord.counts_signal": (lambda v: countstats.CountRecord(v, 5.0, 1.0, 2.0).rate_signal, 10.0, (-1.0,)),
+    "CountRecord.counts_idler": (lambda v: countstats.CountRecord(10.0, v, 1.0, 2.0).rate_idler, 5.0, (-1.0,)),
+    "CountRecord.coincidences": (
+        lambda v: countstats.CountRecord(10.0, 5.0, v, 2.0).rate_coincidence, 1.0, (-1.0,),
+    ),
+    "CountRecord.duration_s": (lambda v: countstats.CountRecord(10.0, 5.0, 1.0, v).rate_signal, 2.0, (0.0,)),
+    "HeraldedRecord.counts_herald": (lambda v: countstats.HeraldedRecord(v, 5.0, 5.0, 1.0, 2.0), 10.0, (-1.0,)),
+    "HeraldedRecord.counts_herald_t1": (lambda v: countstats.HeraldedRecord(10.0, v, 5.0, 1.0, 2.0), 5.0, (-1.0,)),
+    "HeraldedRecord.counts_herald_t2": (lambda v: countstats.HeraldedRecord(10.0, 5.0, v, 1.0, 2.0), 5.0, (-1.0,)),
+    "HeraldedRecord.counts_triple": (lambda v: countstats.HeraldedRecord(10.0, 5.0, 5.0, v, 2.0), 1.0, (-1.0,)),
+    "HeraldedRecord.duration_s": (lambda v: countstats.HeraldedRecord(10.0, 5.0, 5.0, 1.0, v), 2.0, (0.0,)),
+    "accidental_rate.rate_signal": (lambda v: countstats.accidental_rate(v, 2e4, 1e-9), 2e4, (-1.0,)),
+    "accidental_rate.rate_idler": (lambda v: countstats.accidental_rate(2e4, v, 1e-9), 2e4, (-1.0,)),
+    "accidental_rate.tau_c_s": (lambda v: countstats.accidental_rate(2e4, 2e4, v), 1e-9, (0.0,)),
+    "alpha_2d.tau_c_s": (lambda v: countstats.alpha_2d(_RECORD, v), 1e-9, (0.0,)),
+    "brightness.pump_mw": (lambda v: countstats.brightness(_RECORD, v), 2.0, (0.0,)),
+    "subtract_accidentals.tau_c_s": (lambda v: countstats.subtract_accidentals(_RECORD, v).coincidences, 1e-9, (0.0,)),
+    "apply_dead_time.true_rate": (lambda v: countstats.apply_dead_time(v, 5e-8), 2e4, (-1.0,)),
+    "apply_dead_time.dead_time_s": (lambda v: countstats.apply_dead_time(2e4, v), 5e-8, (-1.0,)),
+    "correct_dead_time.measured_rate": (lambda v: countstats.correct_dead_time(v, 5e-8), 2e4, (-1.0,)),
+    "correct_dead_time.dead_time_s": (lambda v: countstats.correct_dead_time(2e4, v), 5e-8, (-1.0,)),
+    "simulate_counts.pair_rate_hz": (lambda v: _fringe(pair_rate_hz=v), 439.0, (-1.0,)),
+    "simulate_counts.integration_time_s": (lambda v: _fringe(integration_time_s=v), 10.0, (0.0,)),
+    "simulate_counts.singles_rate_s_hz": (lambda v: _fringe(singles_rate_s_hz=v), 2e4, (-1.0,)),
+    "simulate_counts.singles_rate_i_hz": (lambda v: _fringe(singles_rate_i_hz=v), 2e4, (-1.0,)),
+    "simulate_counts.tau_c_s": (lambda v: _fringe(singles_rate_s_hz=2e4, tau_c_s=v), 1e-9, (0.0,)),
+    "simulate_pair_stream.pair_rate_hz": (lambda v: _stream(pair_rate_hz=v), 1e5, (-1.0,)),
+    "simulate_pair_stream.duration_s": (lambda v: _stream(duration_s=v), 1e-3, (0.0,)),
+    "simulate_pair_stream.tau_c_s": (lambda v: _stream(tau_c_s=v), 1e-9, (0.0,)),
+    "simulate_pair_stream.eta_signal": (lambda v: _stream(eta_signal=v), 0.5, (-0.1, 1.1)),
+    "simulate_pair_stream.eta_idler": (lambda v: _stream(eta_idler=v), 0.5, (-0.1, 1.1)),
+    "simulate_pair_stream.background_rate_s_hz": (lambda v: _stream(background_rate_s_hz=v), 1e4, (-1.0,)),
+    "simulate_pair_stream.background_rate_i_hz": (lambda v: _stream(background_rate_i_hz=v), 1e4, (-1.0,)),
+    "simulate_heralded.pair_rate_hz": (lambda v: _heralded(pair_rate_hz=v), 1e5, (-1.0,)),
+    "simulate_heralded.duration_s": (lambda v: _heralded(duration_s=v), 1e-2, (0.0,)),
+    "simulate_heralded.tau_c_s": (lambda v: _heralded(tau_c_s=v), 1e-9, (0.0,)),
+    "simulate_heralded.eta_herald": (lambda v: _heralded(eta_herald=v), 0.5, (0.0, 1.1)),
+    "simulate_heralded.eta_target": (lambda v: _heralded(eta_target=v), 0.5, (0.0, 1.1)),
 }
+
+# Arguments whose None, or +inf, is a documented value and not a bad one:
+# no grating, or no pump power to divide by.
+REAL_SPECIAL = {
+    "delta_k.period_mm": (None,),
+    "solve_qpm.period_mm": (None, math.inf),
+    "phase_matching_intensity.period_mm": (None,),
+    "joint_spectral_density.period_mm": (None,),
+    "brightness.pump_mw": (None,),
+}
+
+
+def _bad_reals(name, valid, outside):
+    """What no real argument takes, then what breaks this one's bounds."""
+    # a numeric string is rejected, not parsed
+    bad = ["a", str(valid), None, True, np.True_, 1j, [valid], math.nan, math.inf, -math.inf, *outside]
+    return [v for v in bad if not any(v is s for s in REAL_SPECIAL.get(name, ()))]
+
 
 REAL_CASES = [
     pytest.param(name, value, id=f"{name}={value!r}")
-    for name, (_, valid) in REAL_ARGUMENTS.items()
-    # a numeric string is rejected, not parsed
-    for value in ["a", str(valid), None, True, np.True_, 1j, [valid], math.nan, math.inf, -math.inf]
+    for name, (_, valid, outside) in REAL_ARGUMENTS.items()
+    for value in _bad_reals(name, valid, outside)
 ]
 
 
@@ -191,8 +348,52 @@ def test_real_arguments_take_only_finite_numbers(name, value):
 
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
 def test_a_numpy_float_is_the_same_number(name):
-    call, valid = REAL_ARGUMENTS[name]
+    call, valid, _ = REAL_ARGUMENTS[name]
     np.testing.assert_equal(call(np.float64(valid)), call(valid))
+
+
+# Parameters annotated float that are not REAL_ARGUMENTS rows, and why.
+REAL_EXEMPT = {
+    # result records: the library fills them from checked inputs
+    "PhaseMatchPoint", "TomographyResult", "VisibilityFit", "CrystalDispersion", "PolingStructure",
+    # array-friendly: every value reaches dispersion._check_range, where NaN,
+    # +-inf or an out-of-range value is a RangeError naming the bound (delta_k
+    # converts its arrays to float first, so only wavevector's see the dtype rule)
+    "delta_k.pump_nm", "wavevector.temperature_c",
+}
+
+
+def _float_parameters():
+    """'callable.parameter' of every parameter annotated float or float | None
+    in the pinned __all__ lists, and of every parameter at all."""
+    floats, every = set(), set()
+    for module_name in PUBLIC:
+        module = importlib.import_module(module_name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+                continue  # the error classes have no signature to read
+            for param in inspect.signature(obj).parameters.values():
+                every.add(f"{attr}.{param.name}")
+                if param.annotation in ("float", "float | None") and attr not in REAL_EXEMPT:
+                    floats.add(f"{attr}.{param.name}")
+    return floats, every
+
+
+def test_every_float_parameter_follows_the_real_number_rule():
+    # a new public function cannot skip util._check_real unnoticed, and no
+    # row or exemption names a parameter that is gone
+    floats, every = _float_parameters()
+    assert sorted(floats - set(REAL_ARGUMENTS) - REAL_EXEMPT) == []
+    stale = set(REAL_ARGUMENTS) | {e for e in REAL_EXEMPT if "." in e}
+    assert sorted(stale - every) == []
+
+
+@pytest.mark.parametrize("grid", [["0.5"], [True], [np.True_], [1.0, "2.0"]])
+def test_sigma_grid_entries_are_checked_as_given(grid):
+    # float() would parse the numeric string and take the bool as sigma = 1
+    with pytest.raises(ValidationError, match="sigma_z_um"):
+        poling.efficiency_samples(2.0, 0.7, 8, grid, 3)
 
 
 # Walls of a 15 um grating at sigma = 50 um always cross, so a resampling

@@ -49,13 +49,20 @@ def test_state_from_efficiencies_places_amplitudes():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+    "args, name",
+    [
+        ((math.inf, 1.0), "r_birefringent must be finite"),
+        ((1.0, math.inf), "r_grating must be finite"),
+        ((math.nan, 1.0), "r_birefringent must be finite"),
+        ((-1.0, 1.0), "r_birefringent must be >= 0"),
+        ((1.0, 1.0, math.inf), "relative_phase_rad must be finite"),
+        ((1.0, 1.0, math.nan), "relative_phase_rad must be finite"),
+    ],
     ids=["r1-inf", "r2-inf", "r1-nan", "r1-negative", "phase-inf", "phase-nan"],
 )
-def test_non_finite_or_negative_channel_inputs_are_rejected(args):
+def test_non_finite_or_negative_channel_inputs_are_rejected(args, name):
     # they used to reach sqrt and exp and warn instead of raising
-    with pytest.raises(ValidationError, match="finite and >= 0"):
+    with pytest.raises(ValidationError, match=name):
         bp.state_from_efficiencies(*args)
 
 

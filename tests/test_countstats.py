@@ -311,20 +311,21 @@ def test_record_validation():
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, herald_name, count_name",
     [
-        (math.nan, 5.0, 5.0, 1.0, 1.0),
-        (10.0, math.inf, 5.0, 1.0, 1.0),
-        (10.0, 5.0, 5.0, -1.0, 1.0),
-        (10.0, 5.0, 5.0, 1.0, math.inf),
-        (10.0, 5.0, 5.0, 1.0, math.nan),
-        (10.0, 5.0, 5.0, 1.0, 0.0),
+        ((math.nan, 5.0, 5.0, 1.0, 1.0), "counts_herald must be finite", "counts_signal must be finite"),
+        ((10.0, math.inf, 5.0, 1.0, 1.0), "counts_herald_t1 must be finite", "counts_idler must be finite"),
+        ((10.0, 5.0, 5.0, -1.0, 1.0), "counts_triple must be >= 0", "coincidences must be >= 0"),
+        ((10.0, 5.0, 5.0, 1.0, math.inf), "duration_s must be finite", "duration_s must be finite"),
+        ((10.0, 5.0, 5.0, 1.0, math.nan), "duration_s must be finite", "duration_s must be finite"),
+        ((10.0, 5.0, 5.0, 1.0, 0.0), "duration_s must be > 0", "duration_s must be > 0"),
     ],
+    ids=[f"fields{i}" for i in range(6)],
 )
-def test_heralded_record_checks_its_tallies_like_count_record(fields):
-    with pytest.raises(ValidationError, match="finite"):
+def test_heralded_record_checks_its_tallies_like_count_record(fields, herald_name, count_name):
+    with pytest.raises(ValidationError, match=herald_name):
         cs.HeraldedRecord(*fields)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match=count_name):
         cs.CountRecord(fields[0], fields[1], fields[3], fields[4])
 
 
@@ -462,7 +463,7 @@ def test_counts_too_large_for_the_poisson_sampler_are_rejected_before_any_draw(m
     with pytest.raises(ValidationError, match="rate x duration"):
         cs.simulate_heralded(1e5, 1e20, 1e-9)
     # the largest mean the sampler takes passes the check
-    cs._check_stream(1.0, 1e-9, cs._POISSON_MEAN_MAX)
+    cs._check_stream(1.0, 1e-9, pair_rate_hz=cs._POISSON_MEAN_MAX)
     np.random.default_rng(0).poisson(cs._POISSON_MEAN_MAX)
 
 

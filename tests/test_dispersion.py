@@ -207,6 +207,33 @@ def test_range_check_rejects_nan_and_passes_an_empty_array():
         _check_range([1.0, 9.0, 5.0], **bounds)
 
 
+@pytest.mark.parametrize("call", [refractive_index, wavevector])
+@pytest.mark.parametrize(
+    "wavelength, temperature, what",
+    [
+        ("1.0", 25.0, "wavelength"),  # a numeric string is rejected, not parsed
+        ([True], 25.0, "wavelength"),  # not a 1 um wavelength
+        (np.array(["1.0", "1.1"]), 25.0, "wavelength"),
+        ([1.0, None], 25.0, "wavelength"),
+        (1j, 25.0, "wavelength"),
+        (1.0, "25", "temperature"),
+        (1.0, None, "temperature"),
+        (1.0, True, "temperature"),
+        (1.0, [25.0, "x"], "temperature"),
+    ],
+)
+def test_a_non_numeric_wavelength_or_temperature_is_rejected_by_name(call, wavelength, temperature, what):
+    disp = load_dispersion("ktp", "y")
+    with pytest.raises(ValidationError, match=f"^{what} must be a real number"):
+        call(disp, wavelength, temperature)
+
+
+def test_integer_wavelengths_and_temperatures_are_numbers():
+    _check_range(np.array([1, 2, 3]), lo=0.43, hi=3.54, what="wavelength", unit="um")
+    disp = load_dispersion("ktp", "y")
+    assert refractive_index(disp, 1, 25) == refractive_index(disp, 1.0, 25.0)
+
+
 def test_thermo_polynomial_matches_the_zero_started_sum():
     coeffs = load_dispersion("ktp", "z").thermo_coefficients
     for lam in (1.0642, np.array(0.78), np.linspace(0.5, 1.6, 97)):
