@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
 from .poling import efficiency_ratio, efficiency_samples
-from .util import _POISSON_MEAN_MAX, _check_real, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_array, _check_real, spawn_rng
 
 __all__ = [
     "PolarizationState",
@@ -482,11 +482,9 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     rank = np.linalg.matrix_rank(amat)
     if rank < 16:
         raise ValidationError(f"tomography settings span {rank} of 16 dimensions; need all 16")
-    counts = np.array([float(r["coincidences"]) for r in records])
-    times = np.array([float(r["integration_time_s"]) for r in records])
-    acc = np.array([float(r.get("accidentals", 0.0)) for r in records])
-    if not (np.all(counts >= 0) and np.all(times > 0) and np.isfinite([counts, times, acc]).all()):
-        raise ValidationError("counts must be finite and >= 0, integration times finite and > 0, accidentals finite")
+    counts = _check_array("coincidences", [r["coincidences"] for r in records], lo=0.0)
+    times = _check_array("integration_time_s", [r["integration_time_s"] for r in records], above=0.0)
+    acc = _check_array("accidentals", [r.get("accidentals", 0.0) for r in records])
     if subtract_accidentals:
         counts = np.clip(counts - acc, 0.0, None)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
-from .util import _POISSON_MEAN_MAX, _check_int, _check_real, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_array, _check_int, _check_real, spawn_rng
 
 __all__ = [
     "CountRecord",
@@ -192,12 +192,10 @@ def fit_visibility(theta_deg, rates) -> VisibilityFit:
     delta method. Raises FitError for degenerate scans (fewer than 4 distinct
     angles modulo 180, or a non-positive mean rate).
     """
-    th = np.deg2rad(np.asarray(theta_deg, dtype=float))
-    y = np.asarray(rates, dtype=float)
-    if th.ndim != 1 or th.shape != y.shape:
-        raise ValidationError("theta and rates must be 1-d arrays of equal length")
-    if not (np.isfinite(th).all() and np.isfinite(y).all()):
-        raise ValidationError("theta and rates must be finite")
+    th = np.deg2rad(_check_array("theta_deg", theta_deg, ndim=1))
+    y = _check_array("rates", rates, ndim=1)
+    if th.shape != y.shape:
+        raise ValidationError(f"theta_deg and rates must be of equal length, got {th.size} and {y.size}")
     distinct = np.unique(np.round(np.mod(th, np.pi), 12))
     if distinct.size < 4:
         raise FitError("need at least 4 distinct analyzer angles for a visibility fit")

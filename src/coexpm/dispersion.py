@@ -24,6 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import RangeError, ValidationError
+from .util import _real_array
 
 __all__ = [
     "CrystalDispersion",
@@ -94,20 +95,21 @@ def ktp_axes() -> dict[str, CrystalDispersion]:
     return {"y": load_dispersion("KTP", "y"), "z": load_dispersion("KTP", "z")}
 
 
-def _check_range(value, lo: float, hi: float, what: str, unit: str) -> None:
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":  # a bool, a string (even a numeric one), a complex or an object
-        raise ValidationError(f"{what} must be a real number or an array of them, got {value!r}")
-    if arr.size == 0:
-        return
-    # min and max propagate NaN, and every comparison with NaN is False,
-    # so NaN fails this test too
-    amin, amax = arr.min(), arr.max()
-    if not (amin >= lo and amax <= hi):
-        bad = float(amin if amin < lo else amax)
-        raise RangeError(
-            f"{what} {bad:g} {unit} outside validity range [{lo:g}, {hi:g}] {unit}"
-        )
+def _check_range(value, lo: float, hi: float, what: str, unit: str) -> np.ndarray:
+    """value as a float array under util's array rule for types, with every
+    value within [lo, hi]: NaN or any value outside is a RangeError naming the
+    bound."""
+    arr = _real_array(what, value)
+    if arr.size:
+        # min and max propagate NaN, and every comparison with NaN is False,
+        # so NaN fails this test too
+        amin, amax = arr.min(), arr.max()
+        if not (amin >= lo and amax <= hi):
+            bad = float(amin if amin < lo else amax)
+            raise RangeError(
+                f"{what} {bad:g} {unit} outside validity range [{lo:g}, {hi:g}] {unit}"
+            )
+    return arr
 
 
 def _sellmeier_two_pole(c: dict, lam_um):
@@ -145,23 +147,22 @@ def refractive_index(disp: CrystalDispersion, wavelength_um, temperature_c=25.0)
     RangeError naming the violated bound. Broadcasts over wavelength and
     temperature arrays.
     """
-    _check_range(wavelength_um, *disp.valid_wavelength_um, what="wavelength", unit="um")
-    _check_range(temperature_c, *disp.valid_temperature_c, what="temperature", unit="degC")
-    lam = np.asarray(wavelength_um, dtype=float)
+    lam = _check_range(wavelength_um, *disp.valid_wavelength_um, what="wavelength", unit="um")
+    temp = _check_range(temperature_c, *disp.valid_temperature_c, what="temperature", unit="degC")
 
     if disp.form == "sellmeier_two_pole":
         n = _sellmeier_two_pole(disp.coefficients, lam)
         if disp.thermo_form == "dndt_inverse_lambda_poly":
             n = n + _dndt_inverse_lambda_poly(disp.thermo_coefficients, lam) * (
-                temperature_c - disp.reference_temperature_c
+                temp - disp.reference_temperature_c
             )
         elif disp.thermo_form != "none":
             raise ValidationError(f"unknown thermo form {disp.thermo_form!r}")
     elif disp.form == "jundt_ne_temperature":
-        n = _jundt_ne(disp.coefficients, lam, temperature_c)
+        n = _jundt_ne(disp.coefficients, lam, temp)
     else:
         raise ValidationError(f"unknown dispersion form {disp.form!r}")
-    if np.ndim(wavelength_um) == 0 and np.ndim(temperature_c) == 0:
+    if lam.ndim == 0 and temp.ndim == 0:
         return float(n)
     return np.asarray(n)
 

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .dispersion import ktp_axes, wavevector
 from .errors import SolverError, ValidationError
-from .util import _check_int, _check_real
+from .util import _check_array, _check_int, _check_real
 
 __all__ = [
     "ProcessSpec",
@@ -117,12 +117,17 @@ class PhaseMatchPoint:
 
 def idler_wavelength_nm(pump_nm: float, signal_nm):
     """Idler wavelength from energy conservation, 1/l_i = 1/l_p - 1/l_s (nm)."""
-    pump = np.asarray(pump_nm, dtype=float)
-    sig = np.asarray(signal_nm, dtype=float)
+    pump = _check_array("pump_nm", pump_nm, above=0.0)
+    sig = _check_array("signal_nm", signal_nm, above=0.0)
+    out = _idler_nm(pump, sig)
+    return float(out) if sig.ndim == 0 and pump.ndim == 0 else out
+
+
+def _idler_nm(pump, sig):
+    """idler_wavelength_nm of wavelengths already checked (> 0 nm)."""
     if np.any(sig <= pump):
         raise ValidationError("signal wavelength must exceed pump wavelength")
-    out = 1.0 / (1.0 / pump - 1.0 / sig)
-    return float(out) if np.ndim(signal_nm) == 0 and np.ndim(pump_nm) == 0 else out
+    return 1.0 / (1.0 / pump - 1.0 / sig)
 
 
 @cache
@@ -147,12 +152,19 @@ def delta_k(
     """
     if period_mm is not None:
         period_mm = _check_real("period_mm", period_mm, above=0.0)
+    pump = _check_array("pump_nm", pump_nm, above=0.0)
+    sig = _check_array("signal_nm", signal_nm, above=0.0)
+    return _mismatch(spec, pump, sig, period_mm)
+
+
+def _mismatch(spec: ProcessSpec, pump, sig, period_mm):
+    """delta_k of wavelengths and a period (or None) already checked; the
+    solvers call it on the arrays they built."""
     axes = _axes()
-    idler_nm = idler_wavelength_nm(pump_nm, signal_nm)
     t = spec.temperature_c
-    kp = wavevector(axes[spec.pump_axis], np.asarray(pump_nm, float) * 1e-3, t)
-    ks = wavevector(axes[spec.signal_axis], np.asarray(signal_nm, float) * 1e-3, t)
-    ki = wavevector(axes[spec.idler_axis], np.asarray(idler_nm, float) * 1e-3, t)
+    kp = wavevector(axes[spec.pump_axis], pump * 1e-3, t)
+    ks = wavevector(axes[spec.signal_axis], sig * 1e-3, t)
+    ki = wavevector(axes[spec.idler_axis], _idler_nm(pump, sig) * 1e-3, t)
     dk = kp - ks - ki
     if spec.qpm_order and period_mm is not None:
         dk = dk - spec.qpm_order * 2.0 * np.pi / (period_mm * 1e3)
@@ -209,12 +221,12 @@ def _signal_roots(spec, pumps, period_mm):
     are NaN.
     """
     lo, hi = _window(pumps)
-    f_lo, f_hi = delta_k(spec, pumps, np.stack([lo, hi]), period_mm=period_mm)
+    f_lo, f_hi = _mismatch(spec, pumps, np.stack([lo, hi]), period_mm)
     ok = np.sign(f_lo) != np.sign(f_hi)
     signal, residual = np.full(pumps.shape, np.nan), np.full(pumps.shape, np.nan)
     kept = pumps[ok]
     signal[ok], residual[ok] = _chandrupatla(
-        lambda sig: delta_k(spec, kept, sig, period_mm=period_mm),
+        lambda sig: _mismatch(spec, kept, sig, period_mm),
         lo[ok], hi[ok], f_lo[ok], f_hi[ok],
     )
     return signal, residual, ok
@@ -225,7 +237,7 @@ def _solve_window(spec, pump_nm, period_mm):
     signal, residual, ok = _signal_roots(spec, np.array([float(pump_nm)]), period_mm)
     if not ok[0]:
         lo, hi = _window(pump_nm)
-        f_lo, f_hi = delta_k(spec, pump_nm, np.array([lo, hi]), period_mm=period_mm)
+        f_lo, f_hi = _mismatch(spec, pump_nm, np.array([lo, hi]), period_mm)
         raise SolverError(
             "no phase-matched signal in window: "
             f"delta_k({lo:.3f} nm) = {f_lo:.6g}, delta_k({hi:.3f} nm) = {f_hi:.6g} rad/um "
@@ -242,7 +254,7 @@ def _shared_period(temperature_c, pumps, signal_nm):
     where that mismatch is exactly zero.
     """
     bare = replace(QPM_PROCESS, temperature_c=temperature_c, qpm_order=0)
-    mismatch = delta_k(bare, pumps, signal_nm)
+    mismatch = _mismatch(bare, pumps, signal_nm, None)
     with np.errstate(divide="ignore"):
         period_mm = 2.0 * np.pi / np.abs(mismatch) * 1e-3
     return period_mm, mismatch - 2.0 * np.pi / (period_mm * 1e3)
@@ -290,6 +302,8 @@ def solve_qpm(
     pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
     if period_mm == np.inf:
         period_mm = None
+    if period_mm is not None:
+        period_mm = _check_real("period_mm", period_mm, above=0.0)
     sig, res = _solve_window(spec, pump_nm, period_mm)
     return _point(spec, pump_nm, sig, res, period_mm)
 
@@ -309,7 +323,7 @@ def solve_coexistence(
     and vanishes by construction.
     """
     base = solve_nbpm(replace(NBPM_PROCESS, temperature_c=temperature_c), pump_nm)
-    period_mm, residual = _shared_period(temperature_c, pump_nm, base.signal_nm)
+    period_mm, residual = _shared_period(temperature_c, base.pump_nm, base.signal_nm)
     if not np.isfinite(period_mm):
         raise SolverError(
             "first-order process is already phase matched without a grating; "
@@ -318,6 +332,14 @@ def solve_coexistence(
     qp = replace(QPM_PROCESS, temperature_c=temperature_c)
     period_mm = float(period_mm)
     return period_mm, _point(qp, pump_nm, base.signal_nm, float(residual), period_mm)
+
+
+def _bracket(name: str, bracket) -> tuple[float, float]:
+    """(lo, hi) of a pump search bracket: two wavelengths > 0 nm."""
+    ends = _check_array(name, bracket, above=0.0, ndim=1)
+    if ends.size != 2:
+        raise ValidationError(f"{name} must have two entries (lo, hi), got {ends.size}")
+    return float(ends[0]), float(ends[1])
 
 
 def solve_pump_for_period(
@@ -332,7 +354,7 @@ def solve_pump_for_period(
     (pump_nm, point) like solve_coexistence.
     """
     period_mm = _check_real("period_mm", period_mm, above=0.0)
-    lo, hi = (_check_real("pump_bracket_nm", b, above=0.0) for b in pump_bracket_nm)
+    lo, hi = _bracket("pump_bracket_nm", pump_bracket_nm)
     cutoff = degeneracy_pump_nm(temperature_c, bracket_nm=(lo, max(hi, lo + 1.0) + 60.0))
     hi = min(hi, cutoff - 1e-6)
     if hi <= lo:
@@ -370,7 +392,7 @@ def degeneracy_pump_nm(
         sig = 2.0 * pump * (1.0 - 1e-12)
         return delta_k(nb, pump, sig)
 
-    lo, hi = (_check_real("bracket_nm", b, above=0.0) for b in bracket_nm)
+    lo, hi = _bracket("bracket_nm", bracket_nm)
     g_lo, g_hi = g(lo), g(hi)
     if np.sign(g_lo) == np.sign(g_hi):
         raise SolverError(
@@ -389,9 +411,7 @@ def period_sweep(
     exists; pumps beyond the degeneracy cutoff are skipped, and so is a pump
     whose first-order process needs no grating.
     """
-    pumps = np.asarray(pump_nm_grid, dtype=float)
-    if np.any(pumps <= 0):
-        raise ValidationError("pump wavelength must be positive")
+    pumps = _check_array("pump_nm_grid", pump_nm_grid, above=0.0, ndim=1)
     signal, _, ok = _signal_roots(replace(NBPM_PROCESS, temperature_c=temperature_c), pumps, None)
     pumps, signal = pumps[ok], signal[ok]
     periods, residuals = _shared_period(temperature_c, pumps, signal)

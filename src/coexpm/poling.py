@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import SolverError, ValidationError
-from .util import _check_cells, _check_int, _check_real, sinc, spawn_rng
+from .util import _check_array, _check_cells, _check_int, _check_real, sinc, spawn_rng
 
 __all__ = [
     "fourier_coefficient",
@@ -303,13 +303,7 @@ def _check_monte_carlo(
     """Validated Monte Carlo inputs: (sigma values, nominal walls, operating
     mismatch, detuning)."""
     nominal = nominal_boundaries_um(period_mm, duty_cycle, num_domains)
-    try:
-        grid = np.asarray(sigma_z_grid_um, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers ({exc})") from None
-    if grid.ndim != 1:
-        raise ValidationError(f"sigma_z_grid_um must be a 1-D sequence of numbers, got {grid.ndim} dimensions")
-    sigmas = [_check_real("sigma_z_um", s, 0.0) for s in sigma_z_grid_um]  # as given, not as converted
+    sigmas = _check_array("sigma_z_grid_um", sigma_z_grid_um, lo=0.0, ndim=1).tolist()
     samples = _check_int("samples", samples, 1)
     _check_int("max_attempts", max_attempts, 1)
     _check_cells("samples x sigma values", samples * len(sigmas))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .phasematch import ProcessSpec, delta_k, idler_wavelength_nm
-from .util import _check_cells, _check_int, _check_real, fwhm_of_profile, sinc
+from .util import _check_array, _check_cells, _check_int, _check_real, fwhm_of_profile, sinc
 
 __all__ = [
     "GAUSSIAN_TRUNCATION_SIGMAS",
@@ -59,7 +59,7 @@ def filter_kernel(offsets_nm, fwhm_nm: float, kind: str = "gaussian") -> np.ndar
     "gaussian": truncated at +/-5 sigma. "box": top-hat of full width fwhm.
     """
     fwhm_nm = _check_real("fwhm_nm", fwhm_nm, above=0.0)
-    x = np.asarray(offsets_nm, dtype=float)
+    x = _check_array("offsets_nm", offsets_nm)
     if kind == "gaussian":
         sig = fwhm_nm / np.sqrt(8.0 * np.log(2.0))
         out = np.exp(-0.5 * (x / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
@@ -119,9 +119,8 @@ class SpectralGrid:
             raise ValidationError("spectral density must be nonnegative")
 
 
-def _uniform_step(grid, name) -> float:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2:
+def _uniform_step(g, name) -> float:
+    if g.size < 2:
         raise ValidationError(f"{name} grid needs at least 2 points")
     steps = np.diff(g)
     if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
@@ -151,8 +150,8 @@ def joint_spectral_density(
     """
     pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
     filter_fwhm_nm = _check_real("filter_fwhm_nm", filter_fwhm_nm, 0.0)
-    sgrid = np.asarray(signal_grid_nm, dtype=float)
-    igrid = np.asarray(idler_grid_nm, dtype=float)
+    sgrid = _check_array("signal_grid_nm", signal_grid_nm, above=0.0, ndim=1)
+    igrid = _check_array("idler_grid_nm", idler_grid_nm, above=0.0, ndim=1)
     ds = _uniform_step(sgrid, "signal")
     di = _uniform_step(igrid, "idler")
     _check_int("ridge_oversample", ridge_oversample, 1)

@@ -18,18 +18,34 @@ _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).m
 _CELL_BUDGET = 1 << 24
 
 
+def _real(name: str, value) -> float:
+    """value as a float: an int, float or numpy number, not a bool, where an
+    int past the float range, which float() refuses, reads as +-inf. Anything
+    else (a string, even a numeric one, or None) is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_cells(what: str, cells: float) -> None:
     if cells > _CELL_BUDGET:
-        raise ValidationError(f"{what} asks for {cells:.6g} cells, more than the budget of {_CELL_BUDGET}")
+        raise ValidationError(f"{what} asks for {_real(what, cells):.6g} cells, more than the budget of {_CELL_BUDGET}")
 
 
 def _check_int(name: str, value, lo: int | None = None) -> int:
-    """value as an int: an int or numpy integer, not a bool, and >= lo. Anything
-    else (a float, even 2.0, NaN or +-inf) is a ValidationError, never truncated."""
+    """value as an int: an int or numpy integer, not a bool, >= lo and within
+    the float range. That bound is one rule for every integer argument, seeds
+    included, though SeedSequence would take a larger seed. Anything else (a
+    float, even 2.0, NaN or +-inf) is a ValidationError, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ValidationError(f"{name} must be >= {lo}, got {value}")
+    if not math.isfinite(_real(name, value)):
+        raise ValidationError(f"{name} must be within the float range, got an int of {int(value).bit_length()} bits")
     return int(value)
 
 
@@ -39,11 +55,9 @@ def _check_real(
 ) -> float:
     """value as a finite float: an int, float or numpy number, not a bool,
     with lo <= value <= hi and above < value < below, each bound where given.
-    Anything else (a string, even a numeric one, None, NaN or +-inf) is a
-    ValidationError that names the argument."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    Anything else (a string, even a numeric one, None, NaN, +-inf or an int
+    past the float range) is a ValidationError that names the argument."""
+    x = _real(name, value)
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     if lo is not None and x < lo:
@@ -55,6 +69,41 @@ def _check_real(
     if below is not None and x >= below:
         raise ValidationError(f"{name} must be < {below}, got {x}")
     return x
+
+
+def _real_array(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """value as a float array, its type and shape checked but not its values:
+    an ndarray of integers or floats, a real number as _real takes it, or a
+    rectangular nesting of lists and tuples of them, each entry checked as
+    given. Anything else, or another number of dimensions than a given ndim,
+    is a ValidationError that names the argument."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":  # a bool, a string (even a numeric one), a complex or an object
+            raise ValidationError(f"{name} must be a real number or an array of them, got {value!r}")
+    elif isinstance(value, (list, tuple)):
+        value = [_real_array(name, v) for v in value]
+        if len({v.shape for v in value}) > 1:
+            raise ValidationError(f"{name} must be a rectangular array of numbers, got a ragged nesting")
+    else:
+        value = _real(name, value)
+    arr = np.asarray(value, dtype=float)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{name} must be a {ndim}-D array of numbers, got {arr.ndim} dimensions")
+    return arr
+
+
+def _check_array(
+    name: str, value, lo: float | None = None, hi: float | None = None,
+    above: float | None = None, below: float | None = None, ndim: int | None = None,
+) -> np.ndarray:
+    """_real_array(name, value, ndim) with every value finite and within the
+    bounds of _check_real, whose messages it gives. Only the least and the
+    greatest value are tested: min and max propagate NaN."""
+    arr = _real_array(name, value, ndim)
+    if arr.size:
+        _check_real(name, arr.min(), lo, hi, above, below)
+        _check_real(name, arr.max(), lo, hi, above, below)
+    return arr
 
 
 def sinc(x):
@@ -85,9 +134,9 @@ def fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:
     the peak. Raises ValueError if the profile never falls below half maximum
     on both sides.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+    x = _check_array("x", x, ndim=1)
+    y = _check_array("y", y, ndim=1)
+    if x.shape != y.shape or x.size < 3:
         raise ValueError("profile must be 1-d arrays of equal length >= 3")
     ipk = int(np.argmax(y))
     half = y[ipk] / 2.0

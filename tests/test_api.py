@@ -3,11 +3,16 @@
 Every name a module exports resolves, and the set of exported names is
 pinned, so a change to the surface is deliberate. Every integer argument of
 the library, seeds included, takes an int or a numpy integer and nothing
-else: a bool, a float (even an integral one), NaN or an infinity is a
-ValidationError, never a truncation, a raw numpy error or a hang. Every real
-argument of the library takes a finite int, float or numpy number within its
-bounds: a string (even a numeric one), None, a bool, a non-finite or an
-out-of-bounds value is a ValidationError that names the argument. A
+else: a bool, a float (even an integral one), NaN, an infinity or an int
+past the float range is a ValidationError, never a truncation, a raw numpy
+error or a hang. Every real argument of the library takes a finite int,
+float or numpy number within its bounds: a string (even a numeric one),
+None, a bool, a non-finite or an out-of-bounds value is a ValidationError
+that names the argument. Every array argument takes an ndarray of integer
+or float dtype, or numbers and nested lists or tuples of them checked entry
+by entry by the real-number rule, and then its values, an ndarray's too, by
+the argument's bounds: a bad entry or value, a ragged nesting or a wrong
+number of dimensions is a ValidationError that names the argument. A
 parameter annotated float must be one of those rows or a listed exemption.
 """
 
@@ -22,13 +27,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coexpm import biphoton, countstats, poling
+from coexpm import biphoton, countstats, dispersion, poling
 from coexpm import phasematch as pm
 from coexpm import spectrum as sp
 from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, entanglement_vs_fabrication
 from coexpm.errors import ValidationError
 from coexpm.phasematch import NBPM_PROCESS, QPM_PROCESS, ProcessSpec
-from coexpm.util import spawn_rng
+from coexpm.util import _check_array, spawn_rng
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,7 +132,8 @@ INTEGER_ARGUMENTS = {
 
 def _bad_values(valid, lo, hi):
     """What no integer argument takes, then what breaks this one's bounds."""
-    bad = [math.nan, math.inf, -math.inf, 2.5, True, np.True_, float(valid)]
+    # past the float range: one bound for every integer argument, seeds included
+    bad = [math.nan, math.inf, -math.inf, 2.5, True, np.True_, float(valid), 10**400, -(10**400)]
     if lo is not None:
         bad.append(lo - 1)
     if hi is not None:
@@ -352,14 +358,107 @@ def test_a_numpy_float_is_the_same_number(name):
     np.testing.assert_equal(call(np.float64(valid)), call(valid))
 
 
-# Parameters annotated float that are not REAL_ARGUMENTS rows, and why.
+_KTP_Y = dispersion.load_dispersion("ktp", "y")
+_IDLER_GRID = np.linspace(1076.0, 1084.0, 5)
+
+# (call taking the array, a valid entry, entries outside its bounds, and
+# whether the array must be 1-D). An array whose values reach dispersion's
+# validity range gets its bounds there, as a RangeError naming the bound.
+ARRAY_ARGUMENTS = {
+    "idler_wavelength_nm.pump_nm": (lambda v: pm.idler_wavelength_nm(v, 1074.0), 538.4, (0.0, -538.4), False),
+    "idler_wavelength_nm.signal_nm": (lambda v: pm.idler_wavelength_nm(538.4, v), 1074.0, (0.0, -1.0), False),
+    "delta_k.pump_nm": (lambda v: pm.delta_k(NBPM_PROCESS, v, 1074.0), 538.4, (0.0, -538.4), False),
+    "delta_k.signal_nm": (lambda v: pm.delta_k(NBPM_PROCESS, 538.4, v), 1074.0, (0.0, -1.0), False),
+    "period_sweep.pump_nm_grid": (pm.period_sweep, 536.0, (0.0, -536.0), True),
+    "filter_kernel.offsets_nm": (lambda v: sp.filter_kernel(v, 1.0), 0.5, (), False),
+    "joint_spectral_density.signal_grid_nm": (
+        lambda v: sp.joint_spectral_density(NBPM_PROCESS, 538.4, v, _IDLER_GRID, 8.0).values, 1074.0, (0.0,), True,
+    ),
+    "joint_spectral_density.idler_grid_nm": (
+        lambda v: sp.joint_spectral_density(NBPM_PROCESS, 538.4, [1072.0, 1074.0], v, 8.0).values,
+        1080.0, (0.0,), True,
+    ),
+    "fit_visibility.theta_deg": (lambda v: countstats.fit_visibility(v, [10.0, 20.0]), 45.0, (), True),
+    "fit_visibility.rates": (lambda v: countstats.fit_visibility([0.0, 45.0], v), 10.0, (), True),
+    "refractive_index.wavelength_um": (lambda v: dispersion.refractive_index(_KTP_Y, v), 1.0, (0.1, 9.0), False),
+    "refractive_index.temperature_c": (
+        lambda v: dispersion.refractive_index(_KTP_Y, 1.0, v), 25.0, (-200.0, 100.0), False,
+    ),
+    "wavevector.wavelength_um": (lambda v: dispersion.wavevector(_KTP_Y, v), 1.0, (0.1, 9.0), False),
+    "wavevector.temperature_c": (lambda v: dispersion.wavevector(_KTP_Y, 1.0, v), 25.0, (-200.0, 100.0), False),
+    "efficiency_samples.sigma_z_grid_um": (
+        lambda v: poling.efficiency_samples(2.0, 0.7, 8, v, 3), 10.0, (-1.0,), True,
+    ),
+    "monte_carlo_efficiency.sigma_z_grid_um": (
+        lambda v: poling.monte_carlo_efficiency(2.0, 0.7, 8, v, samples=3), 10.0, (-1.0,), True,
+    ),
+    "entanglement_vs_fabrication.sigma_z_grid_um": (
+        lambda v: entanglement_vs_fabrication(2.0, 0.7, 8, v, 3), 10.0, (-1.0,), True,
+    ),
+    # a bracket is exactly two wavelengths
+    "solve_pump_for_period.pump_bracket_nm": (
+        lambda v: pm.solve_pump_for_period(2.0, pump_bracket_nm=v), 530.0, (0.0, -530.0), True,
+    ),
+    "degeneracy_pump_nm.bracket_nm": (lambda v: pm.degeneracy_pump_nm(bracket_nm=v), 500.0, (0.0,), True),
+}
+# dispersion names its arguments by quantity, as its RangeError does
+ARRAY_NAMED = {"wavelength_um": "wavelength", "temperature_c": "temperature"}
+
+
+def _bad_arrays(name, valid, outside, one_d):
+    """What no array argument takes, then what breaks this one's bounds or shape."""
+    # each bad entry sits beside a valid one; a numeric string is rejected, not parsed
+    entries = [str(valid), True, np.True_, None, 1j, math.nan, math.inf, -math.inf, *outside]
+    bad = [[valid, e] for e in entries] + [
+        # an ndarray's values are checked too, not only its dtype
+        *(np.array([valid, e]) for e in (math.nan, math.inf, -math.inf, *outside)),
+        str(valid), None, math.nan, [[valid], [valid, valid]], np.array([str(valid)] * 2), np.array([True, False]),
+    ]
+    if one_d:
+        bad += [valid, [[valid, valid], [valid, valid]], np.full((2, 2), valid)]
+    if name.endswith("bracket_nm"):
+        bad += [(valid,), (valid, valid + 10.0, valid + 20.0)]
+    return bad
+
+
+ARRAY_CASES = [
+    pytest.param(name, value, id=f"{name}={value!r}".replace("\n", " "))
+    for name, (_, valid, outside, one_d) in ARRAY_ARGUMENTS.items()
+    for value in _bad_arrays(name, valid, outside, one_d)
+]
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning from a NaN reaching numpy
+@pytest.mark.parametrize("name, value", ARRAY_CASES)
+def test_array_arguments_take_only_real_arrays(name, value):
+    call = ARRAY_ARGUMENTS[name][0]
+    parameter = name.split(".")[1]
+    with pytest.raises(ValidationError, match=ARRAY_NAMED.get(parameter, parameter)):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        ([1, 2.5], [1.0, 2.5]),
+        ((1, np.float32(2.5)), [1.0, 2.5]),
+        ([(1.0, 2.0), [3.0, np.int64(4)]], [[1.0, 2.0], [3.0, 4.0]]),
+        (np.array([1, 2]), [1.0, 2.0]),
+        (np.array([[1, 2], [3, 4]], dtype=np.int32), [[1.0, 2.0], [3.0, 4.0]]),
+        (3, 3.0),
+        ([], []),
+    ],
+)
+def test_the_array_rule_returns_a_float_array(value, want):
+    got = _check_array("x", value)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, want)
+
+
+# Parameters annotated float that are not REAL_ARGUMENTS or ARRAY_ARGUMENTS rows, and why.
 REAL_EXEMPT = {
     # result records: the library fills them from checked inputs
     "PhaseMatchPoint", "TomographyResult", "VisibilityFit", "CrystalDispersion", "PolingStructure",
-    # array-friendly: every value reaches dispersion._check_range, where NaN,
-    # +-inf or an out-of-range value is a RangeError naming the bound (delta_k
-    # converts its arrays to float first, so only wavevector's see the dtype rule)
-    "delta_k.pump_nm", "wavevector.temperature_c",
 }
 
 
@@ -381,18 +480,20 @@ def _float_parameters():
 
 
 def test_every_float_parameter_follows_the_real_number_rule():
-    # a new public function cannot skip util._check_real unnoticed, and no
-    # row or exemption names a parameter that is gone
+    # a new public function cannot skip util._check_real or util._check_array
+    # unnoticed, and no row or exemption names a parameter that is gone
     floats, every = _float_parameters()
-    assert sorted(floats - set(REAL_ARGUMENTS) - REAL_EXEMPT) == []
-    stale = set(REAL_ARGUMENTS) | {e for e in REAL_EXEMPT if "." in e}
+    assert sorted(floats - set(REAL_ARGUMENTS) - set(ARRAY_ARGUMENTS) - REAL_EXEMPT) == []
+    stale = set(REAL_ARGUMENTS) | set(ARRAY_ARGUMENTS) | {e for e in REAL_EXEMPT if "." in e}
+    # idler_wavelength_nm is public but outside the pinned __all__ lists
+    every |= {f"idler_wavelength_nm.{p}" for p in inspect.signature(pm.idler_wavelength_nm).parameters}
     assert sorted(stale - every) == []
 
 
 @pytest.mark.parametrize("grid", [["0.5"], [True], [np.True_], [1.0, "2.0"]])
 def test_sigma_grid_entries_are_checked_as_given(grid):
     # float() would parse the numeric string and take the bool as sigma = 1
-    with pytest.raises(ValidationError, match="sigma_z_um"):
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.efficiency_samples(2.0, 0.7, 8, grid, 3)
 
 

@@ -25,8 +25,10 @@ SMALL = {
     "montecarlo": {"samples": 4, "sigma_z_um": [0.0, 50.0], "comparison": {"num_domains": 16}},
     "jspd": {"points": 21},
 }
+# 10**400 is an integer past the float range, which float() refuses
 HOSTILE = [
-    math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 2**70, -(2**70), 0, -1, 0.5, True, "", "x", None, [], {},
+    math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 2**70, -(2**70), 10**400, -(10**400), 0, -1, 0.5, True,
+    "", "x", None, [], {},
 ]
 ALARM_S = 10
 

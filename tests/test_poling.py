@@ -868,9 +868,9 @@ def test_realized_sigma_must_be_a_number(sigma):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_sigma_and_detuning_are_rejected(bad):
-    with pytest.raises(ValidationError, match="sigma_z_um"):
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.efficiency_samples(2.0, 0.735, 8, [bad], 10)
-    with pytest.raises(ValidationError, match="sigma_z_um"):
+    with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, bad], samples=10)
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.realize_structure(2.0, 0.735, 8, sigma_z_um=bad)
