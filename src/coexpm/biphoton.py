@@ -269,7 +269,11 @@ def _correlations(outcomes) -> list[float]:
 
 
 def _chsh_pairs(angles_deg) -> list[tuple[float, float]]:
-    a, ap, b, bp = angles_deg
+    """(a, b), (a, b'), (a', b), (a', b') of the analyzer angles (a, a', b, b')."""
+    angles = _check_array("angles_deg", angles_deg, ndim=1)
+    if angles.size != 4:
+        raise ValidationError(f"angles_deg must have four entries (a, a', b, b'), got {angles.size}")
+    a, ap, b, bp = angles.tolist()
     return [(a, b), (a, bp), (ap, b), (ap, bp)]
 
 

@@ -421,7 +421,7 @@ def _cmd_jspd(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         **_table(
             "jspd_marginals",
             ["signal_nm", "signal_profile", "idler_nm", "idler_profile"],
-            list(zip(lam_s, prof_s, lam_i, prof_i)),
+            np.column_stack([lam_s, prof_s, lam_i, prof_i]).tolist(),
             fmt,
         ),
         "jspd_summary.json": payload,

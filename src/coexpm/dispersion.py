@@ -149,7 +149,15 @@ def refractive_index(disp: CrystalDispersion, wavelength_um, temperature_c=25.0)
     """
     lam = _check_range(wavelength_um, *disp.valid_wavelength_um, what="wavelength", unit="um")
     temp = _check_range(temperature_c, *disp.valid_temperature_c, what="temperature", unit="degC")
+    n = _index(disp, lam, temp)
+    if lam.ndim == 0 and temp.ndim == 0:
+        return float(n)
+    return np.asarray(n)
 
+
+def _index(disp: CrystalDispersion, lam, temp):
+    """refractive_index of float arrays already checked against the entry's
+    ranges; the phase-matching solvers call it inside a checked bracket."""
     if disp.form == "sellmeier_two_pole":
         n = _sellmeier_two_pole(disp.coefficients, lam)
         if disp.thermo_form == "dndt_inverse_lambda_poly":
@@ -162,9 +170,7 @@ def refractive_index(disp: CrystalDispersion, wavelength_um, temperature_c=25.0)
         n = _jundt_ne(disp.coefficients, lam, temp)
     else:
         raise ValidationError(f"unknown dispersion form {disp.form!r}")
-    if lam.ndim == 0 and temp.ndim == 0:
-        return float(n)
-    return np.asarray(n)
+    return n
 
 
 def wavevector(disp: CrystalDispersion, wavelength_um, temperature_c: float = 25.0):
@@ -172,3 +178,8 @@ def wavevector(disp: CrystalDispersion, wavelength_um, temperature_c: float = 25
     n = refractive_index(disp, wavelength_um, temperature_c)
     k = 2.0 * np.pi * n / np.asarray(wavelength_um, dtype=float)
     return float(k) if np.ndim(wavelength_um) == 0 else k
+
+
+def _wavevector(disp: CrystalDispersion, lam, temp):
+    """wavevector of float arrays already checked, as _index takes them."""
+    return 2.0 * np.pi * _index(disp, lam, temp) / lam

@@ -40,15 +40,23 @@ def format_float(x) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV with every cell rendered by format_float.
 
-    The csv module writes a Python float as str(x), which equals the repr
-    that format_float returns, so exact floats go to it as they are. Every
-    other value is formatted first: the module would write None as "" and
-    np.float32(0.1) as "0.1", where format_float writes the float64 value.
+    A row of exact Python floats (type float, no subclass) is written as the
+    comma join of their reprs: that is what format_float returns for each,
+    and what the csv module would write, since it writes a float as str(x),
+    the repr, and a float's repr never needs quoting. Every other row goes
+    through the csv module, its cells that are not exact floats formatted
+    first: the module would write None as "" and np.float32(0.1) as "0.1",
+    where format_float writes the float64 value.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([v if type(v) is float else format_float(v) for v in row] for row in rows)
+        for row in rows:
+            row = list(row)  # a row may be any iterable; it is read twice below
+            if {*map(type, row)} == {float}:
+                fh.write(",".join(map(float.__repr__, row)) + "\n")
+            else:
+                w.writerow([v if type(v) is float else format_float(v) for v in row])
 
 
 def _jsonable(obj):

@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import ktp_axes, wavevector
+from .dispersion import _wavevector, ktp_axes, wavevector
 from .errors import SolverError, ValidationError
 from .util import _check_array, _check_int, _check_real
 
@@ -157,14 +157,17 @@ def delta_k(
     return _mismatch(spec, pump, sig, period_mm)
 
 
-def _mismatch(spec: ProcessSpec, pump, sig, period_mm):
+def _mismatch(spec: ProcessSpec, pump, sig, period_mm, in_range: bool = False):
     """delta_k of wavelengths and a period (or None) already checked; the
-    solvers call it on the arrays they built."""
+    solvers call it on the arrays they built. in_range=True skips the check
+    of the three wavelengths and the temperature against the dispersion
+    ranges, for wavelengths inside a bracket whose ends passed it."""
     axes = _axes()
     t = spec.temperature_c
-    kp = wavevector(axes[spec.pump_axis], pump * 1e-3, t)
-    ks = wavevector(axes[spec.signal_axis], sig * 1e-3, t)
-    ki = wavevector(axes[spec.idler_axis], _idler_nm(pump, sig) * 1e-3, t)
+    k = _wavevector if in_range else wavevector
+    kp = k(axes[spec.pump_axis], pump * 1e-3, t)
+    ks = k(axes[spec.signal_axis], sig * 1e-3, t)
+    ki = k(axes[spec.idler_axis], _idler_nm(pump, sig) * 1e-3, t)
     dk = kp - ks - ki
     if spec.qpm_order and period_mm is not None:
         dk = dk - spec.qpm_order * 2.0 * np.pi / (period_mm * 1e3)
@@ -219,6 +222,11 @@ def _signal_roots(spec, pumps, period_mm):
     Returns (signal_nm, residual_rad_per_um, ok). ok marks the pumps where
     delta_k changes sign across the window; elsewhere signal and residual
     are NaN.
+
+    The window ends are evaluated with the dispersion range check, the
+    iterates without it: they stay inside the window, and the idler falls
+    monotonically as the signal rises, so every wavelength an iterate
+    evaluates lies between values the check passed.
     """
     lo, hi = _window(pumps)
     f_lo, f_hi = _mismatch(spec, pumps, np.stack([lo, hi]), period_mm)
@@ -226,7 +234,7 @@ def _signal_roots(spec, pumps, period_mm):
     signal, residual = np.full(pumps.shape, np.nan), np.full(pumps.shape, np.nan)
     kept = pumps[ok]
     signal[ok], residual[ok] = _chandrupatla(
-        lambda sig: _mismatch(spec, kept, sig, period_mm),
+        lambda sig: _mismatch(spec, kept, sig, period_mm, in_range=True),
         lo[ok], hi[ok], f_lo[ok], f_hi[ok],
     )
     return signal, residual, ok

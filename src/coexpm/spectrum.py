@@ -63,8 +63,7 @@ def filter_kernel(offsets_nm, fwhm_nm: float, kind: str = "gaussian") -> np.ndar
     if kind == "gaussian":
         sig = fwhm_nm / np.sqrt(8.0 * np.log(2.0))
         out = np.exp(-0.5 * (x / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
-        out[np.abs(x) > GAUSSIAN_TRUNCATION_SIGMAS * sig] = 0.0
-        return out
+        return np.where(np.abs(x) > GAUSSIAN_TRUNCATION_SIGMAS * sig, 0.0, out)
     if kind == "box":
         return np.where(np.abs(x) <= fwhm_nm / 2.0, 1.0 / fwhm_nm, 0.0)
     raise ValidationError(f"unknown filter kernel {kind!r}; use 'gaussian' or 'box'")

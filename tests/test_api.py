@@ -400,7 +400,11 @@ ARRAY_ARGUMENTS = {
         lambda v: pm.solve_pump_for_period(2.0, pump_bracket_nm=v), 530.0, (0.0, -530.0), True,
     ),
     "degeneracy_pump_nm.bracket_nm": (lambda v: pm.degeneracy_pump_nm(bracket_nm=v), 500.0, (0.0,), True),
+    # exactly four analyzer angles (a, a', b, b')
+    "chsh_s.angles_deg": (lambda v: biphoton.chsh_s(bell_psi_plus(), v), 22.5, (), True),
 }
+# the number of entries an array argument must have, where it is fixed
+ARRAY_LENGTHS = {"pump_bracket_nm": 2, "bracket_nm": 2, "angles_deg": 4}
 # dispersion names its arguments by quantity, as its RangeError does
 ARRAY_NAMED = {"wavelength_um": "wavelength", "temperature_c": "temperature"}
 
@@ -416,8 +420,9 @@ def _bad_arrays(name, valid, outside, one_d):
     ]
     if one_d:
         bad += [valid, [[valid, valid], [valid, valid]], np.full((2, 2), valid)]
-    if name.endswith("bracket_nm"):
-        bad += [(valid,), (valid, valid + 10.0, valid + 20.0)]
+    length = ARRAY_LENGTHS.get(name.split(".")[1])
+    if length is not None:
+        bad += [tuple(valid + 10.0 * k for k in range(n)) for n in range(length + 2) if n != length]
     return bad
 
 

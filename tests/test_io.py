@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from coexpm import io
+from coexpm import cli, io
 from coexpm.errors import ConfigError, ValidationError
 
 
@@ -53,21 +53,59 @@ def test_write_json_bytes_are_the_indented_sorted_dump(tmp_path):
     assert (tmp_path / "p.json").read_text() == expected
 
 
-def test_write_csv_renders_every_value_by_format_float(tmp_path):
-    nan, inf = float("nan"), float("inf")
-    mixed = [1.0, 2.0 / 3.0, -0.0, 1e-300, nan, inf, -inf, np.float64(0.1), np.float64(nan),
-             np.float32(0.1), 3, np.int64(-4), True, None, "a,b", 'say "hi"']
-    rows = [mixed, tuple(reversed(mixed)), np.array([0.1, 2.0 / 3.0, nan]), range(3)]
-    header = [f"c{k}" for k in range(len(mixed))]
-    path = tmp_path / "mixed.csv"
-    io.write_csv(path, header, iter(rows))
+class _LoudFloat(float):
+    """A float subclass with its own repr, which format_float does not use."""
+
+    def __repr__(self):
+        return "loud"
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The csv module's rendering of every cell formatted by format_float."""
     want = stdio.StringIO()
     w = csv.writer(want, lineterminator="\n")
     w.writerow(header)
     for row in rows:
         w.writerow([io.format_float(v) for v in row])
-    assert path.read_bytes() == want.getvalue().encode()
-    assert "np.float" not in want.getvalue() and ",None," in want.getvalue()
+    return want.getvalue().encode()
+
+
+def test_write_csv_renders_every_value_by_format_float(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    mixed = [1.0, 2.0 / 3.0, -0.0, 1e-300, nan, inf, -inf, np.float64(0.1), np.float64(nan),
+             np.float32(0.1), 3, np.int64(-4), True, None, "a,b", 'say "hi"']
+    # rows of exact floats only, which write_csv joins itself, beside rows it
+    # leaves to the csv module: numpy floats, a float subclass, a one-cell row
+    all_float = [-0.0, nan, inf, -inf, 5e-324, 1e16, 1e-5, 0.0, 0.1, 2.0 / 3.0, 1.7976931348623157e308]
+    rows = [
+        mixed, tuple(reversed(mixed)), np.array([0.1, 2.0 / 3.0, nan]), range(3),
+        all_float, tuple(reversed(all_float)), [1e-5], [np.float64(v) for v in all_float],
+        [0.25, _LoudFloat(0.1), 1e16], [_LoudFloat(2.0 / 3.0)], (v for v in all_float[:4]), [],
+    ]
+    header = [f"c{k}" for k in range(len(mixed))]
+    path = tmp_path / "mixed.csv"
+    io.write_csv(path, header, iter(rows))
+    # the generator row is read once by write_csv; the reference reads a copy
+    rows[-2] = all_float[:4]
+    want = _reference_csv(header, rows)
+    assert path.read_bytes() == want
+    text = want.decode()
+    assert "np.float" not in text and ",None," in text and "loud" not in text
+    assert "-0.0,nan,inf,-inf,5e-324,1e+16,1e-05,0.0," in text and "\n0.25,0.1,1e+16\n" in text
+
+
+@pytest.mark.parametrize(
+    "command, tables",
+    [("jspd", ("jspd.csv", "jspd_marginals.csv")), ("design", ("design_curve.csv",))],
+)
+def test_default_cli_tables_are_the_csv_module_bytes(tmp_path, command, tables):
+    # the default jspd and design tables take write_csv's joined rows
+    artifacts, _ = cli._COMMANDS[command][0](cli.DEFAULT_CONFIG[command], 0, "csv")
+    for name in tables:
+        header, rows = artifacts[name]
+        assert rows and all(type(v) is float for row in rows for v in row)
+        io.write_csv(tmp_path / name, header, rows)
+        assert (tmp_path / name).read_bytes() == _reference_csv(header, rows)
 
 
 def test_density_matrix_dict_round_trip():

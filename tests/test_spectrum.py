@@ -234,6 +234,16 @@ def test_input_validation(nbpm):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "box"])
+@pytest.mark.parametrize("offset", [0.5, -0.2, 0.0, 4.0, np.float64(0.5)])
+def test_a_scalar_offset_gives_the_kernel_of_a_one_element_array(kind, offset):
+    got = sp.filter_kernel(offset, 1.3, kind)
+    want = sp.filter_kernel(np.array([offset]), 1.3, kind)
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert np.array_equal(got.reshape(1), want)
+    assert (float(got) > 0.0) == (abs(offset) < 1.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "box"])
 @pytest.mark.parametrize(
     "grid, centres, fwhm",
     [
