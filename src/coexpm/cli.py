@@ -340,24 +340,21 @@ def _cmd_dutycycle(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
 
 def _cmd_montecarlo(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     order, sigmas, samples, reorder = c["qpm_order"], c["sigma_z_um"], c["samples"], c["reorder"]
+    comp = c["comparison"]
+    if comp is not None and reorder == "resample":
+        # the comparison's moments are those of unordered walls; resampling conditions them on the ordering
+        raise ConfigError(
+            "montecarlo.comparison is the closed form for reorder 'allow'; "
+            "with reorder 'resample' set montecarlo.comparison to null"
+        )
     duty = c["duty_cycle"] if c["duty_cycle"] is not None else poling.solve_balanced_duty_cycle(order)
     # one eta grid feeds both the efficiency and the entanglement table
     etas = poling.efficiency_samples(
         c["period_mm"], duty, c["num_domains"], sigmas, samples, seed, qpm_order=order, reorder=reorder
     )
     rows = poling._efficiency_rows(sigmas, etas)
-    if c["comparison"] is not None:
-        comp = c["comparison"]
-        comp_rows = poling.monte_carlo_efficiency(
-            comp["period_mm"],
-            duty,
-            comp["num_domains"],
-            sigmas,
-            samples=samples,
-            seed=seed + 1,
-            qpm_order=order,
-            reorder=reorder,
-        )
+    if comp is not None:
+        comp_rows = poling._wall_error_moments(comp["period_mm"], duty, comp["num_domains"], sigmas, qpm_order=order)
         rows = [
             dict(r, comparison_mean_eta=cr["mean_eta"], comparison_std_eta=cr["std_eta"])
             for r, cr in zip(rows, comp_rows)

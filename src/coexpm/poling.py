@@ -31,6 +31,10 @@ grating of fewer than 8 domains. A row block that redraws a realization at
 a sigma ("resample") evaluates all its rows directly at that sigma and the
 next. The stepped eta stays within 16 eps * max(1, |Phi|) of the
 complex-exponential sum on the grids tested.
+
+_wall_error_moments gives the exact mean and spread of eta for independent
+walls (reorder "allow", zero detuning) from the truncated-Gaussian
+characteristic function, with no draw.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import wofz
 
 from .errors import SolverError, ValidationError
 from .util import _check_array, _check_cells, _check_int, _check_real, sinc, spawn_rng
@@ -81,6 +86,9 @@ _TABLE_SIZE = 1 << 12
 _TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
 # Step of the duty-cycle scan that brackets the balanced root.
 _SCAN_STEP = 1e-5
+# Wall errors are a unit Gaussian truncated to +/- this many sigma, times
+# sigma: the sampler's default and the truncation of _wall_error_moments.
+_TRUNCATION_SIGMAS = 3.0
 
 
 def fourier_coefficient(duty_cycle: float, order: int) -> complex:
@@ -247,7 +255,7 @@ def realize_structure(
     sigma_z_um: float = 0.0,
     seed: int = 0,
     reorder: str = "resample",
-    truncation_sigmas: float = 3.0,
+    truncation_sigmas: float = _TRUNCATION_SIGMAS,
     max_attempts: int = 1000,
 ) -> PolingStructure:
     """One structure realization: row 0 of block 0 of efficiency_samples,
@@ -540,7 +548,7 @@ def efficiency_samples(
     qpm_order: int = 1,
     detuning_rad_per_um: float = 0.0,
     reorder: str = "resample",
-    truncation_sigmas: float = 3.0,
+    truncation_sigmas: float = _TRUNCATION_SIGMAS,
     max_attempts: int = 1000,
 ) -> list[np.ndarray]:
     """eta for `samples` error realizations at each sigma of the grid, one
@@ -606,6 +614,76 @@ def _efficiency_rows(sigma_z_grid_um, etas) -> list[dict]:
     ]
 
 
+def _cf_deficit(s) -> np.ndarray:
+    """1 - chi(s) for chi(s) = E[cos(s u)], u a unit Gaussian truncated to
+    +/- t = _TRUNCATION_SIGMAS, at each s >= 0 of the array s.
+
+    chi(s) = (exp(-s^2/2) - T(s)) / erf(t / sqrt 2), where T(s) =
+    Re[exp(-t^2/2 - i t s) w((i t - s) / sqrt 2)], w the Faddeeva function,
+    is the tails' share of the untruncated Gaussian's exp(-s^2/2); it stays
+    finite at large s, where the exp * erf form overflows. 1 - chi is formed
+    as (T(s) - T(0) - expm1(-s^2/2)) / erf(t / sqrt 2), so it keeps its
+    relative accuracy as s -> 0 and is exactly 0 at s = 0. Past s = 40,
+    exp(-s^2/2) has underflowed, so s is capped there before it is squared.
+    The clip to [0, 2], the range of 1 - chi, absorbs the last rounding.
+    """
+    t = _TRUNCATION_SIGMAS
+
+    def tail(x):
+        return math.exp(-0.5 * t * t) * np.real(np.exp(-1j * t * x) * wofz((1j * t - x) / math.sqrt(2.0)))
+
+    z = np.minimum(s, 40.0)
+    deficit = (tail(s) - tail(0.0)) - np.expm1(-0.5 * z * z)
+    deficit /= math.erf(t / math.sqrt(2.0))
+    return np.clip(deficit, 0.0, 2.0, out=deficit)
+
+
+def _wall_error_moments(
+    period_mm: float,
+    duty_cycle: float,
+    num_domains: int,
+    sigma_z_grid_um,
+    qpm_order: int = 1,
+) -> list[dict]:
+    """monte_carlo_efficiency's rows {"sigma_z_um", "mean_eta", "std_eta"}
+    from the exact moments of eta, for reorder="allow" at zero detuning and
+    the sampler's default truncation, _TRUNCATION_SIGMAS.
+
+    Subtracting the row mean is a common phase of the phasor sum, so eta =
+    |S|^2 / N^2 with S the sum of N i.i.d. phasors exp(-i dk sigma u) (Fejer
+    et al., IEEE JQE 28, 2631 (1992)). With a = chi(dk sigma) and c = chi(2 dk
+    sigma) (_cf_deficit), and the falling factorials N^(k):
+
+        E|S|^2 = N + a^2 N^(2),
+        E|S|^4 = N + (4a^2 + c^2 + 2) N^(2) + (2c + 4) a^2 N^(3) + a^4 N^(4),
+
+    so E[eta] = a^2 + (1 - a^2)/N, and Var[eta] = (E|S|^4 - (E|S|^2)^2) / N^4
+    = (N - 1)/N^3 [2 (1 - a^2)^2 + r (2 (N - 1) a^2 - (1 - c))] with r = 1 +
+    c - 2a^2 = 2 Var[cos(dk sigma u)]. The terms are formed from 1 - a and 1 -
+    c, so the variance keeps its relative accuracy as sigma -> 0, where the
+    moments themselves cancel; it is clipped at 0 against rounding. sigma = 0,
+    or qpm_order 0, gives exactly (1.0, 0.0). Inputs are validated as
+    efficiency_samples validates them, which keeps 6 dk sigma finite.
+    """
+    sigmas, nominal, dk, _ = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, sigma_z_grid_um, 1, qpm_order, 0.0, "allow", _TRUNCATION_SIGMAS, 1
+    )
+    n = nominal.size
+    s = dk * np.array(sigmas, dtype=float)
+    p = _cf_deficit(s)  # 1 - a
+    q = _cf_deficit(2.0 * s)  # 1 - c
+    a2 = (1.0 - p) ** 2
+    spread = p * (2.0 - p)  # 1 - a^2
+    r = 2.0 * spread - q
+    mean = a2 + spread / n
+    var = (n - 1) / n**3 * (2.0 * spread * spread + r * (2.0 * (n - 1) * a2 - q))
+    std = np.sqrt(np.maximum(var, 0.0))
+    return [
+        {"sigma_z_um": sigma, "mean_eta": float(m), "std_eta": float(sd)}
+        for sigma, m, sd in zip(sigmas, mean, std)
+    ]
+
+
 def monte_carlo_efficiency(
     period_mm: float,
     duty_cycle: float,
@@ -616,7 +694,7 @@ def monte_carlo_efficiency(
     qpm_order: int = 1,
     detuning_rad_per_um: float = 0.0,
     reorder: str = "resample",
-    truncation_sigmas: float = 3.0,
+    truncation_sigmas: float = _TRUNCATION_SIGMAS,
     max_attempts: int = 1000,
 ) -> list[dict]:
     """Mean and spread of eta over fabrication-error realizations.

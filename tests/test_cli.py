@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import coexpm
-from coexpm import biphoton, cli
+from coexpm import biphoton, cli, poling
 from coexpm.io import read_tomography_counts, write_tomography_counts
 
 
@@ -94,6 +94,41 @@ def test_montecarlo_tables_share_their_eta_draws(tmp_path):
         return [line.split(",")[col] for line in lines[1:]]
 
     assert mean_eta("montecarlo.csv") == mean_eta("montecarlo_entanglement.csv")
+
+
+def test_montecarlo_comparison_is_the_closed_form_whatever_the_seed(tmp_path):
+    cfg_path = _write_config(
+        tmp_path / "cfg.json", {"schema_version": 1, "montecarlo": {"samples": 20, "entanglement": False}}
+    )
+    tables = []
+    for seed in ("7", "8"):
+        out = tmp_path / seed
+        assert cli.main(["montecarlo", "--config", cfg_path, "--out", str(out), "--seed", seed]) == 0
+        header, *rows = [line.split(",") for line in (out / "montecarlo.csv").read_text().splitlines()]
+        columns = [header.index("comparison_mean_eta"), header.index("comparison_std_eta")]
+        tables.append([[row[i] for i in columns] for row in rows])
+    mc = cli.DEFAULT_CONFIG["montecarlo"]
+    comp = mc["comparison"]
+    want = poling._wall_error_moments(
+        comp["period_mm"], poling.solve_balanced_duty_cycle(1), comp["num_domains"], mc["sigma_z_um"]
+    )
+    assert tables[0] == tables[1] == [[repr(r["mean_eta"]), repr(r["std_eta"])] for r in want]
+
+
+def test_resample_with_a_comparison_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    draws = []
+    draw = poling._draw_z
+    monkeypatch.setattr(poling, "_draw_z", lambda *args: draws.append(args) or draw(*args))
+    cfg_path = _write_config(
+        tmp_path / "cfg.json",
+        {"schema_version": 1, "montecarlo": {"sigma_z_um": [0.0, 0.125], "reorder": "resample"}},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["montecarlo", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "montecarlo.comparison" in err and "resample" in err and "Traceback" not in err
+    assert draws == []
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_montecarlo_entanglement_follows_the_qpm_order(tmp_path):

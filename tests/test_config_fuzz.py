@@ -25,6 +25,9 @@ SMALL = {
     "montecarlo": {"samples": 4, "sigma_z_um": [0.0, 50.0], "comparison": {"num_domains": 16}},
     "jspd": {"points": 21},
 }
+# "resample" with a comparison stops at the configuration check, so the
+# resampled grid is fuzzed from a base without one.
+SMALL_RESAMPLE = {"samples": 4, "sigma_z_um": [0.0, 50.0], "comparison": None, "reorder": "resample"}
 COUNTS = "<valid counts file>"  # replaced by the path of a 16-setting counts table
 BAD = st.sampled_from([None, math.nan, math.inf, -math.inf, -1, -0.5, 0, True, "x", [], {}])
 # finite but extreme: past every bound and grid budget, below every step, past int64
@@ -99,16 +102,35 @@ def _strict(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
-@settings(
-    max_examples=120,
+@st.composite
+def resample_documents(draw):
+    section = {**SMALL_RESAMPLE, **draw(_section(cli.DEFAULT_CONFIG["montecarlo"], "montecarlo"))}
+    options = draw(st.sampled_from([[], ["--seed", "3"], ["--format", "json"]]))
+    return "montecarlo", {"schema_version": 1, "montecarlo": section}, options
+
+
+# shared by the two fuzz tests, which set their own example counts
+FUZZ = settings(
     derandomize=True,
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@settings(FUZZ, max_examples=120)
 @given(documents())
 def test_any_config_document_keeps_the_exit_code_contract(case):
-    command, doc, options = case
+    _check_exit_code_contract(*case)
+
+
+@settings(FUZZ, max_examples=30)
+@given(resample_documents())
+def test_resampled_montecarlo_documents_keep_the_exit_code_contract(case):
+    _check_exit_code_contract(*case)
+
+
+def _check_exit_code_contract(command, doc, options):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         section = doc.get(command)

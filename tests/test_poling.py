@@ -670,17 +670,112 @@ def _truncated_gaussian_std(period_mm, domains, sigma):
     return math.sqrt(fourth / n**4 - mean * mean)
 
 
-@pytest.mark.parametrize(
-    "period_mm, domains, sigma, std",
-    [
-        (2.0, 8, 300.0, 0.179175),
-        (2.0, 8, 100.0, 0.039538),
-        (0.015, 1066, 1.0, 0.0060366),
-        (0.015, 1066, 2.0, 0.0150590),
-    ],
-)
+STD_ORACLE_POINTS = [
+    (2.0, 8, 300.0, 0.179175),
+    (2.0, 8, 100.0, 0.039538),
+    (0.015, 1066, 1.0, 0.0060366),
+    (0.015, 1066, 2.0, 0.0150590),
+]
+
+
+@pytest.mark.parametrize("period_mm, domains, sigma, std", STD_ORACLE_POINTS)
 def test_std_oracle_values(period_mm, domains, sigma, std):
     assert _truncated_gaussian_std(period_mm, domains, sigma) == pytest.approx(std, rel=1e-5)
+
+
+@pytest.mark.parametrize("period_mm, domains, sigma, std", STD_ORACLE_POINTS)
+def test_wall_error_moments_match_the_oracle(period_mm, domains, sigma, std):
+    [row] = poling._wall_error_moments(period_mm, 0.735, domains, [sigma])
+    chi = _truncated_gaussian_cf(2.0 * math.pi / (period_mm * 1e3) * sigma)
+    assert row["sigma_z_um"] == sigma
+    assert row["mean_eta"] == pytest.approx(1.0 / domains + (1.0 - 1.0 / domains) * chi**2, rel=1e-13)
+    assert row["std_eta"] == pytest.approx(_truncated_gaussian_std(period_mm, domains, sigma), rel=1e-10)
+    assert row["std_eta"] == pytest.approx(std, rel=1e-5)
+
+
+def _reference_moments(mpmath, n, s, trunc=3):
+    """(E[eta], Var[eta]) at dk sigma = s to the working precision of mpmath:
+    chi(s) = Re[exp(-s^2/2) erf((trunc - i s)/sqrt 2)] / erf(trunc/sqrt 2),
+    and the falling-factorial moments of _truncated_gaussian_std, whose
+    cancellation costs nothing at 40 digits."""
+    root2 = mpmath.sqrt(2)
+
+    def chi(x):
+        return mpmath.re(mpmath.exp(-x * x / 2) * mpmath.erf((trunc - 1j * x) / root2)) / mpmath.erf(trunc / root2)
+
+    a, c = chi(mpmath.mpf(s)), chi(2 * mpmath.mpf(s))
+    n2 = n * (n - 1)
+    n3 = n2 * (n - 2)
+    n4 = n3 * (n - 3)
+    fourth = n + (4 * a * a + c * c + 2) * n2 + (2 * c + 4) * a * a * n3 + a**4 * n4
+    mean = (n + a * a * n2) / mpmath.mpf(n) ** 2
+    return mean, fourth / mpmath.mpf(n) ** 4 - mean * mean
+
+
+@pytest.mark.parametrize("domains", [2, 8, 1066])
+def test_wall_error_moments_match_a_40_digit_reference(domains):
+    mpmath = pytest.importorskip("mpmath")
+    # dk = 1 rad/um up to rounding, so the grid spans dk sigma = 1e-5 .. 80
+    period_mm = 2.0 * math.pi / 1e3
+    dk = 2.0 * math.pi / (period_mm * 1e3)
+    sigmas = [*np.logspace(-5.0, math.log10(80.0), 71).tolist(), 0.5, 1.0, 2.0, 40.0]
+    rows = poling._wall_error_moments(period_mm, 0.735, domains, sigmas)
+    with mpmath.workdps(40):
+        for row in rows:
+            mean, var = (float(m) for m in _reference_moments(mpmath, domains, dk * row["sigma_z_um"]))
+            got = row["std_eta"] ** 2
+            assert abs(row["mean_eta"] - mean) <= 1e-15, row
+            assert abs(got - var) <= 1e-15, row
+            if var >= 1e-9:
+                assert got == pytest.approx(var, rel=1e-6), row
+
+
+@pytest.mark.parametrize("period_mm, domains", [(2.0, 8), (0.015, 1066), (1e-300, 16)])
+def test_wall_error_moments_are_exact_without_phase_errors(period_mm, domains):
+    # sigma 0, or order 0 (no grating vector to spoil) at any sigma
+    for rows in (
+        poling._wall_error_moments(period_mm, 0.735, domains, [0.0, 0.0]),
+        poling._wall_error_moments(period_mm, 0.735, domains, [0.0, 1.0, 1e3], qpm_order=0),
+    ):
+        assert [(r["mean_eta"], r["std_eta"]) for r in rows] == [(1.0, 0.0)] * len(rows)
+        assert all(type(r["mean_eta"]) is float and type(r["std_eta"]) is float for r in rows)
+
+
+@pytest.mark.parametrize(
+    "period_mm, sigmas",
+    [
+        (1e-300, [5e-324, 1e-300, 1e-3, 50.0]),  # dk near the float range
+        (0.015, [5e-324, 1.0, 1e5, 1e305]),  # up to the largest sigma the sampler takes
+        (1e300, [1e300]),
+    ],
+)
+def test_wall_error_moments_stay_finite_over_the_samplers_domain(period_mm, sigmas):
+    # RuntimeWarnings are errors here (pyproject), so an overflow would fail
+    rows = poling._wall_error_moments(period_mm, 0.735, 1066, sigmas)
+    for r in rows:
+        assert 0.0 <= r["mean_eta"] <= 1.0 and 0.0 <= r["std_eta"] <= 1.0, r
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((0.0, 0.735, 8, [1.0]), {}),
+        ((2.0, 1.0, 8, [1.0]), {}),
+        ((2.0, 0.735, 7, [1.0]), {}),
+        ((2.0, 0.735, 8, [-1.0]), {}),
+        ((2.0, 0.735, 8, [math.nan]), {}),
+        ((2.0, 0.735, 8, [[1.0]]), {}),
+        ((2.0, 0.735, 8, [1.0]), {"qpm_order": -1}),
+        ((1e-300, 0.735, 8, [1e300]), {}),
+        ((1e-6, 0.735, 8, [1e306]), {}),  # 6 dk sigma overflows
+    ],
+)
+def test_wall_error_moments_reject_what_the_sampler_rejects(args, kwargs):
+    with pytest.raises(ValidationError) as sampled:
+        poling.monte_carlo_efficiency(*args, samples=1, reorder="allow", **kwargs)
+    with pytest.raises(ValidationError) as closed:
+        poling._wall_error_moments(*args, **kwargs)
+    assert str(closed.value) == str(sampled.value)
 
 
 @pytest.mark.parametrize(

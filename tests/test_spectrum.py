@@ -10,10 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from coexpm import dispersion
 from coexpm import phasematch as pm
 from coexpm import spectrum as sp
 from coexpm.errors import ValidationError
+from coexpm.util import fwhm_of_profile
 
 L_MM = 8.0
 
@@ -155,6 +158,46 @@ def test_green_pumped_pair_linewidth(nbpm):
     width = sp.marginal_fwhm_nm(grid, "signal")
     assert width == pytest.approx(1.21, abs=0.05)
     assert 0.6 <= width <= 6.0
+
+
+# sinc^2(u) = 1/2 at u = U_HALF
+U_HALF = brentq(lambda u: math.sin(u) / u - math.sqrt(0.5), 1.0, 2.0, xtol=1e-15)
+
+
+def _group_index(disp, lam_um, temperature_c):
+    """n - lambda dn/dlambda of a two-pole Sellmeier axis with its inverse-
+    wavelength thermo-optic polynomial, differentiated by hand."""
+    c = disp.coefficients
+    poles = [(c["B1"], c["C1"]), (c["B2"], c["C2"])]
+    n_ref = math.sqrt(c["A"] + sum(b / (lam_um**2 - p) for b, p in poles))
+    dn_ref = -lam_um * sum(b / (lam_um**2 - p) ** 2 for b, p in poles) / n_ref
+    dt = temperature_c - disp.reference_temperature_c
+    thermo = disp.thermo_coefficients
+    n = n_ref + dt * sum(ck * lam_um**-k for k, ck in enumerate(thermo))
+    dn = dn_ref - dt * sum(k * ck * lam_um ** (-k - 1) for k, ck in enumerate(thermo))
+    return n - lam_um * dn
+
+
+@pytest.mark.parametrize(
+    "process, period_mm, pump_nm",
+    [("nbpm", None, p) for p in (532.0, 536.0, 538.4)] + [("qpm", 2.0, p) for p in (538.0, 538.4, 538.8)],
+)
+@pytest.mark.parametrize("temperature_c", [20.0, 25.0, 60.0])
+def test_ridge_linewidth_follows_the_group_index_mismatch(process, period_mm, pump_nm, temperature_c, request):
+    # at a fixed pump d(delta_k)/d(lambda_s) = 2 pi (n_g,s - n_g,i) / lambda_s^2,
+    # so the sinc^2(delta_k L / 2) ridge has FWHM 4 U_HALF lambda_s^2 / (2 pi L |dn_g|)
+    spec = replace(request.getfixturevalue(process), temperature_c=temperature_c)
+    pt = pm.solve_qpm(spec, pump_nm, period_mm)
+    axes = dispersion.ktp_axes()
+    lam_s, lam_i = pt.signal_nm * 1e-3, pt.idler_nm * 1e-3
+    mismatch = _group_index(axes[spec.signal_axis], lam_s, temperature_c) - _group_index(
+        axes[spec.idler_axis], lam_i, temperature_c
+    )
+    for length_mm in (6.0, 8.0, 20.0):
+        want_nm = 4.0 * U_HALF * lam_s**2 / (2.0 * math.pi * length_mm * abs(mismatch))
+        ridge = pt.signal_nm + np.linspace(-3.0 * want_nm, 3.0 * want_nm, 200_001)
+        profile = sp.phase_matching_intensity(spec, pump_nm, ridge, length_mm, period_mm=period_mm)
+        assert fwhm_of_profile(ridge, profile) == pytest.approx(want_nm, rel=1e-5), length_mm
 
 
 def test_peak_follows_the_phase_matching_solution_off_design(nbpm):
