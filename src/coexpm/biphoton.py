@@ -57,6 +57,12 @@ __all__ = [
 
 _SQ2 = np.sqrt(2.0)
 _HERMITIAN_TOL = 1e-9  # largest |rho - rho^dagger| entry accepted, then symmetrized
+# Largest real or imaginary part of an amplitude: the norm's sum of eight
+# squares stays below half the float range.
+_AMPLITUDE_MAX = np.sqrt(np.finfo(float).max) / 4.0
+# Largest real or imaginary part of a density-matrix entry: rho - rho^dagger,
+# its modulus and the trace stay finite.
+_MATRIX_ENTRY_MAX = np.finfo(float).max / 4.0
 
 SINGLE_KETS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -78,7 +84,9 @@ class PolarizationState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amp = _check_array(
+            "amplitudes", self.amplitudes, -_AMPLITUDE_MAX, _AMPLITUDE_MAX, dtype=complex
+        ).reshape(-1)
         if amp.shape != (4,):
             raise ValidationError("state needs exactly 4 amplitudes (HH, HV, VH, VV)")
         norm = np.linalg.norm(amp)
@@ -97,7 +105,7 @@ class DensityMatrix4:
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
+        rho = _check_array("matrix", self.matrix, -_MATRIX_ENTRY_MAX, _MATRIX_ENTRY_MAX, dtype=complex)
         if rho.shape != (4, 4):
             raise ValidationError("density matrix must be 4x4")
         if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
@@ -125,7 +133,7 @@ def as_density_matrix(state) -> DensityMatrix4:
         return state
     if isinstance(state, PolarizationState):
         return state.density()
-    arr = np.asarray(state, dtype=complex)
+    arr = _check_array("state", state, dtype=complex)
     if arr.shape == (4,):
         return PolarizationState(arr).density()
     return DensityMatrix4(arr)
@@ -197,11 +205,9 @@ def fidelity(state, target) -> float:
             raise ValidationError("fidelity target must be a pure state")
         psi = evecs[:, int(np.argmax(evals))]
     else:
-        psi = (
-            target.amplitudes
-            if isinstance(target, PolarizationState)
-            else PolarizationState(np.asarray(target)).amplitudes
-        )
+        if not isinstance(target, PolarizationState):
+            target = PolarizationState(_check_array("target", target, dtype=complex))
+        psi = target.amplitudes
     return float(_probabilities(state, [psi])[0])
 
 

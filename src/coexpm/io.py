@@ -17,6 +17,7 @@ import numpy as np
 
 from .biphoton import DensityMatrix4
 from .errors import ConfigError, ValidationError
+from .util import _check_array
 
 __all__ = [
     "format_float",
@@ -182,8 +183,9 @@ def density_matrix_to_dict(rho: DensityMatrix4) -> dict:
 
 def density_matrix_from_dict(payload: dict) -> DensityMatrix4:
     try:
-        m = np.asarray(payload["real"], dtype=float) + 1j * np.asarray(payload["imag"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        real, imag = (_check_array(f"density matrix {part}", payload[part]) for part in ("real", "imag"))
+        m = real + 1j * imag
+    except (KeyError, TypeError, ValueError) as exc:  # ValidationError among them
         raise ConfigError(f"bad density matrix payload: {exc}") from None
     try:
         return DensityMatrix4(m)

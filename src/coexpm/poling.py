@@ -18,23 +18,26 @@ relative efficiency
     Phi_j = delta_k * dz_j + d(delta_k) * z_j0,
 
 where delta_k is the mismatch the grating must compensate (m * 2 pi / Lambda
-at the operating point) and d(delta_k) an optional detuning from it.
+at the operating point) and d(delta_k) a detuning from it, which
+conversion_efficiency takes for a given structure.
 
-The Monte Carlo (efficiency_samples) draws the errors at each sigma of a
-grid as dz = sigma * z from one draw z (common random numbers). The phasors
-of a realization at sigma_i are then those at sigma_(i-1) times
-exp(-i delta_k (sigma_i - sigma_(i-1)) z), so along a grid with a repeated
-step one table pass per step and one complex multiply per sigma replace a
-table pass per sigma. The phases are evaluated directly at every 16th sigma
-(the anchors), where a step does not repeat, and at every sigma of a
-grating of fewer than 8 domains. A row block that redraws a realization at
-a sigma ("resample") evaluates all its rows directly at that sigma and the
-next. The stepped eta stays within 16 eps * max(1, |Phi|) of the
-complex-exponential sum on the grids tested.
+The Monte Carlo (efficiency_samples) has one model, that of Fejer et al.,
+IEEE JQE 28, 2631 (1992): the operating point (no detuning), and wall errors
+sigma * z with z a unit Gaussian truncated to +/- 3 and centred per
+realization. It draws the errors at each sigma of a grid from one draw z
+(common random numbers). The phasors of a realization at sigma_i are then
+those at sigma_(i-1) times exp(-i delta_k (sigma_i - sigma_(i-1)) z), so
+along a grid with a repeated step one table pass per step and one complex
+multiply per sigma replace a table pass per sigma. The phases are evaluated
+directly at every 16th sigma (the anchors), where a step does not repeat,
+and at every sigma of a grating of fewer than 8 domains. A row block that
+redraws a realization at a sigma ("resample") evaluates all its rows
+directly at that sigma and the next. The stepped eta stays within 16 eps *
+max(1, |Phi|) of the complex-exponential sum on the grids tested.
 
 _wall_error_moments gives the exact mean and spread of eta for independent
-walls (reorder "allow", zero detuning) from the truncated-Gaussian
-characteristic function, with no draw.
+walls (reorder "allow") from the truncated-Gaussian characteristic function,
+with no draw.
 """
 
 from __future__ import annotations
@@ -87,8 +90,10 @@ _TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
 # Step of the duty-cycle scan that brackets the balanced root.
 _SCAN_STEP = 1e-5
 # Wall errors are a unit Gaussian truncated to +/- this many sigma, times
-# sigma: the sampler's default and the truncation of _wall_error_moments.
+# sigma, in the sampler and in _wall_error_moments.
 _TRUNCATION_SIGMAS = 3.0
+# Rounds of redraws after which "resample" gives up on a row block.
+_MAX_ATTEMPTS = 1000
 
 
 def fourier_coefficient(duty_cycle: float, order: int) -> complex:
@@ -192,19 +197,19 @@ def nominal_boundaries_um(period_mm: float, duty_cycle: float, num_domains: int)
     return z
 
 
-def _draw_z(rng, rows, n, trunc) -> np.ndarray:
-    """(rows, n) standard normals truncated to +/- trunc, with each row's mean
-    subtracted.
+def _draw_z(rng, rows, n) -> np.ndarray:
+    """(rows, n) standard normals truncated to +/- _TRUNCATION_SIGMAS, with
+    each row's mean subtracted.
 
     The draws are those of rng.standard_normal((rows, n)) followed by masked
     redraws of its out-of-bound cells, by ascending index.
     """
     z = rng.standard_normal((rows, n))
     flat = z.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > trunc)
+    bad = np.flatnonzero(np.abs(flat) > _TRUNCATION_SIGMAS)
     while bad.size:
         flat[bad] = rng.standard_normal(bad.size)
-        bad = bad[np.abs(flat[bad]) > trunc]
+        bad = bad[np.abs(flat[bad]) > _TRUNCATION_SIGMAS]
     z -= z.mean(axis=-1, keepdims=True)
     return z
 
@@ -215,13 +220,13 @@ def _ordered(nominal, err) -> np.ndarray:
     return (z[:, 0] > 0.0) & np.all(np.diff(z, axis=-1) > 0.0, axis=-1)
 
 
-def _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, redraw_rng):
+def _scaled_errors(z, sigma, out, nominal, reorder, redraw_rng):
     """Wall errors sigma * z, written into out, and the rows redrawn; leaves z
     as it was.
 
     Under "resample" the rows whose walls cross are redrawn together, as
     sigma * _draw_z rows from the generator redraw_rng() returns (asked for
-    at the first redraw), until every row is ordered or max_attempts rounds
+    at the first redraw), until every row is ordered or _MAX_ATTEMPTS rounds
     have been drawn. Returns out and the ascending indices of the rows that
     were redrawn (none under "allow").
     """
@@ -232,17 +237,17 @@ def _scaled_errors(z, sigma, out, nominal, trunc, reorder, max_attempts, redraw_
     rng = None
     attempts = 1
     while bad.size:
-        if attempts >= max_attempts:
+        if attempts >= _MAX_ATTEMPTS:
             shortest = min(nominal[0], nominal[1] - nominal[0])
             raise SolverError(
                 f"{bad.size} of the {len(out)} realizations of a row block still unordered after "
-                f"{max_attempts} resampling rounds (sigma_z = {sigma} um vs shortest "
+                f"{_MAX_ATTEMPTS} resampling rounds (sigma_z = {sigma} um vs shortest "
                 f"domain {shortest:.3g} um); use reorder='allow' to evaluate the "
                 "efficiency sum regardless"
             )
         if rng is None:
             rng = redraw_rng()
-        out[bad] = sigma * _draw_z(rng, bad.size, nominal.size, trunc)
+        out[bad] = sigma * _draw_z(rng, bad.size, nominal.size)
         bad = bad[~_ordered(nominal, out[bad])]
         attempts += 1
     return out, redrawn
@@ -255,24 +260,19 @@ def realize_structure(
     sigma_z_um: float = 0.0,
     seed: int = 0,
     reorder: str = "resample",
-    truncation_sigmas: float = _TRUNCATION_SIGMAS,
-    max_attempts: int = 1000,
 ) -> PolingStructure:
     """One structure realization: row 0 of block 0 of efficiency_samples,
-    drawn as the sampler draws it under the same keywords (wall errors
-    sigma_z_um * z, z a row-centred unit Gaussian truncated at +/-
-    truncation_sigmas, from spawn_rng(seed, 0), its redraws from
-    spawn_rng(seed, 0, 0)), so conversion_efficiency of it equals the
-    one-sample efficiency_samples bit for bit. The Monte Carlo's bounds
-    apply, on the first-order phases."""
-    [sigma], nominal, _, _ = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, [_check_real("sigma_z_um", sigma_z_um, 0.0)], 1, 1, 0.0, reorder,
-        truncation_sigmas, max_attempts,
+    drawn as the sampler draws it under the same reorder (wall errors
+    sigma_z_um * z, z a row-centred unit Gaussian truncated at +/- 3, from
+    spawn_rng(seed, 0), its redraws from spawn_rng(seed, 0, 0)), so
+    conversion_efficiency of it at the first-order mismatch 2 pi / Lambda
+    equals the one-sample efficiency_samples bit for bit. The Monte Carlo's
+    bounds apply, on the first-order phases."""
+    [sigma], nominal, _ = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, [_check_real("sigma_z_um", sigma_z_um, 0.0)], reorder=reorder
     )
-    z = _draw_z(spawn_rng(seed, 0), 1, nominal.size, truncation_sigmas)
-    [err], _ = _scaled_errors(
-        z, sigma, np.empty_like(z), nominal, truncation_sigmas, reorder, max_attempts, lambda: spawn_rng(seed, 0, 0)
-    )
+    z = _draw_z(spawn_rng(seed, 0), 1, nominal.size)
+    [err], _ = _scaled_errors(z, sigma, np.empty_like(z), nominal, reorder, lambda: spawn_rng(seed, 0, 0))
     return PolingStructure(float(period_mm), float(duty_cycle), nominal.size, nominal, err)
 
 
@@ -305,28 +305,22 @@ def _check_phase(largest_rad: float, inputs: str) -> None:
 
 
 def _check_monte_carlo(
-    period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
-    truncation_sigmas, max_attempts,
+    period_mm, duty_cycle, num_domains, sigma_z_grid_um, qpm_order=1, samples=1, reorder="allow"
 ):
     """Validated Monte Carlo inputs: (sigma values, nominal walls, operating
-    mismatch, detuning)."""
+    mismatch). The defaults, one sample under "allow", are the closed form's
+    (_wall_error_moments)."""
     nominal = nominal_boundaries_um(period_mm, duty_cycle, num_domains)
     sigmas = _check_array("sigma_z_grid_um", sigma_z_grid_um, lo=0.0, ndim=1).tolist()
     samples = _check_int("samples", samples, 1)
-    _check_int("max_attempts", max_attempts, 1)
     _check_cells("samples x sigma values", samples * len(sigmas))
     if reorder not in ("resample", "allow"):
         raise ValidationError("reorder must be 'resample' or 'allow'")
-    _check_real("truncation_sigmas", truncation_sigmas, above=0.0)
-    detuning = _check_real("detuning_rad_per_um", detuning_rad_per_um)
     dk = _check_int("qpm_order", qpm_order, 0) * 2.0 * np.pi / (float(period_mm) * 1e3)
-    # walls err by at most 2 trunc sigma: the truncation, then the row mean
+    # walls err by at most 2 * 3 sigma: the truncation, then the row mean
     sigma = max(sigmas, default=0.0)
-    _check_phase(
-        abs(dk) * (2.0 * truncation_sigmas * sigma) + abs(detuning) * float(nominal[-1]),
-        f"sigma_z_um {sigma:g} and detuning_rad_per_um {detuning:g}",
-    )
-    return sigmas, nominal, dk, detuning
+    _check_phase(abs(dk) * (2.0 * _TRUNCATION_SIGMAS * sigma), f"sigma_z_um {sigma:g}")
+    return sigmas, nominal, dk
 
 
 def _phasor_table() -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +406,7 @@ def _phasor_power(phi, work) -> np.ndarray:
     return _power(*_phasors(phi, work))
 
 
-def _step_plan(sigmas, detuning, num_domains) -> list:
+def _step_plan(sigmas, num_domains) -> list:
     """For each sigma of the grid, the step sigma_i - sigma_(i-1) by which a
     row block advances the previous sigma's phasors, or None where it
     evaluates the phases directly.
@@ -422,10 +416,10 @@ def _step_plan(sigmas, detuning, num_domains) -> list:
     evaluated once and reused while it repeats, and a step that repeats
     nowhere costs one table pass, as the direct evaluation does. Direct are
     also the anchors (index 0 and every _ANCHOR_EVERY-th after it), which
-    bound the rounding the steps accumulate; sigma 0 at zero detuning, whose
-    phasors are exactly 1; and every sigma of a grating of fewer than
-    _STEP_MIN_DOMAINS domains, whose few phasors average out too little of
-    that rounding to stay within the kernel's bound.
+    bound the rounding the steps accumulate; sigma 0, whose phasors are
+    exactly 1; and every sigma of a grating of fewer than _STEP_MIN_DOMAINS
+    domains, whose few phasors average out too little of that rounding to
+    stay within the kernel's bound.
     """
     if num_domains < _STEP_MIN_DOMAINS:
         return [None] * len(sigmas)
@@ -437,7 +431,7 @@ def _step_plan(sigmas, detuning, num_domains) -> list:
         ahead = None
         if i + 1 < len(sigmas) and (i + 1) % _ANCHOR_EVERY:
             ahead = sigmas[i + 1] - sigma
-        if anchor or (sigma == 0.0 and detuning == 0.0) or step not in (held, ahead):
+        if anchor or sigma == 0.0 or step not in (held, ahead):
             plan.append(None)
         else:
             plan.append(step)
@@ -445,14 +439,13 @@ def _step_plan(sigmas, detuning, num_domains) -> list:
     return plan
 
 
-def _phasor_cells(q, x, dk, offset, work) -> None:
-    """q = exp(-i (dk x + offset)) by the table kernel, for complex q and the
-    same-shaped x, both contiguous; x is overwritten with the phases. The
-    kernel runs on at most len(work[0]) cells at a time. It is elementwise,
-    so the cells give the bits of one whole-array pass, and its memory stays
-    that chunk's whatever the row length."""
+def _phasor_cells(q, x, dk, work) -> None:
+    """q = exp(-i dk x) by the table kernel, for complex q and the same-shaped
+    x, both contiguous; x is overwritten with the phases. The kernel runs on
+    at most len(work[0]) cells at a time. It is elementwise, so the cells
+    give the bits of one whole-array pass, and its memory stays that chunk's
+    whatever the row length."""
     x *= dk
-    x += offset
     q, phi = q.reshape(-1), x.reshape(-1)
     chunk = work.shape[1]
     for a in range(0, phi.size, chunk):
@@ -460,16 +453,16 @@ def _phasor_cells(q, x, dk, offset, work) -> None:
         _phasors(phi[cells], work[:, : min(chunk, phi.size - a)], (q.real[cells], q.imag[cells]))
 
 
-def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorder, max_attempts):
+def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, reorder):
     """eta of row block b, `rows` realizations, at every sigma of the grid, as
     a (len(sigmas), rows) array.
 
     z is drawn once from spawn_rng(seed, b) and sigma i takes the errors
     sigma * z (common random numbers), its crossing rows redrawn from
     spawn_rng(seed, b, i) under "resample" (_scaled_errors). A row that was
-    not redrawn thus has the phases Phi_i = dk sigma_i z + detuning z0, and
-    its phasors at sigma_i are those at sigma_(i-1) times the step phasors
-    exp(-i dk (sigma_i - sigma_(i-1)) z). Where plan (_step_plan) gives a
+    not redrawn thus has the phases Phi_i = dk sigma_i z, and its phasors at
+    sigma_i are those at sigma_(i-1) times the step phasors exp(-i dk
+    (sigma_i - sigma_(i-1)) z). Where plan (_step_plan) gives a
     step, the block multiplies by the step's phasors, evaluated once while
     the step repeats. It evaluates every row from its phases where plan
     gives no step, and also at a sigma where the block redrew a row, at that
@@ -478,8 +471,7 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorde
     holds no phasors. Runs only private code and numpy, so it may run on a
     worker thread.
     """
-    detune = detuning * nominal
-    z = _draw_z(spawn_rng(seed, b), rows, nominal.size, trunc)
+    z = _draw_z(spawn_rng(seed, b), rows, nominal.size)
     err = np.empty_like(z)
     if any(step is not None for step in plan):
         # the phasors at the last sigma and of the held step; the kernel runs
@@ -497,27 +489,24 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, detuning, trunc, reorde
     redrawn_before = False
     for i, (sigma, step) in enumerate(zip(sigmas, plan)):
         redrawn = False
-        if sigma == 0.0 and detuning == 0.0:  # every phasor is exactly 1
+        if sigma == 0.0:  # every phasor is exactly 1
             eta[i] = 1.0
             if q is not None:
                 q.fill(1.0)
         elif q is None:
-            err, _ = _scaled_errors(z, sigma, err, nominal, trunc, reorder, max_attempts, lambda: spawn_rng(seed, b, i))
+            err, _ = _scaled_errors(z, sigma, err, nominal, reorder, lambda: spawn_rng(seed, b, i))
             err *= dk  # the phases replace the errors in place
-            err += detune
             eta[i] = _phasor_power(err, work)
         else:
             if step is None or reorder == "resample":
-                err, redrawn_rows = _scaled_errors(
-                    z, sigma, err, nominal, trunc, reorder, max_attempts, lambda: spawn_rng(seed, b, i)
-                )
+                err, redrawn_rows = _scaled_errors(z, sigma, err, nominal, reorder, lambda: spawn_rng(seed, b, i))
                 redrawn = redrawn_rows.size > 0
             if step is None or redrawn or redrawn_before:
-                _phasor_cells(q, err, dk, detune, work)
+                _phasor_cells(q, err, dk, work)
             else:
                 if step != held:
                     np.multiply(z, step, out=err)  # this sigma's errors are not needed
-                    _phasor_cells(step_q, err, dk, 0.0, work)
+                    _phasor_cells(step_q, err, dk, work)
                     held = step
                 q *= step_q
             eta[i] = _power(q.real, q.imag)
@@ -546,22 +535,23 @@ def efficiency_samples(
     samples: int,
     seed: int = 0,
     qpm_order: int = 1,
-    detuning_rad_per_um: float = 0.0,
     reorder: str = "resample",
-    truncation_sigmas: float = _TRUNCATION_SIGMAS,
-    max_attempts: int = 1000,
 ) -> list[np.ndarray]:
     """eta for `samples` error realizations at each sigma of the grid, one
     array per sigma, in grid order.
 
-    The order-m operating mismatch is m * 2 pi / Lambda (zero for m = 0, whose
-    efficiency is then error-independent and identically 1 at zero detuning).
-    sigma_z_grid_um is a 1-D sequence of finite numbers >= 0. Inputs but the
-    seed (checked by spawn_rng) are validated on the calling thread; the row
-    blocks then run on a pool of threads (numpy releases the GIL in its draws
-    and array kernels). Block b draws z from spawn_rng(seed, b) and its
-    redraws at grid index i from spawn_rng(seed, b, i), whichever thread
-    evaluates it, so the result does not depend on the number of workers.
+    eta is evaluated at the order-m operating mismatch m * 2 pi / Lambda (zero
+    for m = 0, whose efficiency is then identically 1), with wall errors
+    sigma * z, z a unit Gaussian truncated to +/- 3 and centred per
+    realization. Under "resample" a row block redraws its realizations whose
+    walls cross, and gives up with a SolverError after 1000 rounds; under
+    "allow" the walls may cross. sigma_z_grid_um is a 1-D sequence of finite
+    numbers >= 0. Inputs but the seed (checked by spawn_rng) are validated
+    on the calling thread; the row blocks then run on a pool of threads
+    (numpy releases the GIL in its draws and array kernels). Block b draws z
+    from spawn_rng(seed, b) and its redraws at grid index i from
+    spawn_rng(seed, b, i), whichever thread evaluates it, so the result does
+    not depend on the number of workers.
 
     Along the grid a block steps its phasors (_block_eta): where sigma_i -
     sigma_(i-1) equals the step before it or after it, the phasors at sigma_i
@@ -569,10 +559,10 @@ def efficiency_samples(
     once while the step repeats (to the last bit: 0.1 * k for k <= 10 rounds
     some of its steps apart and steps 8 of its 11 sigma). The phases are
     evaluated directly at the first sigma and every 16th after it, at a step
-    that does not repeat, at sigma 0 without detuning (eta = 1 exactly), and
-    at every sigma of a grating of fewer than 8 domains; a row block that
-    redraws a realization at a sigma evaluates all its rows directly there
-    and at the next sigma. A grid with nothing to step, so every one-sigma
+    that does not repeat, at sigma 0 (eta = 1 exactly), and at every sigma
+    of a grating of fewer than 8 domains; a row block that redraws a
+    realization at a sigma evaluates all its rows directly there and at the
+    next sigma. A grid with nothing to step, so every one-sigma
     grid, runs the per-sigma table kernel and keeps its bits, and so does
     every directly evaluated sigma of a block. A stepped sigma's eta differs in
     the last digits, each step since the anchor adding its rounding; on the
@@ -580,19 +570,16 @@ def efficiency_samples(
     complex-exponential sum (up to 13.5 eps at 8 domains, 7 eps at 64 and
     more).
     """
-    sigmas, nominal, dk, detuning = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, qpm_order, detuning_rad_per_um, reorder,
-        truncation_sigmas, max_attempts,
+    sigmas, nominal, dk = _check_monte_carlo(
+        period_mm, duty_cycle, num_domains, sigma_z_grid_um, qpm_order, samples, reorder
     )
     eta = np.empty((len(sigmas), samples))
     blocks = _blocks(samples, nominal.size)
-    plan = _step_plan(sigmas, detuning, nominal.size)
+    plan = _step_plan(sigmas, nominal.size)
 
     def run(b):
         a, stop = blocks[b]
-        eta[:, a:stop] = _block_eta(
-            seed, b, stop - a, sigmas, plan, nominal, dk, detuning, truncation_sigmas, reorder, max_attempts
-        )
+        eta[:, a:stop] = _block_eta(seed, b, stop - a, sigmas, plan, nominal, dk, reorder)
 
     # one thread per CPU this process may use, at most one per block. When a
     # block raises, or the wait is interrupted, map's iterator cancels the
@@ -646,8 +633,8 @@ def _wall_error_moments(
     qpm_order: int = 1,
 ) -> list[dict]:
     """monte_carlo_efficiency's rows {"sigma_z_um", "mean_eta", "std_eta"}
-    from the exact moments of eta, for reorder="allow" at zero detuning and
-    the sampler's default truncation, _TRUNCATION_SIGMAS.
+    from the exact moments of eta, for the sampler's model under
+    reorder="allow".
 
     Subtracting the row mean is a common phase of the phasor sum, so eta =
     |S|^2 / N^2 with S the sum of N i.i.d. phasors exp(-i dk sigma u) (Fejer
@@ -665,9 +652,7 @@ def _wall_error_moments(
     or qpm_order 0, gives exactly (1.0, 0.0). Inputs are validated as
     efficiency_samples validates them, which keeps 6 dk sigma finite.
     """
-    sigmas, nominal, dk, _ = _check_monte_carlo(
-        period_mm, duty_cycle, num_domains, sigma_z_grid_um, 1, qpm_order, 0.0, "allow", _TRUNCATION_SIGMAS, 1
-    )
+    sigmas, nominal, dk = _check_monte_carlo(period_mm, duty_cycle, num_domains, sigma_z_grid_um, qpm_order)
     n = nominal.size
     s = dk * np.array(sigmas, dtype=float)
     p = _cf_deficit(s)  # 1 - a
@@ -692,19 +677,17 @@ def monte_carlo_efficiency(
     samples: int = 2000,
     seed: int = 0,
     qpm_order: int = 1,
-    detuning_rad_per_um: float = 0.0,
     reorder: str = "resample",
-    truncation_sigmas: float = _TRUNCATION_SIGMAS,
-    max_attempts: int = 1000,
 ) -> list[dict]:
     """Mean and spread of eta over fabrication-error realizations.
 
-    Returns one row per sigma value: {"sigma_z_um", "mean_eta", "std_eta"}.
-    The errors at each sigma are sigma * z for one truncated, row-centred
-    standard-normal draw z shared by the whole grid (common random numbers),
-    so the rows of different sigma are correlated and the eta(sigma) curve is
-    smoother than independent draws would give; each sigma keeps its own
-    distribution. Row block b draws from streams keyed by (seed, b), so a
+    Returns one row per sigma value: {"sigma_z_um", "mean_eta", "std_eta"},
+    from efficiency_samples, whose model this is. The errors at each sigma
+    are sigma * z for one truncated, row-centred standard-normal draw z
+    shared by the whole grid (common random numbers), so the rows of
+    different sigma are correlated and the eta(sigma) curve is smoother than
+    independent draws would give; each sigma keeps its own distribution.
+    Row block b draws from streams keyed by (seed, b), so a
     rerun with the same seed and grid reproduces every row exactly, whether
     the blocks run in parallel or not. Where the grid repeats a step, the
     rows are evaluated by stepping the phasors from sigma to sigma, as
@@ -714,16 +697,6 @@ def monte_carlo_efficiency(
     a one-sigma grid), equals the per-sigma evaluation bit for bit.
     """
     etas = efficiency_samples(
-        period_mm,
-        duty_cycle,
-        num_domains,
-        sigma_z_grid_um,
-        samples,
-        seed,
-        qpm_order=qpm_order,
-        detuning_rad_per_um=detuning_rad_per_um,
-        reorder=reorder,
-        truncation_sigmas=truncation_sigmas,
-        max_attempts=max_attempts,
+        period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, seed, qpm_order=qpm_order, reorder=reorder
     )
     return _efficiency_rows(sigma_z_grid_um, etas)

@@ -16,16 +16,22 @@ _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).m
 # Most cells (array elements) one grid or sample table may hold: 128 MB of
 # float64. A larger request is rejected before anything is allocated.
 _CELL_BUDGET = 1 << 24
+# For the float and the complex number rule: the numbers taken, what they are
+# called, and the ndarray dtype kinds taken.
+_NUMBERS = {float: (numbers.Real, "real", "iuf"), complex: (numbers.Complex, "complex", "iufc")}
 
 
-def _real(name: str, value) -> float:
+def _real(name: str, value, dtype: type = float) -> float | complex:
     """value as a float: an int, float or numpy number, not a bool, where an
-    int past the float range, which float() refuses, reads as +-inf. Anything
-    else (a string, even a numeric one, or None) is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    int past the float range, which float() refuses, reads as +-inf. With
+    dtype complex, a complex or numpy complex number is taken too, and the
+    value is a complex. Anything else (a string, even a numeric one, or None)
+    is a ValidationError."""
+    number, kind, _ = _NUMBERS[dtype]
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValidationError(f"{name} must be a {kind} number, got {value!r}")
     try:
-        return float(value)
+        return dtype(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
@@ -71,22 +77,24 @@ def _check_real(
     return x
 
 
-def _real_array(name: str, value, ndim: int | None = None) -> np.ndarray:
-    """value as a float array, its type and shape checked but not its values:
-    an ndarray of integers or floats, a real number as _real takes it, or a
-    rectangular nesting of lists and tuples of them, each entry checked as
-    given. Anything else, or another number of dimensions than a given ndim,
-    is a ValidationError that names the argument."""
+def _real_array(name: str, value, ndim: int | None = None, dtype: type = float) -> np.ndarray:
+    """value as a float array (with dtype complex, a complex one), its type
+    and shape checked but not its values: an ndarray of integers or floats
+    (or complex numbers), a number as _real takes it, or a rectangular
+    nesting of lists and tuples of them, each entry checked as given.
+    Anything else, or another number of dimensions than a given ndim, is a
+    ValidationError that names the argument."""
+    _, kind, dtype_kinds = _NUMBERS[dtype]
     if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iuf":  # a bool, a string (even a numeric one), a complex or an object
-            raise ValidationError(f"{name} must be a real number or an array of them, got {value!r}")
+        if value.dtype.kind not in dtype_kinds:  # a bool, a string (even a numeric one), an object, ...
+            raise ValidationError(f"{name} must be a {kind} number or an array of them, got {value!r}")
     elif isinstance(value, (list, tuple)):
-        value = [_real_array(name, v) for v in value]
+        value = [_real_array(name, v, dtype=dtype) for v in value]
         if len({v.shape for v in value}) > 1:
             raise ValidationError(f"{name} must be a rectangular array of numbers, got a ragged nesting")
     else:
-        value = _real(name, value)
-    arr = np.asarray(value, dtype=float)
+        value = _real(name, value, dtype)
+    arr = np.asarray(value, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{name} must be a {ndim}-D array of numbers, got {arr.ndim} dimensions")
     return arr
@@ -94,15 +102,17 @@ def _real_array(name: str, value, ndim: int | None = None) -> np.ndarray:
 
 def _check_array(
     name: str, value, lo: float | None = None, hi: float | None = None,
-    above: float | None = None, below: float | None = None, ndim: int | None = None,
+    above: float | None = None, below: float | None = None, ndim: int | None = None, dtype: type = float,
 ) -> np.ndarray:
-    """_real_array(name, value, ndim) with every value finite and within the
-    bounds of _check_real, whose messages it gives. Only the least and the
-    greatest value are tested: min and max propagate NaN."""
-    arr = _real_array(name, value, ndim)
+    """_real_array(name, value, ndim, dtype) with every value finite and
+    within the bounds of _check_real, whose messages it gives; a complex
+    array's real and imaginary parts each. Only the least and the greatest
+    value are tested: min and max propagate NaN."""
+    arr = _real_array(name, value, ndim, dtype)
     if arr.size:
-        _check_real(name, arr.min(), lo, hi, above, below)
-        _check_real(name, arr.max(), lo, hi, above, below)
+        for part in (arr.real, arr.imag) if dtype is complex else (arr,):
+            _check_real(name, part.min(), lo, hi, above, below)
+            _check_real(name, part.max(), lo, hi, above, below)
     return arr
 
 

@@ -1,7 +1,8 @@
 """The public surface and its argument rules.
 
-Every name a module exports resolves, and the set of exported names is
-pinned, so a change to the surface is deliberate. Every integer argument of
+Every name a module exports resolves, and the set of exported names and
+the parameter names of each exported callable are pinned, so a change to
+the surface is deliberate. Every integer argument of
 the library, seeds included, takes an int or a numpy integer and nothing
 else: a bool, a float (even an integral one), NaN, an infinity or an int
 past the float range is a ValidationError, never a truncation, a raw numpy
@@ -12,30 +13,27 @@ that names the argument. Every array argument takes an ndarray of integer
 or float dtype, or numbers and nested lists or tuples of them checked entry
 by entry by the real-number rule, and then its values, an ndarray's too, by
 the argument's bounds: a bad entry or value, a ragged nesting or a wrong
-number of dimensions is a ValidationError that names the argument. A
+number of dimensions is a ValidationError that names the argument. The
+state inputs take complex numbers by the same rule, both parts finite. A
 parameter annotated float must be one of those rows or a listed exemption.
 """
 
 import importlib
 import inspect
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coexpm import biphoton, countstats, dispersion, poling
+from coexpm import biphoton, countstats, dispersion, io, poling
 from coexpm import phasematch as pm
 from coexpm import spectrum as sp
-from coexpm.biphoton import AnalyzerSetting, bell_psi_plus, entanglement_vs_fabrication
+from coexpm.biphoton import (
+    AnalyzerSetting, DensityMatrix4, PolarizationState, bell_psi_plus, entanglement_vs_fabrication,
+)
 from coexpm.errors import ValidationError
 from coexpm.phasematch import NBPM_PROCESS, QPM_PROCESS, ProcessSpec
 from coexpm.util import _check_array, spawn_rng
-
-ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "coexpm": {"__version__"},
@@ -86,12 +84,125 @@ def test_every_public_name_resolves_and_the_surface_is_pinned(name):
     assert set(module.__all__) == PUBLIC[name]
 
 
-def _samples(
-    period_mm=2.0, duty_cycle=0.735, num_domains=8, samples=16, seed=0, qpm_order=1, max_attempts=1000, **kwargs
-):
+# The parameter names, in order, of every public callable but the error
+# classes, so a parameter cannot come or go without a change here.
+SIGNATURES = {
+    "coexpm.util": {"fwhm_of_profile": "x y", "sinc": "x", "spawn_rng": "seed key"},
+    "coexpm.dispersion": {
+        "CrystalDispersion": "crystal axis form coefficients thermo_form thermo_coefficients reference_temperature_c "
+        "valid_wavelength_um valid_temperature_c citation",
+        "available_entries": "",
+        "ktp_axes": "",
+        "load_dispersion": "crystal axis",
+        "refractive_index": "disp wavelength_um temperature_c",
+        "wavevector": "disp wavelength_um temperature_c",
+    },
+    "coexpm.phasematch": {
+        "PhaseMatchPoint": "pump_nm signal_nm idler_nm temperature_c qpm_order poling_period_mm residual_rad_per_um "
+        "near_degenerate",
+        "ProcessSpec": "pump_axis signal_axis idler_axis qpm_order temperature_c",
+        "degeneracy_pump_nm": "temperature_c bracket_nm",
+        "delta_k": "spec pump_nm signal_nm period_mm",
+        "period_sweep": "pump_nm_grid temperature_c",
+        "solve_coexistence": "pump_nm temperature_c",
+        "solve_nbpm": "spec pump_nm",
+        "solve_pump_for_period": "period_mm temperature_c pump_bracket_nm",
+        "solve_qpm": "spec pump_nm period_mm",
+    },
+    "coexpm.poling": {
+        "PolingStructure": "period_mm duty_cycle num_domains boundary_nominal_um boundary_error_um",
+        "conversion_efficiency": "structure delta_k_rad_per_um detuning_rad_per_um",
+        "efficiency_penalty": "duty_cycle",
+        "efficiency_ratio": "duty_cycle order",
+        "efficiency_samples": "period_mm duty_cycle num_domains sigma_z_grid_um samples seed qpm_order reorder",
+        "fourier_coefficient": "duty_cycle order",
+        "monte_carlo_efficiency": "period_mm duty_cycle num_domains sigma_z_grid_um samples seed qpm_order reorder",
+        "nominal_boundaries_um": "period_mm duty_cycle num_domains",
+        "realize_structure": "period_mm duty_cycle num_domains sigma_z_um seed reorder",
+        "solve_balanced_duty_cycle": "order",
+    },
+    "coexpm.spectrum": {
+        "SpectralGrid": "signal_nm idler_nm values",
+        "filter_kernel": "offsets_nm fwhm_nm kind",
+        "joint_spectral_density": "spec pump_nm signal_grid_nm idler_grid_nm length_mm filter_fwhm_nm period_mm "
+        "kernel ridge_oversample normalize",
+        "marginal_fwhm_nm": "grid axis",
+        "marginal_spectrum": "grid axis",
+        "peak_location": "grid",
+        "phase_matching_intensity": "spec pump_nm signal_nm length_mm period_mm",
+    },
+    "coexpm.biphoton": {
+        "AnalyzerSetting": "theta_signal_deg theta_idler_deg",
+        "DensityMatrix4": "matrix",
+        "PolarizationState": "amplitudes",
+        "TomographyResult": "rho method neg_log_likelihood flux iterations converged linear_inversion_nll",
+        "as_density_matrix": "state",
+        "bell_psi_plus": "",
+        "chsh_s": "state angles_deg",
+        "coincidence_probability": "state setting",
+        "concurrence": "state",
+        "correlation": "state theta_signal_deg theta_idler_deg",
+        "entanglement_vs_fabrication": "period_mm duty_cycle num_domains sigma_z_grid_um samples seed "
+        "relative_phase_rad reorder qpm_order",
+        "fidelity": "state target",
+        "purity": "state",
+        "reconstruct_state": "records subtract_accidentals",
+        "simulate_tomography_counts": "state pair_rate_hz integration_time_s seed accidental_rate_hz poisson settings",
+        "state_from_efficiencies": "r_birefringent r_grating relative_phase_rad",
+        "tomography_settings": "",
+        "werner_state": "p pure",
+    },
+    "coexpm.countstats": {
+        "CountRecord": "counts_signal counts_idler coincidences duration_s",
+        "HeraldedRecord": "counts_herald counts_herald_t1 counts_herald_t2 counts_triple duration_s",
+        "VisibilityFit": "visibility visibility_se mean_rate phase_deg",
+        "accidental_rate": "rate_signal rate_idler tau_c_s",
+        "alpha_2d": "record tau_c_s",
+        "alpha_3d": "record",
+        "apply_dead_time": "true_rate dead_time_s",
+        "brightness": "record pump_mw",
+        "correct_dead_time": "measured_rate dead_time_s",
+        "fit_visibility": "theta_deg rates",
+        "simulate_counts": "state settings pair_rate_hz integration_time_s seed singles_rate_s_hz singles_rate_i_hz "
+        "tau_c_s poisson",
+        "simulate_heralded": "pair_rate_hz duration_s tau_c_s seed eta_herald eta_target max_multiplicity",
+        "simulate_pair_stream": "pair_rate_hz duration_s tau_c_s seed eta_signal eta_idler background_rate_s_hz "
+        "background_rate_i_hz",
+        "subtract_accidentals": "record tau_c_s",
+    },
+    "coexpm.io": {
+        "config_digest": "config",
+        "density_matrix_from_dict": "payload",
+        "density_matrix_to_dict": "rho",
+        "format_float": "x",
+        "read_tomography_counts": "path",
+        "write_csv": "path header rows",
+        "write_json": "path payload",
+        "write_tomography_counts": "path records",
+    },
+    "coexpm.cli": {"main": "argv", "run": "argv"},
+}
+
+
+def _public_callables(module):
+    """(name, object) of each callable in module.__all__ but the error classes,
+    which have no signature to read."""
+    for attr in module.__all__:
+        obj = getattr(module, attr)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            yield attr, obj
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_public_signature_is_pinned(name):
+    module = importlib.import_module(name)
+    got = {attr: " ".join(inspect.signature(obj).parameters) for attr, obj in _public_callables(module)}
+    assert got == SIGNATURES.get(name, {})
+
+
+def _samples(period_mm=2.0, duty_cycle=0.735, num_domains=8, samples=16, seed=0, qpm_order=1, **kwargs):
     return poling.efficiency_samples(
-        period_mm, duty_cycle, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order,
-        max_attempts=max_attempts, **kwargs,
+        period_mm, duty_cycle, num_domains, [0.0, 400.0], samples, seed, qpm_order=qpm_order, **kwargs
     )
 
 
@@ -107,11 +218,9 @@ INTEGER_ARGUMENTS = {
     "solve_balanced_duty_cycle.order": (poling.solve_balanced_duty_cycle, 1, 1, None),
     "nominal_boundaries_um.num_domains": (lambda v: poling.nominal_boundaries_um(2.0, 0.7, v), 8, 2, None),
     "realize_structure.num_domains": (lambda v: _structure(num_domains=v), 8, 2, None),
-    "realize_structure.max_attempts": (lambda v: _structure(max_attempts=v), 1000, 1, None),
     "efficiency_samples.num_domains": (lambda v: _samples(num_domains=v), 8, 2, None),
     "efficiency_samples.samples": (lambda v: _samples(samples=v), 50, 1, None),
     "efficiency_samples.qpm_order": (lambda v: _samples(qpm_order=v), 3, 0, None),
-    "efficiency_samples.max_attempts": (lambda v: _samples(max_attempts=v), 1000, 1, None),
     "efficiency_samples.seed": (lambda v: _samples(seed=v), 7, 0, None),
     "ProcessSpec.qpm_order": (lambda v: ProcessSpec(qpm_order=v).qpm_order, 1, 0, None),
     "joint_spectral_density.ridge_oversample": (
@@ -215,15 +324,10 @@ REAL_ARGUMENTS = {
     "realize_structure.period_mm": (lambda v: _structure(period_mm=v), 2.0, (0.0, 1e308)),
     "realize_structure.duty_cycle": (lambda v: _structure(duty_cycle=v), 0.735, (0.0, 1.0)),
     "realize_structure.sigma_z_um": (lambda v: _structure(sigma_z_um=v), 400.0, (-1.0,)),
-    "realize_structure.truncation_sigmas": (lambda v: _structure(truncation_sigmas=v), 2.0, (0.0,)),
     "efficiency_samples.period_mm": (lambda v: _samples(period_mm=v), 2.0, (0.0, 1e308)),
     "efficiency_samples.duty_cycle": (lambda v: _samples(duty_cycle=v), 0.735, (0.0, 1.0)),
-    "efficiency_samples.truncation_sigmas": (lambda v: _samples(truncation_sigmas=v), 2.0, (0.0,)),
-    "efficiency_samples.detuning_rad_per_um": (lambda v: _samples(detuning_rad_per_um=v), 1e-4, ()),
     "monte_carlo_efficiency.period_mm": (lambda v: _mc(period_mm=v), 2.0, (0.0, 1e308)),
     "monte_carlo_efficiency.duty_cycle": (lambda v: _mc(duty_cycle=v), 0.735, (0.0, 1.0)),
-    "monte_carlo_efficiency.truncation_sigmas": (lambda v: _mc(truncation_sigmas=v), 2.0, (0.0,)),
-    "monte_carlo_efficiency.detuning_rad_per_um": (lambda v: _mc(detuning_rad_per_um=v), 1e-4, ()),
     "conversion_efficiency.delta_k_rad_per_um": (lambda v: poling.conversion_efficiency(_STRUCTURE, v), 3e-3, ()),
     "conversion_efficiency.detuning_rad_per_um": (
         lambda v: poling.conversion_efficiency(_STRUCTURE, 3e-3, v), 1e-4, (),
@@ -460,6 +564,89 @@ def test_the_array_rule_returns_a_float_array(value, want):
     np.testing.assert_array_equal(got, want)
 
 
+_PSI = [0.0, 1.0, 1.0, 0.0]
+_RHO = (np.eye(4) / 4.0).tolist()
+_NO_IMAG = np.zeros((4, 4)).tolist()
+# (call taking the complex array, a valid value, finite values outside its
+# bounds). The state inputs take complex numbers by the array rule; their
+# bounds keep the norm, the Hermitian check and the trace finite.
+COMPLEX_ARGUMENTS = {
+    "PolarizationState.amplitudes": (lambda v: PolarizationState(v).amplitudes, _PSI, ([1e200, 0.0, 0.0, 0.0],)),
+    "DensityMatrix4.matrix": (lambda v: DensityMatrix4(v).matrix, _RHO, (np.eye(4) * 1e308,)),
+    "as_density_matrix.state": (lambda v: biphoton.as_density_matrix(v).matrix, _PSI, ()),
+    "fidelity.target": (lambda v: biphoton.fidelity(_BELL, v), _PSI, ()),
+    # the payload's two parts are real arrays
+    "density_matrix_from_dict.real": (
+        lambda v: io.density_matrix_from_dict({"real": v, "imag": _NO_IMAG}).matrix, _RHO, (),
+    ),
+    "density_matrix_from_dict.imag": (
+        lambda v: io.density_matrix_from_dict({"real": _RHO, "imag": v}).matrix, _NO_IMAG, (),
+    ),
+}
+
+
+def _with_first(valid, entry):
+    """valid, a list or a nested list of numbers, with its first number replaced by entry."""
+    return [_with_first(valid[0], entry), *valid[1:]] if isinstance(valid, list) else entry
+
+
+def _bad_complex(valid, outside):
+    """What no state input takes, then what breaks this one's bounds."""
+    # each bad entry sits beside valid ones; a numeric string is rejected, not parsed
+    entries = [
+        "1", True, np.True_, None, math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0),
+    ]
+    return [
+        *(_with_first(valid, e) for e in entries),
+        # an ndarray's values are checked too, not only its dtype
+        *(np.array(_with_first(valid, e)) for e in (math.nan, math.inf, complex(0.0, math.nan))),
+        "x", None, np.array(valid).astype(str), np.array(valid, dtype=bool), *outside,
+    ]
+
+
+COMPLEX_CASES = [
+    pytest.param(name, value, id=f"{name}={value!r}".replace("\n", " "))
+    for name, (_, valid, outside) in COMPLEX_ARGUMENTS.items()
+    for value in _bad_complex(valid, outside)
+]
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning from a NaN or an overflow reaching numpy
+@pytest.mark.parametrize("name, value", COMPLEX_CASES)
+def test_state_inputs_take_only_finite_numbers(name, value):
+    call = COMPLEX_ARGUMENTS[name][0]
+    # the number rule's messages, not a shape check's ("density matrix must be 4x4")
+    with pytest.raises(ValidationError, match=rf"{name.split('.')[1]} must be (a |finite|[<>]=? )"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [1, 0.5, -2, 0],
+        (0.0, 1.0, 1.0j, 0.0),
+        [np.float32(0.3), np.complex64(0.5 - 0.25j), np.int64(1), 2.0],
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([0.6 + 0.1j, 0.0, 0.2j, -0.7], dtype=np.complex64),
+    ],
+)
+def test_a_valid_state_keeps_its_bits(value):
+    # against the amplitudes as numpy converts them, the conversion the
+    # states made before the rule
+    amp = np.asarray(value, dtype=complex)
+    assert PolarizationState(value).amplitudes.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
+    assert biphoton.as_density_matrix(value).matrix.tobytes() == PolarizationState(amp).density().matrix.tobytes()
+    assert biphoton.fidelity(_BELL, value) == biphoton.fidelity(_BELL, PolarizationState(amp))
+
+
+def test_a_valid_matrix_keeps_its_bits():
+    rows = [[0.5, 0, 0, 0.25j], [0, 0, 0, 0], [0, 0, 0, 0], [-0.25j, 0, 0, np.float32(0.5)]]
+    assert DensityMatrix4(rows).matrix.tobytes() == DensityMatrix4(np.asarray(rows, dtype=complex)).matrix.tobytes()
+    payload = io.density_matrix_to_dict(biphoton.werner_state(0.7))
+    rho = np.asarray(payload["real"], dtype=float) + 1j * np.asarray(payload["imag"], dtype=float)
+    assert io.density_matrix_from_dict(payload).matrix.tobytes() == DensityMatrix4(rho).matrix.tobytes()
+
+
 # Parameters annotated float that are not REAL_ARGUMENTS or ARRAY_ARGUMENTS rows, and why.
 REAL_EXEMPT = {
     # result records: the library fills them from checked inputs
@@ -472,11 +659,7 @@ def _float_parameters():
     in the pinned __all__ lists, and of every parameter at all."""
     floats, every = set(), set()
     for module_name in PUBLIC:
-        module = importlib.import_module(module_name)
-        for attr in module.__all__:
-            obj = getattr(module, attr)
-            if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
-                continue  # the error classes have no signature to read
+        for attr, obj in _public_callables(importlib.import_module(module_name)):
             for param in inspect.signature(obj).parameters.values():
                 every.add(f"{attr}.{param.name}")
                 if param.annotation in ("float", "float | None") and attr not in REAL_EXEMPT:
@@ -500,34 +683,3 @@ def test_sigma_grid_entries_are_checked_as_given(grid):
     # float() would parse the numeric string and take the bool as sigma = 1
     with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.efficiency_samples(2.0, 0.7, 8, grid, 3)
-
-
-# Walls of a 15 um grating at sigma = 50 um always cross, so a resampling
-# loop bounded by a non-finite max_attempts would never end: run it apart.
-_NON_FINITE_ATTEMPTS = """
-import sys
-from coexpm import poling
-from coexpm.errors import ValidationError
-
-bad = float(sys.argv[1])
-calls = (
-    lambda: poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=100, max_attempts=bad),
-    lambda: poling.realize_structure(0.015, 0.7, 64, sigma_z_um=50.0, max_attempts=bad),
-)
-for call in calls:
-    try:
-        call()
-    except ValidationError as exc:
-        print(exc)
-"""
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_non_finite_max_attempts_is_rejected_not_looped_on(bad):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", _NON_FINITE_ATTEMPTS, bad], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 2 and all("max_attempts must be an integer" in line for line in lines)

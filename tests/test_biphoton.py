@@ -120,6 +120,40 @@ def test_concurrence_of_random_pure_states_matches_closed_form():
         assert bp.concurrence(bp.PolarizationState(a)) == pytest.approx(want, abs=1e-12)
 
 
+# Psi+, Psi-, Phi+ and Phi- over HH, HV, VH, VV
+BELL_KETS = [np.array(v) / ROOT2 for v in ([0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1])]
+# The magic basis (Hill & Wootters, PRL 78, 5022 (1997)) as columns over HH,
+# HV, VH, VV: the maximally entangled states are its real combinations.
+MAGIC = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1j, 1j, 0], [0, 1, -1, 0]]).T / ROOT2
+
+
+def _closest_maximally_entangled_ket(rho):
+    """The maximally entangled state of largest fidelity with rho: the top
+    eigenvector of Re(M^dagger rho M), a real combination of the magic basis
+    M (Grondalski, Etlinger & James, PLA 300, 573 (2002))."""
+    _, vecs = np.linalg.eigh((MAGIC.conj().T @ rho @ MAGIC).real)
+    return MAGIC @ vecs[:, -1]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_bell_fidelity_is_bounded_by_the_concurrence(rank):
+    # F <= (1 + C) / 2 for every two-qubit state and every maximally
+    # entangled target (Verstraete & Verschelde, PRA 66, 022307 (2002)),
+    # with equality for pure states at the closest one. The states are
+    # random mixtures of `rank` random pure states.
+    rng = spawn_rng(41, rank)
+    for _ in range(300):
+        kets = [_random_pure_state(rng) for _ in range(rank)]
+        weights = rng.dirichlet(np.ones(rank))
+        rho = bp.DensityMatrix4(sum(p * np.outer(k, k.conj()) for p, k in zip(weights, kets)))
+        bound = (1.0 + bp.concurrence(rho)) / 2.0
+        closest = bp.fidelity(rho, _closest_maximally_entangled_ket(rho.matrix))
+        assert max(bp.fidelity(rho, bell) for bell in BELL_KETS) <= closest + 1e-12
+        assert closest <= bound + 1e-12
+        if rank == 1:
+            assert closest == pytest.approx(bound, abs=1e-12)
+
+
 def test_balanced_state_with_phase_has_unit_concurrence():
     st = bp.state_from_efficiencies(1.0, 1.0, relative_phase_rad=0.7)
     assert bp.concurrence(st) == pytest.approx(1.0, abs=1e-14)

@@ -254,17 +254,13 @@ def test_monte_carlo_mean_matches_analytic_expectation(period_mm, domains):
 @pytest.mark.parametrize("period_mm, domains", [(2.0, 8), (0.015, 1066)])
 def test_blocked_phasor_sum_equals_whole_array_sum(period_mm, domains):
     # 300 samples span several row blocks at 1066 domains
-    samples, sigma, detuning = 300, 10.0, 1e-4
-    [eta] = poling.efficiency_samples(
-        period_mm, 0.735, domains, [sigma], samples, 5, detuning_rad_per_um=detuning, reorder="allow"
-    )
+    samples, sigma = 300, 10.0
+    [eta] = poling.efficiency_samples(period_mm, 0.735, domains, [sigma], samples, 5, reorder="allow")
     rows = max(1, poling._BLOCK_CELLS // domains)
     z = np.concatenate([
-        _reference_z(spawn_rng(5, b), min(rows, samples - a), domains, 3.0)
-        for b, a in enumerate(range(0, samples, rows))
+        _reference_z(spawn_rng(5, b), min(rows, samples - a), domains) for b, a in enumerate(range(0, samples, rows))
     ])
-    nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
-    phi = 2.0 * math.pi / (period_mm * 1e3) * (sigma * z) + detuning * nominal
+    phi = 2.0 * math.pi / (period_mm * 1e3) * (sigma * z)
     whole = poling._phasor_power(phi, np.empty((4,) + phi.shape))  # one block
     assert np.array_equal(eta, whole)
 
@@ -296,10 +292,11 @@ def test_phasor_kernel_matches_complex_exp_at_table_nodes(offset):
     _assert_close_to_cexp(phi.reshape(1, -1))  # one sum over them all
 
 
-def test_resample_policy_gives_up_on_hopeless_geometry():
+def test_resample_policy_gives_up_on_hopeless_geometry(monkeypatch):
     # 50 um errors on a 15 um period cannot keep walls ordered
-    with pytest.raises(SolverError, match="use reorder='allow'"):
-        poling.realize_structure(0.015, 0.7, 32, sigma_z_um=50.0, seed=0, reorder="resample", max_attempts=5)
+    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 5)
+    with pytest.raises(SolverError, match="still unordered after 5 resampling rounds .*use reorder='allow'"):
+        poling.realize_structure(0.015, 0.7, 32, sigma_z_um=50.0, seed=0, reorder="resample")
 
 
 def test_allow_policy_keeps_the_raw_draw():
@@ -326,14 +323,14 @@ def test_validation():
         poling.solve_balanced_duty_cycle(0)
 
 
-def _reference_z(rng, rows, domains, trunc):
+def _reference_z(rng, rows, domains):
     """The sampler's draw, written plainly: the whole-array draw, masked
-    redraws of every out-of-bound cell, then a row-centred copy."""
+    redraws of every cell beyond +/- 3, then a row-centred copy."""
     z = rng.standard_normal((rows, domains))
-    bad = np.abs(z) > trunc
+    bad = np.abs(z) > 3.0
     while np.any(bad):
         z[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(z) > trunc
+        bad = np.abs(z) > 3.0
     return z - z.mean(axis=-1, keepdims=True)
 
 
@@ -341,44 +338,43 @@ def _is_ordered(walls):
     return (walls[:, 0] > 0.0) & np.all(np.diff(walls, axis=-1) > 0.0, axis=-1)
 
 
-def _reference_resampled(rng, z, sigma, nominal, trunc, max_attempts=1000):
+def _reference_resampled(rng, z, sigma, nominal):
     """sigma * z, with the crossing rows redrawn from rng as one stacked
-    array per round until every row is ordered."""
+    array per round until every row is ordered, in at most 1000 rounds."""
     err = sigma * z
     bad = ~_is_ordered(nominal + err)
-    for _ in range(max_attempts - 1):
+    for _ in range(999):
         if not np.any(bad):
             return err
-        err[bad] = sigma * _reference_z(rng, int(bad.sum()), nominal.size, trunc)
+        err[bad] = sigma * _reference_z(rng, int(bad.sum()), nominal.size)
         bad = ~_is_ordered(nominal + err)
     raise AssertionError("reference gave up")
 
 
-def _reference_phases(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
+def _reference_phases(period_mm, domains, sigmas, samples, z_rng, redraw_rng, reorder, qpm_order=1):
     """Yield (b, i, z, crossed, phi) from the block definition: block b draws
     z from z_rng(b), each sigma i takes sigma * z, redraws the rows that
-    crossed from redraw_rng(b, i) under "resample", and has the phases phi."""
+    crossed from redraw_rng(b, i) under "resample", and has the phases phi
+    at the operating mismatch qpm_order * 2 pi / period."""
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
-    dk = 2.0 * math.pi / (period_mm * 1e3)
+    dk = qpm_order * 2.0 * math.pi / (period_mm * 1e3)
     rows = max(1, poling._BLOCK_CELLS // domains)
     for b, a in enumerate(range(0, samples, rows)):
-        z = _reference_z(z_rng(b), min(rows, samples - a), domains, trunc)
+        z = _reference_z(z_rng(b), min(rows, samples - a), domains)
         for i, sigma in enumerate(sigmas):
             crossed = np.zeros(len(z), dtype=bool)
             err = sigma * z
             if reorder == "resample":
                 crossed = ~_is_ordered(nominal + err)
-                err = _reference_resampled(redraw_rng(b, i), z, sigma, nominal, trunc)
-            yield b, i, z, crossed, dk * err + detuning * nominal
+                err = _reference_resampled(redraw_rng(b, i), z, sigma, nominal)
+            yield b, i, z, crossed, dk * err
 
 
-def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc=3.0):
+def _reference_eta(period_mm, domains, sigmas, samples, z_rng, redraw_rng, reorder):
     """eta per sigma from the block definition (_reference_phases), each sigma
     summed on its own with _phasor_power."""
     etas = [[] for _ in sigmas]
-    for _, i, _, _, phi in _reference_phases(
-        period_mm, domains, sigmas, samples, z_rng, redraw_rng, detuning, reorder, trunc
-    ):
+    for _, i, _, _, phi in _reference_phases(period_mm, domains, sigmas, samples, z_rng, redraw_rng, reorder):
         etas[i].append(poling._phasor_power(phi, np.empty((4,) + phi.shape)))
     return [np.concatenate(e) for e in etas]
 
@@ -389,21 +385,21 @@ def _table_phasors(phi):
     return re + 1j * im
 
 
-def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, detuning, reorder, trunc=3.0):
+def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, reorder, qpm_order=1):
     """eta per sigma as the sampler steps the grid, written plainly on the
     block definition (_reference_phases, streams (seed, b) and (seed, b, i)).
     Where _step_plan gives a step and the block redrew no row at this sigma
     or the one before, a block's phasors are those of the sigma before times
     the step's phasors exp(-i dk step z); elsewhere they come from the
-    phases. sigma 0 at zero detuning has phasors 1."""
-    dk = 2.0 * math.pi / (period_mm * 1e3)
-    plan = poling._step_plan(sigmas, detuning, domains)
+    phases. sigma 0 has phasors 1."""
+    dk = qpm_order * 2.0 * math.pi / (period_mm * 1e3)
+    plan = poling._step_plan(sigmas, domains)
     etas = [[] for _ in sigmas]
     for _, i, z, crossed, phi in _reference_phases(
         period_mm, domains, sigmas, samples, lambda b: spawn_rng(seed, b), lambda b, i: spawn_rng(seed, b, i),
-        detuning, reorder, trunc,
+        reorder, qpm_order,
     ):
-        if sigmas[i] == 0.0 and detuning == 0.0:
+        if sigmas[i] == 0.0:
             q = np.ones(z.shape, dtype=complex)
         elif plan[i] is None or crossed.any() or crossed_before.any():
             q = _table_phasors(phi)
@@ -415,23 +411,22 @@ def _reference_stepped_eta(period_mm, domains, sigmas, samples, seed, detuning, 
     return [np.concatenate(e) for e in etas]
 
 
-def _reference_realization(period_mm, duty, domains, sigma, seed, trunc):
+def _reference_realization(period_mm, duty, domains, sigma, seed):
     """One row of block 0's draw, from spawn_rng(seed, 0), redrawn from
     spawn_rng(seed, 0, 0) until its walls are ordered."""
     nominal = poling.nominal_boundaries_um(period_mm, duty, domains)
-    z = _reference_z(spawn_rng(seed, 0), 1, domains, trunc)
-    return _reference_resampled(spawn_rng(seed, 0, 0), z, sigma, nominal, trunc)[0]
+    z = _reference_z(spawn_rng(seed, 0), 1, domains)
+    return _reference_resampled(spawn_rng(seed, 0, 0), z, sigma, nominal)[0]
 
 
 @pytest.mark.parametrize("redrawn", [1.0, 0.6], ids=["all-rows", "row-runs"])
-@pytest.mark.parametrize("trunc", [3.0, 0.5, 0.1])
 @pytest.mark.parametrize("shape", [(1, 8), (7, 130), (300, 1066)])
-def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
-    # trunc 0.5 and 0.1 keep only 38% and 8% of each round's draws, so the
-    # redraw loop runs for tens of rounds. The rows of the mask cross their
-    # walls and are redrawn in place into the sigma-scaled copy, in one round
-    # (redrawn errors stay within 2 trunc sigma, far below the 1 mm domains);
-    # the reference draws them as one stacked array.
+def test_in_place_draw_equals_the_whole_array_draw(monkeypatch, shape, redrawn):
+    # The rows of the mask cross their walls and are redrawn in place into
+    # the sigma-scaled copy, in one round (redrawn errors stay within 6
+    # sigma, far below the 1 mm domains); the reference draws them as one
+    # stacked array, cells beyond 3 sigma redrawn as the sampler redraws them.
+    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 2)
     rows, domains = shape
     mask = spawn_rng(8, rows).random(rows) < redrawn
     mask[0] = True
@@ -440,8 +435,8 @@ def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
     z[mask, 1] = z[mask, 0] - 60.0  # 20 * 60 um back: wall 2 before wall 1
     before = z.copy()
     got_rng, want_rng = spawn_rng(3, *shape), spawn_rng(3, *shape)
-    got, redrawn = poling._scaled_errors(z, 20.0, np.empty(shape), nominal, trunc, "resample", 2, lambda: got_rng)
-    want = 20.0 * _reference_z(want_rng, int(mask.sum()), domains, trunc)
+    got, redrawn = poling._scaled_errors(z, 20.0, np.empty(shape), nominal, "resample", lambda: got_rng)
+    want = 20.0 * _reference_z(want_rng, int(mask.sum()), domains)
     assert np.array_equal(redrawn, np.flatnonzero(mask))
     assert np.array_equal(got[mask], want)
     assert np.array_equal(got[~mask], 20.0 * before[~mask])
@@ -449,49 +444,40 @@ def test_in_place_draw_equals_the_whole_array_draw(shape, trunc, redrawn):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@pytest.mark.parametrize(
-    "period_mm, domains, samples, sigma, trunc",
-    [(2.0, 8, 2000, 400.0, 3.0), (0.015, 1066, 300, 0.9, 3.0), (0.015, 130, 500, 1.5, 0.5)],
-)
-def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samples, sigma, trunc):
+@pytest.mark.parametrize("period_mm, domains, samples, sigma", [(2.0, 8, 2000, 400.0), (0.015, 1066, 300, 0.9)])
+def test_resampled_errors_equal_the_stacked_redraw_loop(period_mm, domains, samples, sigma):
     nominal = poling.nominal_boundaries_um(period_mm, 0.735, domains)
-    z = _reference_z(spawn_rng(5), samples, domains, trunc)
+    z = _reference_z(spawn_rng(5), samples, domains)
     before = z.copy()
     got_rng, want_rng = spawn_rng(6), spawn_rng(6)
-    got, redrawn = poling._scaled_errors(
-        z, sigma, np.empty_like(z), nominal, trunc, "resample", 1000, lambda: got_rng
-    )
-    want = _reference_resampled(want_rng, z, sigma, nominal, trunc)
+    got, redrawn = poling._scaled_errors(z, sigma, np.empty_like(z), nominal, "resample", lambda: got_rng)
+    want = _reference_resampled(want_rng, z, sigma, nominal)
     assert np.array_equal(redrawn, np.flatnonzero(~_is_ordered(nominal + sigma * z)))
     assert np.array_equal(got, want)
     assert np.array_equal(z, before)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@pytest.mark.parametrize(
-    "period_mm, domains, sigma, trunc",
-    [(2.0, 8, 30.0, 3.0), (2.0, 8, 400.0, 3.0), (0.015, 64, 1.5, 3.0), (0.015, 64, 1.5, 0.5)],
-)
-def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, sigma, trunc):
+@pytest.mark.parametrize("period_mm, domains, sigma", [(2.0, 8, 30.0), (2.0, 8, 400.0), (0.015, 64, 1.5)])
+def test_realize_structure_draws_like_its_own_resample_loop(period_mm, domains, sigma):
     # sigma 400 um on 2 mm and 1.5 um on 15 um make walls cross, so these
     # realizations are resampled
-    got = poling.realize_structure(
-        period_mm, 0.735, domains, sigma_z_um=sigma, seed=17, truncation_sigmas=trunc
-    ).boundary_error_um
-    assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, sigma, 17, trunc))
+    got = poling.realize_structure(period_mm, 0.735, domains, sigma_z_um=sigma, seed=17).boundary_error_um
+    assert np.array_equal(got, _reference_realization(period_mm, 0.735, domains, sigma, 17))
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
-@pytest.mark.parametrize("detuning", [0.0, 1e-4])
+@pytest.mark.parametrize("qpm_order", [1, 3])
 @pytest.mark.parametrize("reorder", ["resample", "allow"])
 @pytest.mark.parametrize("period_mm, domains, sigma", [(2.0, 8, 400.0), (0.015, 64, 1.5), (0.015, 1066, 1.2)])
-def test_realization_is_the_one_sample_monte_carlo(period_mm, domains, sigma, reorder, detuning, seed):
+def test_realization_is_the_one_sample_monte_carlo(period_mm, domains, sigma, reorder, qpm_order, seed):
     # each sigma makes the walls of some seeds cross, so "resample" redraws;
-    # seed None means 0
+    # seed None means 0. The sampler evaluates at the order's operating
+    # mismatch qpm_order * 2 pi / period.
     structure = poling.realize_structure(period_mm, 0.735, domains, sigma_z_um=sigma, seed=seed, reorder=reorder)
-    got = poling.conversion_efficiency(structure, 2.0 * math.pi / (period_mm * 1e3), detuning)
+    got = poling.conversion_efficiency(structure, qpm_order * 2.0 * math.pi / (period_mm * 1e3))
     [[want]] = poling.efficiency_samples(
-        period_mm, 0.735, domains, [sigma], 1, seed, detuning_rad_per_um=detuning, reorder=reorder
+        period_mm, 0.735, domains, [sigma], 1, seed, qpm_order=qpm_order, reorder=reorder
     )
     assert got == want
 
@@ -504,7 +490,6 @@ def grid_cpus(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("detuning", [0.0, 1e-4])
 @pytest.mark.parametrize(
     "period_mm, domains, reorder, sigmas",
     [
@@ -516,13 +501,14 @@ def grid_cpus(request, monkeypatch):
         (0.015, 1066, "allow", [0.0, 2.5, 5.0, 7.5, 10.0, 11.0, 12.0, 13.0]),
     ],
 )
-def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, detuning):
+@pytest.mark.parametrize("qpm_order", [1, 3])
+def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, qpm_order):
     # The threaded grid equals the stepped block definition evaluated
     # serially, one block after another, on the streams (seed, b) and
-    # (seed, b, i). 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of
-    # 7 at 1066.
+    # (seed, b, i), at the first and the third order's operating mismatch.
+    # 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of 7 at 1066.
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
-    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, detuning)
+    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, qpm_order)
 
 
 @pytest.mark.parametrize(
@@ -542,15 +528,13 @@ def test_small_kernel_chunks_equal_serial_efficiency_samples(
     # chunk at a time, at 8 domains and at 1066
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     monkeypatch.setattr(poling, "_CHUNK_CELLS", 1 << 10)
-    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, 1e-4)
+    _assert_grid_equals_serial(period_mm, domains, reorder, sigmas)
 
 
-def _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, detuning):
+def _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, qpm_order=1):
     samples = 300 if domains > 8 else 2000
-    grid = poling.efficiency_samples(
-        period_mm, 0.735, domains, sigmas, samples, 9, detuning_rad_per_um=detuning, reorder=reorder
-    )
-    want = _reference_stepped_eta(period_mm, domains, sigmas, samples, 9, detuning, reorder)
+    grid = poling.efficiency_samples(period_mm, 0.735, domains, sigmas, samples, 9, qpm_order=qpm_order, reorder=reorder)
+    want = _reference_stepped_eta(period_mm, domains, sigmas, samples, 9, reorder, qpm_order)
     assert len(grid) == len(sigmas)
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(grid[idx], want[idx]), sigma
@@ -574,58 +558,55 @@ def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not worker.is_alive() and len(result) == 1
-    want = _reference_stepped_eta(0.1, 130, sigmas, 40, 4, 0.0, "allow")
+    want = _reference_stepped_eta(0.1, 130, sigmas, 40, 4, "allow")
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(result[0][idx], want[idx]), sigma
 
 
 @pytest.mark.parametrize(
-    "sigmas, detuning, domains, plan",
+    "sigmas, domains, plan",
     [
         # the default montecarlo grid: sigma 0 has phasors 1, then one step
-        ([10.0 * k for k in range(11)], 0.0, 1066, [None] + [10.0] * 10),
-        ([10.0 * k for k in range(11)], 1e-4, 8, [None] + [10.0] * 10),
+        ([10.0 * k for k in range(11)], 1066, [None] + [10.0] * 10),
+        ([10.0 * k for k in range(11)], 8, [None] + [10.0] * 10),
         # anchors at index 0, 16 and 32
-        ([float(k) for k in range(40)], 0.0, 8, [None] + [1.0] * 15 + [None] + [1.0] * 15 + [None] + [1.0] * 7),
+        ([float(k) for k in range(40)], 8, [None] + [1.0] * 15 + [None] + [1.0] * 15 + [None] + [1.0] * 7),
         # a step is taken where it repeats, before or after
-        ([1.0, 2.0, 4.0, 8.0], 0.0, 130, [None] * 4),
-        ([0.0, 0.3, 0.6, 0.9], 0.0, 1066, [None, 0.3, 0.3, None]),  # 0.9 - 0.6 is not 0.3
-        ([0.0, 1.0, 2.0, 4.0, 6.0, 7.0], 0.0, 1066, [None, 1.0, 1.0, 2.0, 2.0, None]),
-        ([5.0, 0.0, 5.0, 10.0], 0.0, 8, [None, None, 5.0, 5.0]),
-        ([5.0, 0.0, 5.0, 10.0], 1e-4, 8, [None, None, 5.0, 5.0]),
-        ([5.0, 0.0, 5.0, 0.0, 5.0], 1e-4, 8, [None] * 5),
+        ([1.0, 2.0, 4.0, 8.0], 130, [None] * 4),
+        ([0.0, 0.3, 0.6, 0.9], 1066, [None, 0.3, 0.3, None]),  # 0.9 - 0.6 is not 0.3
+        ([0.0, 1.0, 2.0, 4.0, 6.0, 7.0], 1066, [None, 1.0, 1.0, 2.0, 2.0, None]),
+        ([5.0, 0.0, 5.0, 10.0], 8, [None, None, 5.0, 5.0]),
+        ([5.0, 0.0, 5.0, 0.0, 5.0], 8, [None] * 5),
         # fewer than 8 domains: every sigma directly
-        ([10.0 * k for k in range(11)], 0.0, 6, [None] * 11),
-        ([10.0 * k for k in range(11)], 1e-4, 2, [None] * 11),
-        ([], 0.0, 8, []),
+        ([10.0 * k for k in range(11)], 6, [None] * 11),
+        ([10.0 * k for k in range(11)], 2, [None] * 11),
+        ([], 8, []),
     ],
 )
-def test_step_plan(sigmas, detuning, domains, plan):
-    assert poling._step_plan(sigmas, detuning, domains) == plan
+def test_step_plan(sigmas, domains, plan):
+    assert poling._step_plan(sigmas, domains) == plan
 
 
-def _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, reorder):
+def _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, reorder):
     """The stepped grid against the complex exponential of the block
     definition's phases, within the table kernel's bound 16 eps * max(1,
     |Phi|) for each sigma. The rows a block evaluates whole, where the plan
     gives no step or the block redrew a row at this sigma or the one before,
     equal the per-sigma kernel (_reference_eta) bit for bit."""
     eps = np.finfo(float).eps
-    grid = poling.efficiency_samples(
-        period_mm, 0.735, domains, sigmas, samples, 3, detuning_rad_per_um=detuning, reorder=reorder
-    )
+    grid = poling.efficiency_samples(period_mm, 0.735, domains, sigmas, samples, 3, reorder=reorder)
     keys = (lambda b: spawn_rng(3, b), lambda b, i: spawn_rng(3, b, i))
-    plan = poling._step_plan(sigmas, detuning, domains)
+    plan = poling._step_plan(sigmas, domains)
     want = [[] for _ in sigmas]
     whole = [[] for _ in sigmas]
     largest = np.ones(len(sigmas))
-    for _, i, z, crossed, phi in _reference_phases(period_mm, domains, sigmas, samples, *keys, detuning, reorder):
+    for _, i, z, crossed, phi in _reference_phases(period_mm, domains, sigmas, samples, *keys, reorder):
         want[i].append(np.abs(np.exp(-1j * phi).mean(axis=-1)) ** 2)
         largest[i] = max(largest[i], np.max(np.abs(phi)))
         evaluated_whole = plan[i] is None or crossed.any() or crossed_before.any()
         whole[i].append(np.full(len(z), evaluated_whole))
         crossed_before = crossed
-    per_sigma = _reference_eta(period_mm, domains, sigmas, samples, *keys, detuning, reorder)
+    per_sigma = _reference_eta(period_mm, domains, sigmas, samples, *keys, reorder)
     for i in range(len(sigmas)):
         assert np.max(np.abs(grid[i] - np.concatenate(want[i]))) <= 16 * eps * largest[i], sigmas[i]
         rows = np.concatenate(whole[i])
@@ -633,25 +614,25 @@ def _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, re
 
 
 @pytest.mark.parametrize(
-    "period_mm, domains, sigmas, samples, detuning, reorder",
+    "period_mm, domains, sigmas, samples, reorder",
     [
-        (0.015, 1066, [0.5 * k for k in range(200)], 61, 0.0, "allow"),
-        (2.0, 8, [5.0 * k for k in range(200)], 500, 1e-4, "allow"),
+        (0.015, 1066, [0.5 * k for k in range(200)], 61, "allow"),
+        (2.0, 8, [5.0 * k for k in range(200)], 500, "allow"),
         # runs of repeated steps between steps that do not repeat
-        (0.015, 1066, [0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 4.5, 7.0, 10.0, 13.0, 13.25, 20.0, 30.0], 100, 1e-4, "allow"),
+        (0.015, 1066, [0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 4.5, 7.0, 10.0, 13.0, 13.25, 20.0, 30.0], 100, "allow"),
         # about 60% of the rows cross their walls at 1 um and are redrawn
-        (0.015, 1066, [0.125 * k for k in range(9)], 100, 0.0, "resample"),
-        (2.0, 8, [25.0 * k for k in range(24)], 2000, 1e-4, "resample"),
+        (0.015, 1066, [0.125 * k for k in range(9)], 100, "resample"),
+        (2.0, 8, [25.0 * k for k in range(24)], 2000, "resample"),
         # below 8 domains every sigma is evaluated directly: stepped, nothing
         # would average the rounding that 15 steps since an anchor add up
         # (about 27 eps at 2 domains on this grid)
-        (2.0, 2, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
-        (2.0, 4, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
-        (2.0, 6, [0.25 * k for k in range(200)], 500, 0.0, "allow"),
+        (2.0, 2, [0.25 * k for k in range(200)], 500, "allow"),
+        (2.0, 4, [0.25 * k for k in range(200)], 500, "allow"),
+        (2.0, 6, [0.25 * k for k in range(200)], 500, "allow"),
     ],
 )
-def test_stepped_grid_stays_within_the_kernel_bound(period_mm, domains, sigmas, samples, detuning, reorder):
-    _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, detuning, reorder)
+def test_stepped_grid_stays_within_the_kernel_bound(period_mm, domains, sigmas, samples, reorder):
+    _assert_grid_close_to_cexp(period_mm, domains, sigmas, samples, reorder)
 
 
 def _truncated_gaussian_std(period_mm, domains, sigma):
@@ -787,7 +768,7 @@ def test_monte_carlo_std_matches_analytic_expectation(period_mm, domains, sigmas
     # std s is sqrt((m4 - s^4) / n) / (2 s), from the samples' own moments
     samples = 2000
     etas = poling.efficiency_samples(period_mm, 0.735, domains, sigmas, samples, 42, reorder="allow")
-    assert poling._step_plan(sigmas, 0.0, domains)[2:] == [sigmas[1]] * 9
+    assert poling._step_plan(sigmas, domains)[2:] == [sigmas[1]] * 9
     for sigma, eta in zip(sigmas[1:], etas[1:]):
         s = eta.std(ddof=1)
         m4 = np.mean((eta - eta.mean()) ** 4)
@@ -795,15 +776,15 @@ def test_monte_carlo_std_matches_analytic_expectation(period_mm, domains, sigmas
         assert abs(s - _truncated_gaussian_std(period_mm, domains, sigma)) < 4.0 * standard_error, sigma
 
 
-def test_zero_sigma_at_zero_detuning_is_exactly_one():
-    [eta] = poling.efficiency_samples(0.015, 0.735, 1066, [0.0], 50)
-    assert eta.tobytes() == np.ones(50).tobytes()
-    [detuned] = poling.efficiency_samples(0.015, 0.735, 1066, [0.0], 50, detuning_rad_per_um=1e-3)
-    assert np.all(detuned < 1.0)
+def test_zero_sigma_is_exactly_one():
+    for reorder in ("resample", "allow"):
+        for eta in poling.efficiency_samples(0.015, 0.735, 1066, [0.0, 1.0, 0.0], 50, reorder=reorder)[::2]:
+            assert eta.tobytes() == np.ones(50).tobytes()
 
 
 def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
     raised_on = []
     scaled_errors = poling._scaled_errors
 
@@ -817,16 +798,17 @@ def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(poling, "_scaled_errors", recording)
     # 50 um errors on a 15 um period: every realization crosses its walls
     with pytest.raises(SolverError, match=r"still unordered after 3 resampling rounds .*use reorder='allow'"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [0.5, 50.0], samples=20, max_attempts=3)
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [0.5, 50.0], samples=20)
     assert raised_on and threading.main_thread() not in raised_on
 
 
-def test_hopeless_resample_error_counts_the_realizations_of_one_row_block():
+def test_hopeless_resample_error_counts_the_realizations_of_one_row_block(monkeypatch):
     # 5000 samples of 64 domains run in row blocks of 1024; the first block fails
+    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
     rows = poling._blocks(5000, 64)[0][1]
     assert rows == 1024
     with pytest.raises(SolverError, match=rf"^{rows} of the {rows} realizations of a row block still unordered"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=5000, max_attempts=3)
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=5000)
 
 
 def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
@@ -836,6 +818,7 @@ def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
     # So block 3 can only start if the error leaves it queued.
     monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 5 * 64)
+    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
     started = []
     second_started, release = threading.Event(), threading.Event()
 
@@ -858,7 +841,7 @@ def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
     monkeypatch.setattr(poling, "ThreadPoolExecutor", ReleasingPool)
     # 50 um errors on a 15 um period: every realization crosses its walls
     with pytest.raises(SolverError, match=r"sigma_z = 50\.0 um"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=20, max_attempts=3)
+        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=20)
     assert {0, 1} <= set(started)
     assert 3 not in started
 
@@ -962,39 +945,30 @@ def test_realized_sigma_must_be_a_number(sigma):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_sigma_and_detuning_are_rejected(bad):
+def test_non_finite_sigma_is_rejected(bad):
     with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.efficiency_samples(2.0, 0.735, 8, [bad], 10)
     with pytest.raises(ValidationError, match="sigma_z_grid_um"):
         poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0, bad], samples=10)
     with pytest.raises(ValidationError, match="sigma_z_um"):
         poling.realize_structure(2.0, 0.735, 8, sigma_z_um=bad)
-    with pytest.raises(ValidationError, match="detuning"):
-        poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, detuning_rad_per_um=bad)
-    with pytest.raises(ValidationError, match="detuning"):
-        poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=bad)
 
 
 @pytest.mark.filterwarnings("error")  # no overflow warning, no NaN row
 def test_huge_detuning_raises_or_stays_finite():
     # the phase at the last wall, 8000 um, overflows the float range (or its
     # count of table steps does) at the first two detunings
-    for detuning in (1e305, -1e303):
-        with pytest.raises(ValidationError, match="detuning"):
-            poling.monte_carlo_efficiency(2.0, 0.735, 8, [10.0], samples=10, detuning_rad_per_um=detuning)
     structure = poling.realize_structure(2.0, 0.735, 8, sigma_z_um=10.0, seed=1)
     for detuning in (1e305, -1e303, math.nan):
         with pytest.raises(ValidationError, match="detuning"):
             poling.conversion_efficiency(structure, 3e-3, detuning)
     # phases up to 8e17 rad: every table index is reduced before its cast
-    for eta in poling.efficiency_samples(2.0, 0.735, 8, [0.0, 10.0], 50, detuning_rad_per_um=1e14):
-        assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
     assert 0.0 <= poling.conversion_efficiency(structure, 3e-3, 1e14) <= 1.0
 
 
 @pytest.mark.filterwarnings("error")  # no overflow warning, no NaN row
 def test_huge_sigma_raises_before_any_draw(monkeypatch):
-    # 2 trunc sigma dk overflows the phase's table steps; at order 0 (dk = 0)
+    # 6 sigma dk overflows the phase's table steps; at order 0 (dk = 0)
     # the wall errors themselves overflow
     spawned = []
     monkeypatch.setattr(poling, "spawn_rng", lambda *key: spawned.append(key) or spawn_rng(*key))
@@ -1009,13 +983,3 @@ def test_huge_sigma_raises_before_any_draw(monkeypatch):
     # the largest sigma the phase bound takes still gives a finite eta
     [eta] = poling.efficiency_samples(2.0, 0.735, 8, [1e300], 3, reorder="allow")
     assert np.all(np.isfinite(eta) & (eta >= 0.0) & (eta <= 1.0))
-
-
-def test_non_positive_truncation_is_rejected():
-    # a zero bound would redraw every cell forever; an infinite one leaves
-    # the largest phase unbounded
-    for trunc in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="truncation_sigmas"):
-            poling.efficiency_samples(2.0, 0.735, 8, [10.0], 10, truncation_sigmas=trunc)
-        with pytest.raises(ValidationError, match="truncation_sigmas"):
-            poling.realize_structure(2.0, 0.735, 8, sigma_z_um=10.0, truncation_sigmas=trunc)

@@ -148,6 +148,32 @@ def test_filter_broadens_the_marginals(nbpm, design_point):
     assert all(a < b for a, b in zip(widths, widths[1:]))
 
 
+@pytest.mark.parametrize("pump_nm, length_mm", [(538.4, 8.0), (532.0, 20.0)])
+def test_filtered_marginal_tends_to_the_ridge_and_to_the_filter(nbpm, pump_nm, length_mm):
+    # The idler kernel integrates out of the signal marginal, which is the
+    # ridge convolved with the signal filter. So its FWHM tends to the
+    # ridge's as the filter narrows, the gap falling as (f / w)^2, and to the
+    # filter's as it widens, the gap falling as w / f (the sinc^2 tails).
+    pt = pm.solve_nbpm(nbpm, pump_nm)
+    ridge = pt.signal_nm + np.linspace(-5.0, 5.0, 200_001)
+    w = fwhm_of_profile(ridge, sp.phase_matching_intensity(nbpm, pump_nm, ridge, length_mm))
+
+    def gap(ratio, limit):
+        f = ratio * w
+        step = min(w, f) / 8.0
+        sgrid = _centered_grid(pt.signal_nm, 3.0 * max(w, f), step)
+        igrid = _centered_grid(pt.idler_nm, 3.0 * max(w, f), step)
+        grid = sp.joint_spectral_density(
+            nbpm, pump_nm, sgrid, igrid, length_mm, filter_fwhm_nm=f, ridge_oversample=4
+        )
+        return abs(sp.marginal_fwhm_nm(grid, "signal") / limit(f) - 1.0)
+
+    narrowing = [gap(ratio, lambda f: w) for ratio in (0.4, 0.2, 0.1)]
+    widening = [gap(ratio, lambda f: f) for ratio in (4.0, 8.0, 16.0)]
+    assert all(b < 0.3 * a for a, b in zip(narrowing, narrowing[1:])) and narrowing[-1] < 5e-3, narrowing
+    assert all(b < 0.6 * a for a, b in zip(widening, widening[1:])) and widening[-1] < 1.5e-2, widening
+
+
 def test_green_pumped_pair_linewidth(nbpm):
     # 532 nm pump, 8 mm crystal: the unfiltered signal line is in the
     # nanometre class (narrow for a bulk source but resolvable)
