@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
 from .poling import efficiency_ratio, efficiency_samples
-from .util import _POISSON_MEAN_MAX, _check_array, _check_real, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_array, _check_real, _check_text, spawn_rng
 
 __all__ = [
     "PolarizationState",
@@ -165,10 +165,13 @@ def bell_psi_plus() -> PolarizationState:
 
 
 def werner_state(p: float, pure: PolarizationState | None = None) -> DensityMatrix4:
-    """p |psi><psi| + (1-p) I/4 (white-noise admixture model)."""
+    """p |psi><psi| + (1-p) I/4 (white-noise admixture model); psi is pure,
+    a PolarizationState or its four amplitudes, and Psi+ when None."""
     p = _check_real("p", p, 0.0, 1.0)
     if pure is None:
         pure = bell_psi_plus()
+    elif not isinstance(pure, PolarizationState):
+        pure = PolarizationState(_check_array("pure", pure, dtype=complex))
     rho = p * pure.density().matrix + (1.0 - p) * np.eye(4) / 4.0
     return DensityMatrix4(rho)
 
@@ -360,6 +363,14 @@ def _label_ket(label_signal: str, label_idler: str) -> np.ndarray:
         raise ValidationError(f"unknown analyzer label {exc.args[0]!r}; use H/V/D/A/R/L") from None
 
 
+def _setting_pair(setting) -> tuple[str, str]:
+    """A (signal, idler) pair of analyzer labels as given; anything else is a
+    ValidationError naming settings."""
+    if not isinstance(setting, (tuple, list)) or len(setting) != 2:
+        raise ValidationError(f"settings must hold (signal, idler) label pairs, got {setting!r}")
+    return _check_text("settings", setting[0]), _check_text("settings", setting[1])
+
+
 def simulate_tomography_counts(
     state,
     pair_rate_hz: float,
@@ -375,7 +386,7 @@ def simulate_tomography_counts(
     counts. Accidentals add a flat accidental_rate_hz to every setting.
     Setting k draws from the stream spawn_rng(seed, k); seed None means 0.
     """
-    settings = tomography_settings() if settings is None else list(settings)
+    settings = tomography_settings() if settings is None else [_setting_pair(s) for s in settings]
     kets = [_label_ket(*s) for s in settings]
     counts = _analyzer_counts(
         state, kets, pair_rate_hz, integration_time_s, seed, poisson, accidental_rate_hz
@@ -485,7 +496,9 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     settings must determine the state: their projectors must span all 16
     dimensions of the 4x4 Hermitian matrices.
     """
-    labels = [(r["setting_signal"].upper(), r["setting_idler"].upper()) for r in records]
+    if not records:
+        raise ValidationError("records must hold the tomography settings, got none")
+    labels = [tuple(_check_text(k, r[k]).upper() for k in ("setting_signal", "setting_idler")) for r in records]
     kets = np.array([_label_ket(s, i) for s, i in labels])
     # row k is conj(P_k) flattened, P_k = |k><k|: p_k = Re(amat @ vec(rho)) = Tr(P_k rho)
     amat = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(-1, 16)

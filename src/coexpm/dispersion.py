@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .util import _real_array
+from .util import _check_text, _real_array
 
 __all__ = [
     "CrystalDispersion",
@@ -72,6 +72,7 @@ def available_entries() -> list[tuple[str, str]]:
 
 def load_dispersion(crystal: str, axis: str) -> CrystalDispersion:
     """Load one axis of a crystal from the bundled coefficient table."""
+    crystal, axis = _check_text("crystal", crystal), _check_text("axis", axis)
     for e in _load_table():
         if e["crystal"].lower() == crystal.lower() and e["axis"].lower() == axis.lower():
             return CrystalDispersion(

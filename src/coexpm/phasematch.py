@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .dispersion import _wavevector, ktp_axes, wavevector
 from .errors import SolverError, ValidationError
-from .util import _check_array, _check_int, _check_real
+from .util import _check_array, _check_int, _check_real, _check_text
 
 __all__ = [
     "ProcessSpec",
@@ -62,9 +62,9 @@ _SIGNAL_XTOL_NM = 1e-13
 _SIGNAL_MAXITER = 200
 
 
-def _axis(label: str) -> str:
+def _axis(name: str, label: str) -> str:
     try:
-        return _AXIS_ALIASES[label.lower()]
+        return _AXIS_ALIASES[_check_text(name, label).lower()]
     except KeyError:
         raise ValidationError(f"unknown polarization axis {label!r}; use y/z (or H/V)") from None
 
@@ -80,9 +80,8 @@ class ProcessSpec:
     temperature_c: float = 25.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pump_axis", _axis(self.pump_axis))
-        object.__setattr__(self, "signal_axis", _axis(self.signal_axis))
-        object.__setattr__(self, "idler_axis", _axis(self.idler_axis))
+        for name in ("pump_axis", "signal_axis", "idler_axis"):
+            object.__setattr__(self, name, _axis(name, getattr(self, name)))
         object.__setattr__(self, "qpm_order", _check_int("qpm_order", self.qpm_order, 0))
         object.__setattr__(self, "temperature_c", _check_real("temperature_c", self.temperature_c))
 

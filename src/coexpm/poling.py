@@ -87,8 +87,6 @@ _STEP_MIN_DOMAINS = 8
 # 2 pi k / 4096 (64 KiB), built once at import by _phasor_table.
 _TABLE_SIZE = 1 << 12
 _TABLE_STEP = 2.0 * np.pi / _TABLE_SIZE
-# Step of the duty-cycle scan that brackets the balanced root.
-_SCAN_STEP = 1e-5
 # Wall errors are a unit Gaussian truncated to +/- this many sigma, times
 # sigma, in the sampler and in _wall_error_moments.
 _TRUNCATION_SIGMAS = 3.0
@@ -112,36 +110,33 @@ def efficiency_ratio(duty_cycle: float, order: int) -> float:
 
 
 def solve_balanced_duty_cycle(order: int = 1) -> float:
-    """Duty cycle in (0.5, 1) equalizing the order-0 and order-m efficiencies.
+    """Smallest duty cycle in (0.5, 1) equalizing the order-0 and order-m efficiencies.
 
-    Solves |c_0(D)| = |c_m(D)|. For m = 1 the root is unique (~0.7352). For
-    even m no root exists: |c_m| <= (2/(pi m)) sin(pi m D)/... < |c_0| strictly
-    on (0.5, 1) because sin(t) < t, so the solver raises with the scan
-    diagnostics. For odd m >= 3 several roots can exist; the smallest is
-    returned. The bracket is located by a dense scan (step 1e-5) and
-    refined with Brent's method.
+    Solves g(D) = |c_0(D)| - |c_m(D)| = 0, where |c_0| = 2D - 1 and
+    |c_m| = (2/(pi m)) |sin(pi m D)|. With x = D - 1/2:
+
+    * even m: |sin(pi m D)| = |sin(pi m x)| < pi m x, so g > 0 on (0.5, 1)
+      and no root exists; the solver raises at once.
+    * odd m: |sin(pi m D)| = cos(pi m x) on [0, 1/(2m)], where g rises
+      strictly from -2/(pi m) to 1/m. The smallest root is therefore the
+      only one in (0.5, 0.5 + 1/(2m)), which is (0.5, 1) for m = 1 (~0.7353),
+      and Brent's method refines it from that bracket. An order whose bracket
+      does not resolve in double precision raises.
     """
     m = _check_int("order", order, 1)
+    if m % 2 == 0:
+        raise SolverError(f"no balanced duty cycle exists in (0.5, 1) for even order m={m}: |c_0| > |c_{m}| there")
 
     def g(d):
         return np.abs(2.0 * d - 1.0) - np.abs(2.0 * d * sinc(np.pi * m * d))
 
-    lo, hi = 0.5, 1.0
-    grid = np.arange(lo + _SCAN_STEP, hi, _SCAN_STEP)
-    vals = g(grid)
-    sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
-    # discard tangential touches where the function only grazes zero
-    brackets = [
-        (grid[i], grid[i + 1]) for i in sign_change if vals[i] != 0.0 or vals[i + 1] != 0.0
-    ]
-    if not brackets:
+    lo, hi = 0.5, 0.5 + 0.5 / m
+    if hi == lo or not g(lo) < 0.0 < g(hi):
         raise SolverError(
-            f"no balanced duty cycle exists in (0.5, 1) for order m={m}: "
-            f"scan of |c_0|-|c_{m}| at step {_SCAN_STEP:g} found no sign change "
-            f"(min {vals.min():.3e}, max {vals.max():.3e})"
+            f"the balanced duty cycle of order m={m} lies in (0.5, 0.5 + 1/(2m)), "
+            "which double precision does not resolve"
         )
-    a, b = brackets[0]
-    return float(brentq(g, a, b, xtol=1e-14, maxiter=200))
+    return float(brentq(g, lo, hi, xtol=1e-14, maxiter=200))
 
 
 def efficiency_penalty(duty_cycle: float) -> float:

@@ -55,6 +55,14 @@ def _check_int(name: str, value, lo: int | None = None) -> int:
     return int(value)
 
 
+def _check_text(name: str, value) -> str:
+    """value, a string; anything else (a number, None, bytes, ...) is a
+    ValidationError that names the argument."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _check_real(
     name: str, value, lo: float | None = None, hi: float | None = None,
     above: float | None = None, below: float | None = None,
@@ -127,13 +135,15 @@ def sinc(x):
 
 def spawn_rng(seed: int | None, *key: int) -> np.random.Generator:
     """Deterministic child generator for stream (seed, *key); seed None means 0,
-    any other seed is an integer >= 0.
+    any other seed and every key is an integer >= 0.
 
     Streams derived from the same seed but different keys are statistically
     independent and do not depend on the order in which they are created, so
     results are reproducible regardless of evaluation scheduling.
     """
-    seq = np.random.SeedSequence(0 if seed is None else _check_int("seed", seed, 0), spawn_key=key)
+    seq = np.random.SeedSequence(
+        0 if seed is None else _check_int("seed", seed, 0), spawn_key=[_check_int("key", k, 0) for k in key]
+    )
     return np.random.Generator(np.random.PCG64(seq))
 
 

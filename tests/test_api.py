@@ -236,6 +236,7 @@ INTEGER_ARGUMENTS = {
     "simulate_counts.seed": (lambda v: countstats.simulate_counts(bell_psi_plus(), _SETTING, 1e3, 1.0, v), 7, 0, None),
     "simulate_pair_stream.seed": (lambda v: countstats.simulate_pair_stream(1e5, 1e-3, 1e-9, v), 7, 0, None),
     "spawn_rng.seed": (lambda v: spawn_rng(v).random(2), 7, 0, None),
+    "spawn_rng.key": (lambda v: spawn_rng(7, 1, v).random(2), 3, 0, None),
 }
 
 
@@ -424,21 +425,27 @@ REAL_ARGUMENTS = {
 }
 
 # Arguments whose None, or +inf, is a documented value and not a bad one:
-# no grating, or no pump power to divide by.
-REAL_SPECIAL = {
+# no grating, no pump power to divide by, or the default Bell state.
+SPECIAL_VALUES = {
     "delta_k.period_mm": (None,),
     "solve_qpm.period_mm": (None, math.inf),
     "phase_matching_intensity.period_mm": (None,),
     "joint_spectral_density.period_mm": (None,),
     "brightness.pump_mw": (None,),
+    "werner_state.pure": (None,),
 }
+
+
+def _not_special(name, bad):
+    """bad without the values that name documents (SPECIAL_VALUES)."""
+    return [v for v in bad if not any(v is s for s in SPECIAL_VALUES.get(name, ()))]
 
 
 def _bad_reals(name, valid, outside):
     """What no real argument takes, then what breaks this one's bounds."""
     # a numeric string is rejected, not parsed
     bad = ["a", str(valid), None, True, np.True_, 1j, [valid], math.nan, math.inf, -math.inf, *outside]
-    return [v for v in bad if not any(v is s for s in REAL_SPECIAL.get(name, ()))]
+    return _not_special(name, bad)
 
 
 REAL_CASES = [
@@ -575,6 +582,8 @@ COMPLEX_ARGUMENTS = {
     "DensityMatrix4.matrix": (lambda v: DensityMatrix4(v).matrix, _RHO, (np.eye(4) * 1e308,)),
     "as_density_matrix.state": (lambda v: biphoton.as_density_matrix(v).matrix, _PSI, ()),
     "fidelity.target": (lambda v: biphoton.fidelity(_BELL, v), _PSI, ()),
+    # a PolarizationState or its amplitudes; a mixed state is not a pure one
+    "werner_state.pure": (lambda v: biphoton.werner_state(0.5, v).matrix, _PSI, (DensityMatrix4(_RHO),)),
     # the payload's two parts are real arrays
     "density_matrix_from_dict.real": (
         lambda v: io.density_matrix_from_dict({"real": v, "imag": _NO_IMAG}).matrix, _RHO, (),
@@ -590,24 +599,24 @@ def _with_first(valid, entry):
     return [_with_first(valid[0], entry), *valid[1:]] if isinstance(valid, list) else entry
 
 
-def _bad_complex(valid, outside):
+def _bad_complex(name, valid, outside):
     """What no state input takes, then what breaks this one's bounds."""
     # each bad entry sits beside valid ones; a numeric string is rejected, not parsed
     entries = [
         "1", True, np.True_, None, math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0),
     ]
-    return [
+    return _not_special(name, [
         *(_with_first(valid, e) for e in entries),
         # an ndarray's values are checked too, not only its dtype
         *(np.array(_with_first(valid, e)) for e in (math.nan, math.inf, complex(0.0, math.nan))),
         "x", None, np.array(valid).astype(str), np.array(valid, dtype=bool), *outside,
-    ]
+    ])
 
 
 COMPLEX_CASES = [
     pytest.param(name, value, id=f"{name}={value!r}".replace("\n", " "))
     for name, (_, valid, outside) in COMPLEX_ARGUMENTS.items()
-    for value in _bad_complex(valid, outside)
+    for value in _bad_complex(name, valid, outside)
 ]
 
 
@@ -645,6 +654,53 @@ def test_a_valid_matrix_keeps_its_bits():
     payload = io.density_matrix_to_dict(biphoton.werner_state(0.7))
     rho = np.asarray(payload["real"], dtype=float) + 1j * np.asarray(payload["imag"], dtype=float)
     assert io.density_matrix_from_dict(payload).matrix.tobytes() == DensityMatrix4(rho).matrix.tobytes()
+
+
+def test_werner_state_takes_the_amplitudes_of_its_pure_state():
+    psi = [0.6, 0.0, 0.8j, 0.0]
+    assert biphoton.werner_state(0.7, psi).matrix.tobytes() == (
+        biphoton.werner_state(0.7, PolarizationState(psi)).matrix.tobytes()
+    )
+    # the default Psi+ keeps its bits
+    rho = DensityMatrix4(0.7 * _BELL.density().matrix + (1.0 - 0.7) * np.eye(4) / 4.0).matrix
+    assert biphoton.werner_state(0.7).matrix.tobytes() == rho.tobytes()
+
+
+_RECORDS = biphoton.simulate_tomography_counts(_BELL, 439.0, 10.0, seed=1)
+# (call taking the text, bad values). A text argument takes a string: anything
+# else is a ValidationError that names the argument, not an AttributeError, a
+# TypeError or an IndexError from inside the call.
+TEXT_ARGUMENTS = {
+    "ProcessSpec.pump_axis": (lambda v: ProcessSpec(pump_axis=v), (1, None, b"y")),
+    "ProcessSpec.signal_axis": (lambda v: ProcessSpec(signal_axis=v), (1, None, b"z")),
+    "ProcessSpec.idler_axis": (lambda v: ProcessSpec(idler_axis=v), (1, None, b"y")),
+    "load_dispersion.crystal": (lambda v: dispersion.load_dispersion(v, "y"), (1, None, b"ktp")),
+    "load_dispersion.axis": (lambda v: dispersion.load_dispersion("ktp", v), (1, None, b"y")),
+    # each setting is a (signal, idler) pair of labels
+    "simulate_tomography_counts.settings": (
+        lambda v: _tomography(settings=[("H", "V"), v]), ((1, 2), ("H",), ("H", "V", "D"), ("H", None), "HV", None),
+    ),
+    "reconstruct_state.setting_signal": (
+        lambda v: biphoton.reconstruct_state([dict(_RECORDS[0], setting_signal=v), *_RECORDS[1:]]), (1, None),
+    ),
+    "reconstruct_state.setting_idler": (
+        lambda v: biphoton.reconstruct_state([*_RECORDS[:-1], dict(_RECORDS[-1], setting_idler=v)]), (1, None),
+    ),
+    "reconstruct_state.records": (biphoton.reconstruct_state, ([],)),
+}
+
+TEXT_CASES = [
+    pytest.param(name, value, id=f"{name}={value!r}")
+    for name, (_, bad) in TEXT_ARGUMENTS.items()
+    for value in bad
+]
+
+
+@pytest.mark.parametrize("name, value", TEXT_CASES)
+def test_text_arguments_take_only_strings(name, value):
+    call = TEXT_ARGUMENTS[name][0]
+    with pytest.raises(ValidationError, match=name.split(".")[1]):
+        call(value)
 
 
 # Parameters annotated float that are not REAL_ARGUMENTS or ARRAY_ARGUMENTS rows, and why.

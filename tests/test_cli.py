@@ -152,6 +152,20 @@ def test_montecarlo_entanglement_follows_the_qpm_order(tmp_path):
     assert [r["mean_eta"] for r in rows] == [line.split(",")[1] for line in lines[1:]]
 
 
+@pytest.mark.parametrize("command", ["dutycycle", "montecarlo"])
+@pytest.mark.parametrize("order, code", [(25001, 0), (2**70 + 1, 3)], ids=["25001", "2**70+1"])
+@pytest.mark.filterwarnings("error")
+def test_a_high_odd_order_is_balanced_or_exits_3(tmp_path, capsys, command, order, code):
+    # the balanced duty cycle of order 25001 lies 9.4e-6 above 0.5; that of
+    # 2**70 + 1 is closer to 0.5 than the spacing of doubles there
+    cfg_path = _write_config(tmp_path / "cfg.json", {"schema_version": 1, command: {"qpm_order": order}})
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("solver error: ") and f"m={order}" in err
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_non_finite_montecarlo_sigma_exits_2(tmp_path, capsys, bad):
     # Python's json reads NaN and Infinity; the sampler must reject them

@@ -82,10 +82,12 @@ def test_square_wave_partial_sums_converge():
 def test_balanced_duty_cycle_first_order():
     duty = poling.solve_balanced_duty_cycle(1)
     assert duty == pytest.approx(0.735, abs=0.002)
+    assert duty == 0.7352581046338496  # the bits of the default dutycycle and montecarlo runs
     r0 = poling.efficiency_ratio(duty, 0)
     r1 = poling.efficiency_ratio(duty, 1)
     assert r0 == pytest.approx(r1, abs=1e-12)
-    # brute-force oracle: the sign change of |c0|-|c1| sits within one scan step
+    # brute-force oracle: the sign change of |c0|-|c1| lies between two
+    # neighbouring points of a 200 001-point grid over (0.5, 1)
     grid = np.linspace(0.5, 1.0 - 1e-9, 200001)
     gap = np.abs(2.0 * grid - 1.0) - np.abs(
         2.0 * grid * np.sinc(grid)  # numpy sinc is sin(pi x)/(pi x)
@@ -103,7 +105,7 @@ def test_balanced_duty_shared_ratio_value():
 
 def test_no_balanced_duty_for_second_order():
     # |c2(D)| = |sin(2 pi D)|/pi < (2D-1) has no solution in (0.5, 1):
-    # the scan finds no sign change and the solver must say so
+    # |c0|-|c2| stays positive on a dense grid and the solver must say so
     grid = np.linspace(0.5 + 1e-6, 1.0 - 1e-6, 1000001)
     gap = np.abs(2.0 * grid - 1.0) - np.abs(np.sin(2.0 * np.pi * grid)) / np.pi
     assert np.all(gap[1:] > 0.0)
@@ -117,6 +119,32 @@ def test_balanced_duty_third_order_exists():
     assert poling.efficiency_ratio(duty, 0) == pytest.approx(
         poling.efficiency_ratio(duty, 3), abs=1e-12
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [1, 3, 5, 7, 11, 25001, 100001])
+def test_balanced_duty_cycle_is_the_smallest_root(order):
+    # the root of (2D - 1) = (2/(pi m)) |sin(pi m D)| in (0.5, 0.5 + 1/(2m)),
+    # where the right side falls from 2/(pi m) to 0 and the left rises from 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.mpf(order)
+        half = mpmath.mpf(1) / 2
+        root = mpmath.findroot(
+            lambda d: 2 * d - 1 - 2 / (mpmath.pi * m) * abs(mpmath.sin(mpmath.pi * m * d)),
+            (half, half + 1 / (2 * m)),
+            solver="anderson",
+        )
+        assert abs(poling.solve_balanced_duty_cycle(order) - root) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [2, 4, 6, 100, 100000, 2**53 + 1, 2**70 + 1, 10**307 + 1])
+def test_even_and_unresolvable_orders_raise(order):
+    # even orders have no root; past 2**53 the bracket (0.5, 0.5 + 1/(2m)) is
+    # narrower than the spacing of doubles at 0.5
+    with pytest.raises(SolverError, match=f"m={order}"):
+        poling.solve_balanced_duty_cycle(order)
 
 
 def test_efficiency_penalty_formula_and_growth():
