@@ -23,6 +23,7 @@ a Psi+ Bell state when r1 = r2 and phi = 0.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,12 +364,19 @@ def _label_ket(label_signal: str, label_idler: str) -> np.ndarray:
         raise ValidationError(f"unknown analyzer label {exc.args[0]!r}; use H/V/D/A/R/L") from None
 
 
-def _setting_pair(setting) -> tuple[str, str]:
-    """A (signal, idler) pair of analyzer labels as given; anything else is a
-    ValidationError naming settings."""
-    if not isinstance(setting, (tuple, list)) or len(setting) != 2:
-        raise ValidationError(f"settings must hold (signal, idler) label pairs, got {setting!r}")
-    return _check_text("settings", setting[0]), _check_text("settings", setting[1])
+def _setting_pairs(settings) -> list[tuple[str, str]]:
+    """The (signal, idler) pairs of analyzer labels of an iterable of
+    settings, as given; anything else is a ValidationError naming settings."""
+    try:
+        entries = list(settings)
+    except TypeError:
+        raise ValidationError(f"settings must be an iterable of label pairs, got {settings!r}") from None
+    pairs = []
+    for setting in entries:
+        if not isinstance(setting, (tuple, list)) or len(setting) != 2:
+            raise ValidationError(f"settings must hold (signal, idler) label pairs, got {setting!r}")
+        pairs.append((_check_text("settings", setting[0]), _check_text("settings", setting[1])))
+    return pairs
 
 
 def simulate_tomography_counts(
@@ -386,7 +394,7 @@ def simulate_tomography_counts(
     counts. Accidentals add a flat accidental_rate_hz to every setting.
     Setting k draws from the stream spawn_rng(seed, k); seed None means 0.
     """
-    settings = tomography_settings() if settings is None else [_setting_pair(s) for s in settings]
+    settings = tomography_settings() if settings is None else _setting_pairs(settings)
     kets = [_label_ket(*s) for s in settings]
     counts = _analyzer_counts(
         state, kets, pair_rate_hz, integration_time_s, seed, poisson, accidental_rate_hz
@@ -477,6 +485,10 @@ def _profiled_nll(t, amat, freqs, weights):
     return f, np.concatenate([gm.real, gm.imag])
 
 
+# The keys every record of reconstruct_state needs; accidentals is optional.
+_RECORD_KEYS = ("setting_signal", "setting_idler", "coincidences", "integration_time_s")
+
+
 def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) -> TomographyResult:
     """Density matrix from 16-setting coincidence counts.
 
@@ -498,6 +510,12 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     """
     if not records:
         raise ValidationError("records must hold the tomography settings, got none")
+    for k, r in enumerate(records):
+        if not isinstance(r, Mapping):
+            raise ValidationError(f"records[{k}] must be a mapping of its columns, got {r!r}")
+        for key in _RECORD_KEYS:
+            if key not in r:
+                raise ValidationError(f"records[{k}] has no {key!r}")
     labels = [tuple(_check_text(k, r[k]).upper() for k in ("setting_signal", "setting_idler")) for r in records]
     kets = np.array([_label_ket(s, i) for s, i in labels])
     # row k is conj(P_k) flattened, P_k = |k><k|: p_k = Re(amat @ vec(rho)) = Tr(P_k rho)

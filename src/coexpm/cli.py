@@ -235,9 +235,14 @@ def _build_state(state_cfg: dict):
 
 
 def _table(stem: str, header: list[str], rows, fmt: str) -> dict:
-    """The artifact of one table: {file name: content} in the chosen format."""
+    """The artifact of one table: {file name: content} in the chosen format.
+
+    rows is a list of rows or a 2-D array, which a JSON table holds as lists
+    of Python numbers and a CSV table hands to io.write_csv as it is.
+    """
     if fmt == "json":
-        return {f"{stem}.json": {"columns": header, "rows": [list(r) for r in rows]}}
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+        return {f"{stem}.json": {"columns": header, "rows": rows}}
     return {f"{stem}.csv": (header, rows)}
 
 
@@ -411,7 +416,7 @@ def _cmd_jspd(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         "marginal_fwhm_signal_nm": spectrum.marginal_fwhm_nm(grid, "signal"),
         "marginal_fwhm_idler_nm": spectrum.marginal_fwhm_nm(grid, "idler"),
     }
-    rows = np.column_stack([grid.signal_nm, grid.values]).tolist()
+    rows = np.column_stack([grid.signal_nm, grid.values])
     header = ["signal_nm\\idler_nm"] + [io.format_float(v) for v in igrid]
     artifacts = {
         **_table("jspd", header, rows, fmt),

@@ -41,23 +41,52 @@ def format_float(x) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV with every cell rendered by format_float.
 
-    A row of exact Python floats (type float, no subclass) is written as the
-    comma join of their reprs: that is what format_float returns for each,
-    and what the csv module would write, since it writes a float as str(x),
-    the repr, and a float's repr never needs quoting. Every other row goes
-    through the csv module, its cells that are not exact floats formatted
-    first: the module would write None as "" and np.float32(0.1) as "0.1",
-    where format_float writes the float64 value.
+    rows is an iterable of rows, or a 2-D float64 array. A row of exact
+    Python floats (type float, no subclass) is written as the comma join of
+    their reprs: that is what format_float returns for each, and what the
+    csv module would write, since it writes a float as str(x), the repr, and
+    a float's repr never needs quoting. The rows of a non-empty 2-D float64
+    array are written the same way, see _write_float_table. Every other row
+    goes through the csv module, its cells that are not exact floats
+    formatted first: the module would write None as "" and np.float32(0.1)
+    as "0.1", where format_float writes the float64 value.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
+            _write_float_table(fh, rows)
+            return
         for row in rows:
             row = list(row)  # a row may be any iterable; it is read twice below
             if {*map(type, row)} == {float}:
                 fh.write(",".join(map(float.__repr__, row)) + "\n")
             else:
                 w.writerow([v if type(v) is float else format_float(v) for v in row])
+
+
+def _write_float_table(fh, table: np.ndarray) -> None:
+    """The rows of a non-empty 2-D float64 array as the comma join of the
+    cells' reprs, a cell whose bits are all zero (+0.0, not -0.0) written as
+    "0.0" without formatting it.
+
+    Each row is cut into alternating runs of such zero cells and of other
+    cells, at boundaries found for the whole table at once; the rows are
+    converted to floats one at a time, with no table of strings or objects.
+    """
+    zero = table.view(np.uint64) == 0
+    cut_rows, cut_cols = np.nonzero(zero[:, 1:] != zero[:, :-1])
+    bounds = np.searchsorted(cut_rows, np.arange(len(table) + 1)).tolist()
+    cut_cols = (cut_cols + 1).tolist()
+    width = table.shape[1]
+    for k, (values, z) in enumerate(zip(table, zero[:, 0].tolist())):
+        row = values.tolist()
+        cuts = [0, *cut_cols[bounds[k] : bounds[k + 1]], width]
+        runs = []
+        for a, b in zip(cuts, cuts[1:]):
+            runs.append(",".join(["0.0"] * (b - a)) if z else ",".join(map(float.__repr__, row[a:b])))
+            z = not z
+        fh.write(",".join(runs) + "\n")
 
 
 def _jsonable(obj):

@@ -357,7 +357,11 @@ def solve_pump_for_period(
     """Pump wavelength whose coexistence period equals the given target.
 
     The coexistence period grows monotonically with pump and diverges at the
-    degeneracy cutoff, so the search bracket is capped there. Returns
+    degeneracy cutoff, so the search bracket is capped there. Brent's method
+    runs on the grating wavenumber 1/target - 1/period(pump), which falls
+    smoothly to zero at the cutoff where the period itself has a pole, and
+    each pump is solved once: the bracket check, Brent's end evaluations and
+    the returned point reuse the solves already made. Returns
     (pump_nm, point) like solve_coexistence.
     """
     period_mm = _check_real("period_mm", period_mm, above=0.0)
@@ -368,20 +372,23 @@ def solve_pump_for_period(
         raise SolverError(
             f"pump bracket [{lo}, {hi}] nm collapses below the degeneracy cutoff {cutoff:.3f} nm"
         )
+    solved = {}
+
+    def coexistence(pump):
+        if pump not in solved:
+            solved[pump] = solve_coexistence(pump, temperature_c)
+        return solved[pump]
 
     def g(pump):
-        period, _ = solve_coexistence(pump, temperature_c)
-        return period - period_mm
+        return 1.0 / period_mm - 1.0 / coexistence(pump)[0]
 
-    g_lo, g_hi = g(lo), g(hi)
-    if np.sign(g_lo) == np.sign(g_hi):
+    if np.sign(g(lo)) == np.sign(g(hi)):
         raise SolverError(
             f"target period {period_mm} mm not bracketed: period({lo:.3f} nm) = "
-            f"{g_lo + period_mm:.4f} mm, period({hi:.3f} nm) = {g_hi + period_mm:.4f} mm"
+            f"{coexistence(lo)[0]:.4f} mm, period({hi:.3f} nm) = {coexistence(hi)[0]:.4f} mm"
         )
     pump = float(brentq(g, lo, hi, xtol=1e-9, maxiter=200))
-    _, point = solve_coexistence(pump, temperature_c)
-    return pump, point
+    return pump, coexistence(pump)[1]
 
 
 def degeneracy_pump_nm(

@@ -76,14 +76,18 @@ def _half_support(fwhm_nm: float, kind: str) -> float:
     return fwhm_nm / 2.0
 
 
-def _band_kernel(grid, centres, fwhm_nm: float, kind: str) -> np.ndarray:
+def _band_kernel(grid, centres, fwhm_nm: float, kind: str, weight=None) -> np.ndarray:
     """filter_kernel(grid[:, None] - centres[None, :], fwhm_nm, kind), with
-    the formula evaluated only on each row's in-support columns.
+    the formula evaluated only on each row's in-support columns; with a
+    weight per centre, that kernel times weight[None, :], its in-support
+    cells multiplied as they are evaluated.
 
     centres must be strictly monotonic, rising or falling, so the columns
     within the support of one grid point form one contiguous range, found by
     a binary search. Every other cell is an exact zero, and every evaluated
-    cell gets the same bits as the dense evaluation.
+    cell gets the same bits as the dense evaluation. With a weight that is
+    finite and not negative, the result is the dense product bit for bit:
+    there, too, every out-of-support cell is +0.0.
     """
     rising = centres[-1] >= centres[0]
     ordered = centres if rising else centres[::-1]
@@ -99,7 +103,8 @@ def _band_kernel(grid, centres, fwhm_nm: float, kind: str) -> np.ndarray:
     if not rising:
         cols = centres.size - 1 - cols
     out = np.zeros((grid.size, centres.size))
-    out[rows, cols] = filter_kernel(grid[rows] - centres[cols], fwhm_nm, kind)
+    cells = filter_kernel(grid[rows] - centres[cols], fwhm_nm, kind)
+    out[rows, cols] = cells if weight is None else cells * weight[cols]
     return out
 
 
@@ -183,9 +188,9 @@ def joint_spectral_density(
         w = np.full(mu.size, step)
         w[0] = w[-1] = step / 2.0
         # mu rises and ridge_i falls: each kernel row is one band of columns
-        ker_s = _band_kernel(sgrid, mu, filter_fwhm_nm, kernel)
+        ker_s = _band_kernel(sgrid, mu, filter_fwhm_nm, kernel, weight=inten * w)
         ker_i = _band_kernel(igrid, ridge_i, filter_fwhm_nm, kernel)
-        values = (ker_s * (inten * w)) @ ker_i.T
+        values = ker_s @ ker_i.T
 
     if normalize:
         peak = values.max()

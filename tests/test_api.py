@@ -703,6 +703,32 @@ def test_text_arguments_take_only_strings(name, value):
         call(value)
 
 
+@pytest.mark.parametrize("settings", [5, 2.5, object()])
+def test_settings_that_are_not_iterable_are_named(settings):
+    with pytest.raises(ValidationError, match="settings"):
+        _tomography(settings=settings)
+
+
+@pytest.mark.parametrize("index", [0, 7, 15])
+@pytest.mark.parametrize("key", ["setting_signal", "setting_idler", "coincidences", "integration_time_s"])
+def test_a_record_without_a_column_names_the_column_and_the_record(key, index):
+    records = [dict(r) for r in _RECORDS]
+    del records[index][key]
+    with pytest.raises(ValidationError, match=rf"records\[{index}\].*'{key}'"):
+        biphoton.reconstruct_state(records)
+
+
+@pytest.mark.parametrize("record", [None, 1, "HH", ("H", "H", 10.0, 10.0), [("setting_signal", "H")]])
+def test_a_record_that_is_not_a_mapping_names_the_record(record):
+    with pytest.raises(ValidationError, match=r"records\[3\]"):
+        biphoton.reconstruct_state([*_RECORDS[:3], record, *_RECORDS[3:]])
+
+
+def test_an_empty_record_names_its_first_column():
+    with pytest.raises(ValidationError, match=r"records\[0\].*'setting_signal'"):
+        biphoton.reconstruct_state([{}])
+
+
 # Parameters annotated float that are not REAL_ARGUMENTS or ARRAY_ARGUMENTS rows, and why.
 REAL_EXEMPT = {
     # result records: the library fills them from checked inputs

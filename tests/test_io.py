@@ -94,16 +94,54 @@ def test_write_csv_renders_every_value_by_format_float(tmp_path):
     assert "-0.0,nan,inf,-inf,5e-324,1e+16,1e-05,0.0," in text and "\n0.25,0.1,1e+16\n" in text
 
 
+_NAN, _INF = float("nan"), float("inf")
+_FLOAT_TABLE = np.array(
+    [
+        [0.0, 0.0, -0.0, 5e-324, 1e-05, 1e16, 0.0, 0.0],  # opens and closes with zero runs
+        [1e300, _INF, -_INF, _NAN, 0.0, 2.0 / 3.0, -1e-300, 0.1],  # ends on a cell that is not zero
+        [0.0] * 8,  # all zero
+        [-0.0] * 8,  # -0.0 is not +0.0's bits: every cell takes its repr
+        [0.0, 0.1, 0.0, -0.0, 0.0, 5e-324, 0.0, 0.0],  # runs of one cell
+        [0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-05],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _FLOAT_TABLE,
+        _FLOAT_TABLE[::-1, ::-1],  # a view with negative strides
+        np.asfortranarray(_FLOAT_TABLE),
+        _FLOAT_TABLE[:, ::3],
+        _FLOAT_TABLE[:, :1],  # one column
+        _FLOAT_TABLE[2:3],  # one all-zero row
+        _FLOAT_TABLE[:, :0],  # rows of no cells and no rows: not the array path
+        _FLOAT_TABLE[:0],
+        np.array([[0.0, 0.1, -0.0], [0.0, 0.0, 2.5]], dtype=np.float32),  # not float64: not the array path
+    ],
+)
+def test_a_float_array_is_written_like_its_rows(tmp_path, table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    io.write_csv(tmp_path / "array.csv", header, table)
+    io.write_csv(tmp_path / "rows.csv", header, [list(row) for row in table.tolist()])
+    want = _reference_csv(header, table)
+    assert (tmp_path / "array.csv").read_bytes() == want
+    assert (tmp_path / "rows.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize(
     "command, tables",
     [("jspd", ("jspd.csv", "jspd_marginals.csv")), ("design", ("design_curve.csv",))],
 )
 def test_default_cli_tables_are_the_csv_module_bytes(tmp_path, command, tables):
-    # the default jspd and design tables take write_csv's joined rows
+    # the default jspd and design tables take write_csv's joined rows: lists
+    # of exact floats, or the float64 array of jspd.csv
     artifacts, _ = cli._COMMANDS[command][0](cli.DEFAULT_CONFIG[command], 0, "csv")
     for name in tables:
         header, rows = artifacts[name]
-        assert rows and all(type(v) is float for row in rows for v in row)
+        cell = np.float64 if isinstance(rows, np.ndarray) else float
+        assert len(rows) and all(type(v) is cell for row in rows for v in row)
         io.write_csv(tmp_path / name, header, rows)
         assert (tmp_path / name).read_bytes() == _reference_csv(header, rows)
 

@@ -198,6 +198,28 @@ def test_pump_for_period_moves_up_with_temperature():
     assert warm_pump - cold_pump < 0.1  # gentle thermal slope
 
 
+@pytest.mark.parametrize("period_mm", [0.5, 2.0, 10.0, 100.0, 1000.0, 1e4])
+def test_pump_for_period_is_well_conditioned_up_to_the_cutoff(monkeypatch, period_mm):
+    # the period diverges at the degeneracy cutoff: a search on the period
+    # itself spent up to 28 window solves here, the one on 1/period a few
+    pumps = []
+    solve = pm.solve_coexistence
+
+    def counted(pump_nm, temperature_c=25.0):
+        pumps.append(pump_nm)
+        return solve(pump_nm, temperature_c)
+
+    monkeypatch.setattr(pm, "solve_coexistence", counted)
+    pump, point = pm.solve_pump_for_period(period_mm, 25.0)
+    assert len(pumps) <= 8 and len(set(pumps)) == len(pumps)
+    monkeypatch.undo()
+    # the root of the period form, to a tolerance far inside the solver's
+    cutoff = pm.degeneracy_pump_nm(25.0, bracket_nm=(530.0, 605.0))
+    want = brentq(lambda p: pm.solve_coexistence(p, 25.0)[0] - period_mm, 530.0, cutoff - 1e-6, xtol=1e-12, maxiter=200)
+    assert abs(pump - want) <= 1e-9
+    assert point == pm.solve_coexistence(pump, 25.0)[1]
+
+
 def test_process_spec_accepts_polarization_aliases():
     spec = pm.ProcessSpec(pump_axis="H", signal_axis="V", idler_axis="H")
     assert (spec.pump_axis, spec.signal_axis, spec.idler_axis) == ("y", "z", "y")

@@ -339,6 +339,11 @@ def test_band_kernel_matches_the_dense_kernel_bit_for_bit(kind, grid, centres, f
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert np.count_nonzero(want) > 0
+    # a weight per centre, as the ridge integral's, some of it exactly zero
+    weight = np.random.default_rng(3).uniform(0.0, 2.0, centres.size)
+    weight[::4] = 0.0
+    got = sp._band_kernel(grid, centres, fwhm, kind, weight=weight)
+    assert got.tobytes() == (want * weight).tobytes()
 
 
 def _dense_joint_spectral_density(spec, pump_nm, sgrid, igrid, length_mm, fwhm, kernel, period_mm):
