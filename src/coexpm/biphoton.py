@@ -508,6 +508,10 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
     settings must determine the state: their projectors must span all 16
     dimensions of the 4x4 Hermitian matrices.
     """
+    try:
+        records = list(records)
+    except TypeError:
+        raise ValidationError(f"records must be an iterable of records, got {records!r}") from None
     if not records:
         raise ValidationError("records must hold the tomography settings, got none")
     for k, r in enumerate(records):

@@ -237,18 +237,17 @@ def _build_state(state_cfg: dict):
 def _table(stem: str, header: list[str], rows, fmt: str) -> dict:
     """The artifact of one table: {file name: content} in the chosen format.
 
-    rows is a list of rows or a 2-D array, which a JSON table holds as lists
-    of Python numbers and a CSV table hands to io.write_csv as it is.
+    rows is a 2-D float64 array, which a JSON table holds as lists of Python
+    floats and a CSV table hands to io.write_csv as it is.
     """
     if fmt == "json":
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
-        return {f"{stem}.json": {"columns": header, "rows": rows}}
+        return {f"{stem}.json": {"columns": header, "rows": rows.tolist()}}
     return {f"{stem}.csv": (header, rows)}
 
 
 def _records(stem: str, records: list[dict], fmt: str) -> dict:
     """_table of dict rows; the first row's key order is the header."""
-    return _table(stem, list(records[0]), [list(r.values()) for r in records], fmt)
+    return _table(stem, list(records[0]), np.array([list(r.values()) for r in records]), fmt)
 
 
 def _citations() -> list[str]:
@@ -288,10 +287,9 @@ def _cmd_design(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
     t = c["temperature_c"]
     pumps = _inclusive_grid(c, "pump_min_nm", "pump_max_nm", "pump_step_nm")
     sweep = phasematch.period_sweep(pumps, t)
-    rows = [
-        (pump, period, pt.signal_nm, pt.idler_nm, pt.splitting_nm)
-        for pump, period, pt in sweep
-    ]
+    rows = np.array(
+        [(pump, period, pt.signal_nm, pt.idler_nm, pt.splitting_nm) for pump, period, pt in sweep]
+    ).reshape(-1, 5)
     cutoff = phasematch.degeneracy_pump_nm(t)
     pump_at, point = phasematch.solve_pump_for_period(
         c["fixed_period_mm"], t, pump_bracket_nm=(c["pump_min_nm"], c["pump_max_nm"])
@@ -423,7 +421,7 @@ def _cmd_jspd(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         **_table(
             "jspd_marginals",
             ["signal_nm", "signal_profile", "idler_nm", "idler_profile"],
-            np.column_stack([lam_s, prof_s, lam_i, prof_i]).tolist(),
+            np.column_stack([lam_s, prof_s, lam_i, prof_i]),
             fmt,
         ),
         "jspd_summary.json": payload,
@@ -457,10 +455,9 @@ def _cmd_fringes(c: dict, seed: int, fmt: str) -> tuple[dict, str]:
         analyzed = [countstats.subtract_accidentals(r, c["tau_c_s"]) for r in records]
     else:
         analyzed = records
-    rows = [
-        (float(t), r.coincidences, a.coincidences, r.duration_s)
-        for t, r, a in zip(thetas, records, analyzed)
-    ]
+    rows = np.array(
+        [(t, r.coincidences, a.coincidences, r.duration_s) for t, r, a in zip(thetas, records, analyzed)]
+    ).reshape(-1, 4)
     header = ["theta_idler_deg", "coincidences", "coincidences_net", "integration_time_s"]
     fit = countstats.fit_visibility(thetas, [a.rate_coincidence for a in analyzed])
     payload = {

@@ -19,19 +19,21 @@ split detectors).
 
 Simulations are event-based: arrivals are binned at the coincidence window
 and coincidences are shared-bin events, so estimator behavior (not just the
-formulas) is exercised.
+formulas) is exercised. The pair stream bins each arrival; the heralded
+stream draws the tallies of its four heralded bin patterns (target 1 only,
+target 2 only, both targets, neither) from their exact Poisson means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, factorial, isfinite
+from math import expm1, isfinite
 
 import numpy as np
 
 from .biphoton import AnalyzerSetting, _analyzer_counts
 from .errors import FitError, ValidationError
-from .util import _POISSON_MEAN_MAX, _check_array, _check_int, _check_real, spawn_rng
+from .util import _POISSON_MEAN_MAX, _check_array, _check_real, spawn_rng
 
 __all__ = [
     "CountRecord",
@@ -331,6 +333,25 @@ def simulate_pair_stream(
     )
 
 
+def _heralded_probabilities(mu: float, eta_herald: float, eta_target: float) -> tuple[float, float, float]:
+    """P(herald, target 1 only) = P(herald, target 2 only), P(herald, both
+    targets) and P(herald, neither) of a bin holding Poisson(mu) pairs.
+
+    The bin's pairs split into independent Poisson classes; a is the chance
+    that herald + target 1 pairs (as herald + target 2) occur, b that
+    unheralded target 1 pairs (as target 2) do and l that heralded pairs with
+    a lost target do.
+    """
+    ph, pt = eta_herald, eta_target / 2.0
+    a = -expm1(-mu * ph * pt)
+    b = -expm1(-mu * (1.0 - ph) * pt)
+    l = -expm1(-mu * ph * (1.0 - 2.0 * pt))
+    single = (1.0 - a) * (1.0 - b) * (a + (1.0 - a) * l * b)
+    both = a * a + 2.0 * a * (1.0 - a) * b + (1.0 - a) ** 2 * l * b * b
+    neither = (1.0 - a) ** 2 * (1.0 - b) ** 2 * l
+    return single, both, neither
+
+
 def simulate_heralded(
     pair_rate_hz: float,
     duration_s: float,
@@ -338,60 +359,24 @@ def simulate_heralded(
     seed: int = 0,
     eta_herald: float = 0.25,
     eta_target: float = 0.25,
-    max_multiplicity: int = 8,
 ) -> HeraldedRecord:
     """Event-level heralded acquisition with a balanced split target arm.
 
-    Pairs are Poisson-distributed over coincidence bins; the herald photon is
-    detected with eta_herald, the target photon routes to one of two detectors
-    (half of eta_target each). Within one bin a lone target photon can never
-    fire both split detectors, so triples require multi-pair bins: the ratio
-    alpha_3d ~ 2 pair_rate tau_c at low rates.
+    Pairs are Poisson-distributed over coincidence bins, mu = pair_rate tau_c
+    per bin (not capped); the herald photon is detected with eta_herald, the
+    target photon routes to one of two detectors (half of eta_target each).
+    A lone target photon can never fire both split detectors, so triples
+    require multi-pair bins: alpha_3d ~ 2 pair_rate tau_c at low rates.
 
-    Bins are grouped by pair multiplicity k (Poissonized counts, exact for
-    the binned model); k = 1 bins are tallied with one multinomial draw and
-    k >= 2 bins with vectorized per-bin draws.
+    The heralded bins with target 1 only, target 2 only, both targets and
+    neither are four independent Poisson draws, in that order, with means
+    duration / tau_c times _heralded_probabilities (Poissonized bin counts,
+    exact for the binned model).
     """
     _check_stream(duration_s, tau_c_s, pair_rate_hz=pair_rate_hz)
     eta_herald = _check_real("eta_herald", eta_herald, hi=1.0, above=0.0)
     eta_target = _check_real("eta_target", eta_target, hi=1.0, above=0.0)
-    if _check_int("max_multiplicity", max_multiplicity, 1) > 170:  # 171! overflows a float
-        raise ValidationError(f"max_multiplicity must be <= 170, got {max_multiplicity}")
-    rng = spawn_rng(seed, 3)
+    single, both, neither = _heralded_probabilities(pair_rate_hz * tau_c_s, eta_herald, eta_target)
     n_bins = duration_s / tau_c_s
-    mu = pair_rate_hz * tau_c_s
-    if mu > 0.1:
-        raise ValidationError(
-            f"mean pairs per window {mu:.3g} too high for the multiplicity cap; "
-            "reduce pair rate or window"
-        )
-    n_h = n_h1 = n_h2 = n_t = 0.0
-
-    # k = 1: aggregate joint outcomes (herald?, target route) in one multinomial.
-    n1 = rng.poisson(n_bins * mu * np.exp(-mu))
-    ph, pt = eta_herald, eta_target / 2.0
-    probs = [
-        ph * pt,  # herald + t1
-        ph * pt,  # herald + t2
-        ph * (1 - 2 * pt),  # herald only
-        (1 - ph) * pt,
-        (1 - ph) * pt,
-        (1 - ph) * (1 - 2 * pt),
-    ]
-    cls = rng.multinomial(n1, probs)
-    n_h += cls[0] + cls[1] + cls[2]
-    n_h1 += cls[0]
-    n_h2 += cls[1]
-
-    for k in range(2, max_multiplicity + 1):
-        nk = rng.poisson(n_bins * exp(-mu) * mu**k / factorial(k))
-        if nk == 0:
-            continue
-        herald_hits = rng.binomial(k, eta_herald, size=nk) > 0
-        t1 = rng.binomial(k, pt, size=nk)
-        t2 = rng.binomial(k - t1, pt / (1.0 - pt), size=nk)
-        n_h += herald_hits.sum()
-        n_h1 += (herald_hits & (t1 > 0)).sum()
-        n_h2 += (herald_hits & (t2 > 0)).sum()
-        n_t += (herald_hits & (t1 > 0) & (t2 > 0)).sum()
-    return HeraldedRecord(float(n_h), float(n_h1), float(n_h2), float(n_t), duration_s)
+    n1, n2, n12, n0 = spawn_rng(seed, 3).poisson(n_bins * np.array([single, single, both, neither])).tolist()
+    return HeraldedRecord(float(n1 + n2 + n12 + n0), float(n1 + n12), float(n2 + n12), float(n12), duration_s)

@@ -41,28 +41,21 @@ def format_float(x) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV with every cell rendered by format_float.
 
-    rows is an iterable of rows, or a 2-D float64 array. A row of exact
-    Python floats (type float, no subclass) is written as the comma join of
-    their reprs: that is what format_float returns for each, and what the
-    csv module would write, since it writes a float as str(x), the repr, and
-    a float's repr never needs quoting. The rows of a non-empty 2-D float64
-    array are written the same way, see _write_float_table. Every other row
-    goes through the csv module, its cells that are not exact floats
-    formatted first: the module would write None as "" and np.float32(0.1)
-    as "0.1", where format_float writes the float64 value.
+    rows is an iterable of rows, or a 2-D float64 array. A non-empty 2-D
+    float64 array is written by _write_float_table as the comma join of its
+    cells' reprs: that is what format_float returns for each, and what the
+    csv module would write, since a float's repr never needs quoting. Every
+    other row goes through the csv module with each cell formatted first:
+    the module would write None as "" and np.float32(0.1) as "0.1", where
+    format_float writes the float64 value.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
             _write_float_table(fh, rows)
-            return
-        for row in rows:
-            row = list(row)  # a row may be any iterable; it is read twice below
-            if {*map(type, row)} == {float}:
-                fh.write(",".join(map(float.__repr__, row)) + "\n")
-            else:
-                w.writerow([v if type(v) is float else format_float(v) for v in row])
+        else:
+            w.writerows([format_float(v) for v in row] for row in rows)
 
 
 def _write_float_table(fh, table: np.ndarray) -> None:

@@ -165,7 +165,7 @@ SIGNATURES = {
         "fit_visibility": "theta_deg rates",
         "simulate_counts": "state settings pair_rate_hz integration_time_s seed singles_rate_s_hz singles_rate_i_hz "
         "tau_c_s poisson",
-        "simulate_heralded": "pair_rate_hz duration_s tau_c_s seed eta_herald eta_target max_multiplicity",
+        "simulate_heralded": "pair_rate_hz duration_s tau_c_s seed eta_herald eta_target",
         "simulate_pair_stream": "pair_rate_hz duration_s tau_c_s seed eta_signal eta_idler background_rate_s_hz "
         "background_rate_i_hz",
         "subtract_accidentals": "record tau_c_s",
@@ -229,9 +229,6 @@ INTEGER_ARGUMENTS = {
             filter_fwhm_nm=2.0, ridge_oversample=v,
         ).values,
         4, 1, None,
-    ),
-    "simulate_heralded.max_multiplicity": (
-        lambda v: countstats.simulate_heralded(1e5, 1e-2, 1e-9, max_multiplicity=v), 8, 1, 170,
     ),
     "simulate_counts.seed": (lambda v: countstats.simulate_counts(bell_psi_plus(), _SETTING, 1e3, 1.0, v), 7, 0, None),
     "simulate_pair_stream.seed": (lambda v: countstats.simulate_pair_stream(1e5, 1e-3, 1e-9, v), 7, 0, None),
@@ -722,6 +719,12 @@ def test_a_record_without_a_column_names_the_column_and_the_record(key, index):
 def test_a_record_that_is_not_a_mapping_names_the_record(record):
     with pytest.raises(ValidationError, match=r"records\[3\]"):
         biphoton.reconstruct_state([*_RECORDS[:3], record, *_RECORDS[3:]])
+
+
+@pytest.mark.parametrize("records", [5, 2.5, object()])
+def test_records_that_are_not_iterable_are_named(records):
+    with pytest.raises(ValidationError, match="records must be an iterable"):
+        biphoton.reconstruct_state(records)
 
 
 def test_an_empty_record_names_its_first_column():

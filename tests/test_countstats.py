@@ -287,9 +287,64 @@ def test_heralded_stream_passes_the_single_photon_test():
     assert rec.counts_herald_t1 + rec.counts_herald_t2 > 0.2 * rec.counts_herald
 
 
-def test_heralded_stream_rejects_multiphoton_regime():
-    with pytest.raises(ValidationError):
-        cs.simulate_heralded(2e8, 1.0, 1e-9, seed=0)  # mu = 0.2 per bin
+def _heralded_oracle(mu, eta_herald, eta_target):
+    """_heralded_probabilities as 40-digit sums over the pair number k of
+    Poisson(k; mu) P(herald | k) P(targets | k); herald and targets are
+    independent given k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu, ph, pt = mpmath.mpf(mu), mpmath.mpf(eta_herald), mpmath.mpf(eta_target) / 2
+        single = both = neither = mpmath.mpf(0)
+        for k in range(1, 200):  # Poisson(200; 10) is below 1e-170
+            weight = mpmath.exp(-mu) * mu**k / mpmath.factorial(k) * (1 - (1 - ph) ** k)
+            no_t1, no_target = (1 - pt) ** k, (1 - 2 * pt) ** k
+            single += weight * (no_t1 - no_target)
+            both += weight * (1 - 2 * no_t1 + no_target)
+            neither += weight * no_target
+        return single, both, neither
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-4, 1e-3, 0.2, 2.0, 10.0])
+@pytest.mark.parametrize("eta_herald, eta_target", [(0.25, 0.25), (1.0, 1.0), (0.5, 0.1), (1e-6, 1.0)])
+def test_heralded_pattern_probabilities_match_the_sum_over_pair_numbers(mu, eta_herald, eta_target):
+    got = cs._heralded_probabilities(mu, eta_herald, eta_target)
+    for p, want in zip(got, _heralded_oracle(mu, eta_herald, eta_target)):
+        assert abs(p - want) <= 1e-13 * want
+
+
+def _heralded_means(pair_rate_hz, duration_s, tau_c_s, eta_herald=0.25, eta_target=0.25):
+    """Expected (herald, herald + t1, herald + t2, triple) tallies, each by
+    inclusion-exclusion over the events that a bin's pairs miss a set of
+    detectors, exp(-mu q) for a pair that hits the set with chance q."""
+    mu, ph, pt = pair_rate_hz * tau_c_s, eta_herald, eta_target / 2.0
+
+    def miss(q):
+        return math.exp(-mu * q)
+
+    herald = 1.0 - miss(ph)
+    double = 1.0 - miss(ph) - miss(pt) + miss(ph + pt - ph * pt)
+    triple = (
+        1.0 - miss(ph) - 2.0 * miss(pt) + 2.0 * miss(ph + pt - ph * pt) + miss(2.0 * pt)
+        - miss(ph + 2.0 * pt - 2.0 * ph * pt)
+    )
+    return [duration_s / tau_c_s * p for p in (herald, double, double, triple)]
+
+
+def _tallies(rec):
+    return [rec.counts_herald, rec.counts_herald_t1, rec.counts_herald_t2, rec.counts_triple]
+
+
+@pytest.mark.parametrize("pair_rate_hz", [2e8, 5e9])  # mu = 0.2 and 5 pairs per 1 ns bin
+def test_heralded_stream_runs_in_the_multiphoton_regime(pair_rate_hz):
+    rec = cs.simulate_heralded(pair_rate_hz, 1e-3, 1e-9, seed=0)
+    for tally, mean in zip(_tallies(rec), _heralded_means(pair_rate_hz, 1e-3, 1e-9)):
+        assert tally == pytest.approx(mean, abs=5.0 * math.sqrt(mean))
+
+
+def test_heralded_tallies_average_to_their_means_over_seeds():
+    tallies = np.array([_tallies(cs.simulate_heralded(2e8, 1e-5, 1e-9, seed=s)) for s in range(400)])
+    se = tallies.std(axis=0, ddof=1) / math.sqrt(400)
+    np.testing.assert_array_less(abs(tallies.mean(axis=0) - _heralded_means(2e8, 1e-5, 1e-9)), 5.0 * se)
 
 
 def test_stream_reproducibility():
@@ -386,7 +441,7 @@ def test_stream_draws_are_frozen():
     rec = cs.simulate_pair_stream(5e3, 2.0, 1e-6, seed=1, **rates)
     assert rec == cs.CountRecord(6940.0, 10961.0, 3557.0, 2.0)
     assert cs.simulate_heralded(1e5, 10.0, 1e-9, seed=1) == cs.HeraldedRecord(
-        249100.0, 31391.0, 31496.0, 1.0, 10.0
+        249164.0, 31005.0, 31279.0, 2.0, 10.0
     )
 
 

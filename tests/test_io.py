@@ -74,8 +74,8 @@ def test_write_csv_renders_every_value_by_format_float(tmp_path):
     nan, inf = float("nan"), float("inf")
     mixed = [1.0, 2.0 / 3.0, -0.0, 1e-300, nan, inf, -inf, np.float64(0.1), np.float64(nan),
              np.float32(0.1), 3, np.int64(-4), True, None, "a,b", 'say "hi"']
-    # rows of exact floats only, which write_csv joins itself, beside rows it
-    # leaves to the csv module: numpy floats, a float subclass, a one-cell row
+    # rows of exact floats only beside numpy floats, a float subclass and a
+    # one-cell row: all of them go through the csv module
     all_float = [-0.0, nan, inf, -inf, 5e-324, 1e16, 1e-5, 0.0, 0.1, 2.0 / 3.0, 1.7976931348623157e308]
     rows = [
         mixed, tuple(reversed(mixed)), np.array([0.1, 2.0 / 3.0, nan]), range(3),
@@ -132,16 +132,19 @@ def test_a_float_array_is_written_like_its_rows(tmp_path, table):
 
 @pytest.mark.parametrize(
     "command, tables",
-    [("jspd", ("jspd.csv", "jspd_marginals.csv")), ("design", ("design_curve.csv",))],
+    [
+        ("jspd", ("jspd.csv", "jspd_marginals.csv")),
+        ("design", ("design_curve.csv",)),
+        ("montecarlo", ("montecarlo.csv", "montecarlo_entanglement.csv")),
+        ("fringes", ("fringes.csv",)),
+    ],
 )
 def test_default_cli_tables_are_the_csv_module_bytes(tmp_path, command, tables):
-    # the default jspd and design tables take write_csv's joined rows: lists
-    # of exact floats, or the float64 array of jspd.csv
+    # every float table of the CLI is a float64 array, which write_csv joins itself
     artifacts, _ = cli._COMMANDS[command][0](cli.DEFAULT_CONFIG[command], 0, "csv")
     for name in tables:
         header, rows = artifacts[name]
-        cell = np.float64 if isinstance(rows, np.ndarray) else float
-        assert len(rows) and all(type(v) is cell for row in rows for v in row)
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.size
         io.write_csv(tmp_path / name, header, rows)
         assert (tmp_path / name).read_bytes() == _reference_csv(header, rows)
 
