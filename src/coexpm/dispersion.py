@@ -178,7 +178,8 @@ def wavevector(disp: CrystalDispersion, wavelength_um, temperature_c: float = 25
     """Wavevector magnitude k = 2 pi n / lambda in rad/um."""
     n = refractive_index(disp, wavelength_um, temperature_c)
     k = 2.0 * np.pi * n / np.asarray(wavelength_um, dtype=float)
-    return float(k) if np.ndim(wavelength_um) == 0 else k
+    # a float where refractive_index gives one: both arguments 0-D
+    return float(k) if isinstance(n, float) else k
 
 
 def _wavevector(disp: CrystalDispersion, lam, temp):

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .dispersion import _wavevector, ktp_axes, wavevector
 from .errors import SolverError, ValidationError
-from .util import _check_array, _check_int, _check_real, _check_text
+from .util import _check_array, _check_int, _check_real, _check_text, _real
 
 __all__ = [
     "ProcessSpec",
@@ -307,10 +307,9 @@ def solve_qpm(
     the result coincides exactly with the order-0 solve.
     """
     pump_nm = _check_real("pump_nm", pump_nm, above=0.0)
-    if period_mm == np.inf:
-        period_mm = None
     if period_mm is not None:
-        period_mm = _check_real("period_mm", period_mm, above=0.0)
+        p = _real("period_mm", period_mm)
+        period_mm = None if p == np.inf else _check_real("period_mm", p, above=0.0)
     sig, res = _solve_window(spec, pump_nm, period_mm)
     return _point(spec, pump_nm, sig, res, period_mm)
 

@@ -43,8 +43,6 @@ with no draw.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,8 +461,7 @@ def _block_eta(seed, b, rows, sigmas, plan, nominal, dk, reorder):
     gives no step, and also at a sigma where the block redrew a row, at that
     sigma or the one before: a redrawn row has no phasors to step from or
     to. A plan with no step runs one whole-block kernel pass per sigma and
-    holds no phasors. Runs only private code and numpy, so it may run on a
-    worker thread.
+    holds no phasors.
     """
     z = _draw_z(spawn_rng(seed, b), rows, nominal.size)
     err = np.empty_like(z)
@@ -515,13 +512,6 @@ def _blocks(samples, num_domains) -> list[tuple[int, int]]:
     return [(a, min(a + rows, samples)) for a in range(0, samples, rows)]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def efficiency_samples(
     period_mm: float,
     duty_cycle: float,
@@ -541,12 +531,10 @@ def efficiency_samples(
     realization. Under "resample" a row block redraws its realizations whose
     walls cross, and gives up with a SolverError after 1000 rounds; under
     "allow" the walls may cross. sigma_z_grid_um is a 1-D sequence of finite
-    numbers >= 0. Inputs but the seed (checked by spawn_rng) are validated
-    on the calling thread; the row blocks then run on a pool of threads
-    (numpy releases the GIL in its draws and array kernels). Block b draws z
-    from spawn_rng(seed, b) and its redraws at grid index i from
-    spawn_rng(seed, b, i), whichever thread evaluates it, so the result does
-    not depend on the number of workers.
+    numbers >= 0. The row blocks (_blocks) run one after another. Block b
+    draws z from spawn_rng(seed, b) and its redraws at grid index i from
+    spawn_rng(seed, b, i), so the result depends only on the inputs and the
+    seed.
 
     Along the grid a block steps its phasors (_block_eta): where sigma_i -
     sigma_(i-1) equals the step before it or after it, the phasors at sigma_i
@@ -569,18 +557,9 @@ def efficiency_samples(
         period_mm, duty_cycle, num_domains, sigma_z_grid_um, qpm_order, samples, reorder
     )
     eta = np.empty((len(sigmas), samples))
-    blocks = _blocks(samples, nominal.size)
     plan = _step_plan(sigmas, nominal.size)
-
-    def run(b):
-        a, stop = blocks[b]
+    for b, (a, stop) in enumerate(_blocks(samples, nominal.size)):
         eta[:, a:stop] = _block_eta(seed, b, stop - a, sigmas, plan, nominal, dk, reorder)
-
-    # one thread per CPU this process may use, at most one per block. When a
-    # block raises, or the wait is interrupted, map's iterator cancels the
-    # blocks not yet started before the pool joins its threads
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(blocks))) as pool:
-        list(pool.map(run, range(len(blocks))))
     return list(eta)
 
 
@@ -682,14 +661,14 @@ def monte_carlo_efficiency(
     shared by the whole grid (common random numbers), so the rows of
     different sigma are correlated and the eta(sigma) curve is smoother than
     independent draws would give; each sigma keeps its own distribution.
-    Row block b draws from streams keyed by (seed, b), so a
-    rerun with the same seed and grid reproduces every row exactly, whether
-    the blocks run in parallel or not. Where the grid repeats a step, the
-    rows are evaluated by stepping the phasors from sigma to sigma, as
-    efficiency_samples describes; a row block that redraws realizations at a
-    sigma evaluates that sigma and the next from the phases instead. The
-    first sigma's row, and every row of a grid with no repeated step (so of
-    a one-sigma grid), equals the per-sigma evaluation bit for bit.
+    Row block b draws from streams keyed by (seed, b), so a rerun with the
+    same seed and grid reproduces every row exactly. Where the grid repeats
+    a step, the rows are evaluated by stepping the phasors from sigma to
+    sigma, as efficiency_samples describes; a row block that redraws
+    realizations at a sigma evaluates that sigma and the next from the
+    phases instead. The first sigma's row, and every row of a grid with no
+    repeated step (so of a one-sigma grid), equals the per-sigma evaluation
+    bit for bit.
     """
     etas = efficiency_samples(
         period_mm, duty_cycle, num_domains, sigma_z_grid_um, samples, seed, qpm_order=qpm_order, reorder=reorder

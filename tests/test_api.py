@@ -16,6 +16,8 @@ the argument's bounds: a bad entry or value, a ragged nesting or a wrong
 number of dimensions is a ValidationError that names the argument. The
 state inputs take complex numbers by the same rule, both parts finite. A
 parameter annotated float must be one of those rows or a listed exemption.
+Every argument of those tables, given one shared list of hostile values of
+every kind, raises nothing but a package error and no warning.
 """
 
 import importlib
@@ -31,7 +33,7 @@ from coexpm import spectrum as sp
 from coexpm.biphoton import (
     AnalyzerSetting, DensityMatrix4, PolarizationState, bell_psi_plus, entanglement_vs_fabrication,
 )
-from coexpm.errors import ValidationError
+from coexpm.errors import CoexpmError, ValidationError
 from coexpm.phasematch import NBPM_PROCESS, QPM_PROCESS, ProcessSpec
 from coexpm.util import _check_array, spawn_rng
 
@@ -698,6 +700,32 @@ def test_text_arguments_take_only_strings(name, value):
     call = TEXT_ARGUMENTS[name][0]
     with pytest.raises(ValidationError, match=name.split(".")[1]):
         call(value)
+
+
+# One list for every argument of every table above, whatever its kind. A
+# value may be valid for some argument (None is no grating, [] an empty
+# grid, -1 an order); where it is not, the call raises a package error.
+HOSTILE_VALUES = {
+    "none": None, "text": "text", "bytes": b"bytes", "dict": {"key": 1.0}, "empty-list": [],
+    "ragged-list": [[1.0], [1.0, 2.0]], "object": object(), "imaginary": 1j, "empty-array": np.array([]),
+    "2x2-array": np.zeros((2, 2)), "true": True, "nan": math.nan, "minus-one": -1, "huge-int": 10**400,
+    "set": {1.0},
+}
+HOSTILE_CASES = [
+    pytest.param(table[name][0], value, id=f"{name}={label}")
+    for table in (INTEGER_ARGUMENTS, REAL_ARGUMENTS, ARRAY_ARGUMENTS, COMPLEX_ARGUMENTS, TEXT_ARGUMENTS)
+    for name in table
+    for label, value in HOSTILE_VALUES.items()
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning escapes as well
+@pytest.mark.parametrize("call, value", HOSTILE_CASES)
+def test_only_package_errors_escape_any_argument(call, value):
+    try:
+        call(value)
+    except CoexpmError:
+        pass
 
 
 @pytest.mark.parametrize("settings", [5, 2.5, object()])

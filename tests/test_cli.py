@@ -192,21 +192,6 @@ def test_huge_montecarlo_sizes_exit_2_before_allocating(tmp_path, capsys, key):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_montecarlo_tables_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    from coexpm import poling
-
-    cfg = {"schema_version": 1, "montecarlo": {"samples": 200}}
-    cfg_path = _write_config(tmp_path / "cfg.json", cfg)
-    trees = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(poling, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert cli.main(["montecarlo", "--config", cfg_path, "--out", str(out)]) == 0
-        trees.append(_tree_bytes(out))
-    assert {"montecarlo.csv", "montecarlo_entanglement.csv"} <= set(trees[0])
-    assert trees[0] == trees[1] == trees[2]
-
-
 def test_jspd_grating_process_requires_period(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -7,7 +7,6 @@ reconstructing the profile from partial sums.
 
 import cmath
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -510,14 +509,6 @@ def test_realization_is_the_one_sample_monte_carlo(period_mm, domains, sigma, re
     assert got == want
 
 
-@pytest.fixture(params=[1, 3], ids=["one-thread", "three-thread"])
-def grid_cpus(request, monkeypatch):
-    """Runs the row blocks on a one- or a three-thread pool, whatever the
-    machine has."""
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 @pytest.mark.parametrize(
     "period_mm, domains, reorder, sigmas",
     [
@@ -530,10 +521,10 @@ def grid_cpus(request, monkeypatch):
     ],
 )
 @pytest.mark.parametrize("qpm_order", [1, 3])
-def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas, qpm_order):
-    # The threaded grid equals the stepped block definition evaluated
-    # serially, one block after another, on the streams (seed, b) and
-    # (seed, b, i), at the first and the third order's operating mismatch.
+def test_grid_equals_serial_efficiency_samples(monkeypatch, period_mm, domains, reorder, sigmas, qpm_order):
+    # The grid equals the stepped block definition evaluated serially, one
+    # block after another, on the streams (seed, b) and (seed, b, i), at the
+    # first and the third order's operating mismatch.
     # 8 KiB blocks: two blocks of 1024 rows at 8 domains, 43 of 7 at 1066.
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, qpm_order)
@@ -548,15 +539,24 @@ def test_grid_equals_serial_efficiency_samples(grid_cpus, monkeypatch, period_mm
         (0.015, 1066, "allow", [0.0, 2.5, 5.0, 7.5, 10.0, 11.0, 12.0, 13.0]),
     ],
 )
-def test_small_kernel_chunks_equal_serial_efficiency_samples(
-    grid_cpus, monkeypatch, period_mm, domains, reorder, sigmas
-):
+def test_small_kernel_chunks_equal_serial_efficiency_samples(monkeypatch, period_mm, domains, reorder, sigmas):
     # 1 Ki-cell kernel chunks in 8 Ki-cell blocks: the chunks split the rows
     # at 1066 domains, and a block that redrew rows is evaluated whole, a
     # chunk at a time, at 8 domains and at 1066
     monkeypatch.setattr(poling, "_BLOCK_CELLS", 1 << 13)
     monkeypatch.setattr(poling, "_CHUNK_CELLS", 1 << 10)
     _assert_grid_equals_serial(period_mm, domains, reorder, sigmas)
+
+
+def test_a_many_block_grid_past_the_second_anchor_equals_serial(monkeypatch):
+    # 20 blocks of two rows and 32 sigmas: every block restarts its steps at
+    # the anchor at index 16
+    monkeypatch.setattr(poling, "_BLOCK_CELLS", 2 * 130)
+    sigmas = [float(s) for s in range(1, 33)]
+    grid = poling.efficiency_samples(0.1, 0.735, 130, sigmas, 40, 4, reorder="allow")
+    want = _reference_stepped_eta(0.1, 130, sigmas, 40, 4, "allow")
+    for idx, sigma in enumerate(sigmas):
+        assert np.array_equal(grid[idx], want[idx]), sigma
 
 
 def _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, qpm_order=1):
@@ -566,29 +566,6 @@ def _assert_grid_equals_serial(period_mm, domains, reorder, sigmas, qpm_order=1)
     assert len(grid) == len(sigmas)
     for idx, sigma in enumerate(sigmas):
         assert np.array_equal(grid[idx], want[idx]), sigma
-
-
-def test_error_arrays_are_never_shared_under_thread_churn(monkeypatch):
-    # eight workers on fewer cores, a 1 us switch interval and 20 blocks of
-    # two rows: two tasks writing one array would change some sigma's eta
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(poling, "_BLOCK_CELLS", 2 * 130)
-    sigmas = [float(s) for s in range(1, 33)]
-    result = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(
-            target=lambda: result.append(poling.efficiency_samples(0.1, 0.735, 130, sigmas, 40, 4, reorder="allow"))
-        )
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not worker.is_alive() and len(result) == 1
-    want = _reference_stepped_eta(0.1, 130, sigmas, 40, 4, "allow")
-    for idx, sigma in enumerate(sigmas):
-        assert np.array_equal(result[0][idx], want[idx]), sigma
 
 
 @pytest.mark.parametrize(
@@ -810,26 +787,6 @@ def test_zero_sigma_is_exactly_one():
             assert eta.tobytes() == np.ones(50).tobytes()
 
 
-def test_solver_error_in_a_worker_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
-    raised_on = []
-    scaled_errors = poling._scaled_errors
-
-    def recording(*args, **kwargs):
-        try:
-            return scaled_errors(*args, **kwargs)
-        except SolverError:
-            raised_on.append(threading.current_thread())
-            raise
-
-    monkeypatch.setattr(poling, "_scaled_errors", recording)
-    # 50 um errors on a 15 um period: every realization crosses its walls
-    with pytest.raises(SolverError, match=r"still unordered after 3 resampling rounds .*use reorder='allow'"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [0.5, 50.0], samples=20)
-    assert raised_on and threading.main_thread() not in raised_on
-
-
 def test_hopeless_resample_error_counts_the_realizations_of_one_row_block(monkeypatch):
     # 5000 samples of 64 domains run in row blocks of 1024; the first block fails
     monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
@@ -839,92 +796,28 @@ def test_hopeless_resample_error_counts_the_realizations_of_one_row_block(monkey
         poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=5000)
 
 
-def test_a_failing_block_cancels_the_blocks_not_yet_started(monkeypatch):
-    # Two workers, four blocks of five rows. Block 0 fails once block 1 has
-    # started; 1, and 2 if a worker picks it up, hold their worker until the
-    # pool shuts down, which happens after the error has reached the caller.
-    # So block 3 can only start if the error leaves it queued.
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(poling, "_BLOCK_CELLS", 5 * 64)
-    monkeypatch.setattr(poling, "_MAX_ATTEMPTS", 3)
+def test_many_block_sampling_starts_no_thread(monkeypatch):
+    """The benchmark's span tracer keeps one span stack, which holds only
+    while the library runs on the calling thread: a five-block grid runs
+    every block there and starts no thread."""
     started = []
-    second_started, release = threading.Event(), threading.Event()
-
-    def fail_first_and_hold_the_rest(seed, *key):
-        if len(key) == 1:  # the draw of block key[0], on its worker
-            started.append(key[0])
-            if key[0] == 0:
-                assert second_started.wait(timeout=10.0)
-            else:
-                second_started.set()
-                assert release.wait(timeout=10.0)
-        return spawn_rng(seed, *key)
-
-    class ReleasingPool(poling.ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            release.set()
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(poling, "spawn_rng", fail_first_and_hold_the_rest)
-    monkeypatch.setattr(poling, "ThreadPoolExecutor", ReleasingPool)
-    # 50 um errors on a 15 um period: every realization crosses its walls
-    with pytest.raises(SolverError, match=r"sigma_z = 50\.0 um"):
-        poling.monte_carlo_efficiency(0.015, 0.7, 64, [50.0], samples=20)
-    assert {0, 1} <= set(started)
-    assert 3 not in started
-
-
-def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
-    """The benchmark's span tracer keeps one span stack, so a public poling or
-    biphoton function that ran on a worker thread would close its spans out
-    of order. Every callable of both modules' __all__ is wrapped wherever it
-    is bound, as the tracer does."""
-    from coexpm import biphoton
-
-    monkeypatch.setattr(poling, "_usable_cpus", lambda: 2)
-    names = {}
-    for mod in (poling, biphoton):
-        for name in mod.__all__:
-            obj = getattr(mod, name)
-            if callable(obj):
-                names[id(obj)] = f"{mod.__name__}.{name}"
-    calls = []
-
-    def recorder(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append((name, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for mod in (poling, biphoton):
-        for attr, obj in list(vars(mod).items()):
-            if id(obj) in names:
-                monkeypatch.setattr(mod, attr, recorder(names[id(obj)], obj))
-    workers = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    ran_on = []
     block_eta = poling._block_eta
-    monkeypatch.setattr(
-        poling, "_block_eta", lambda *a: workers.append(threading.current_thread()) or block_eta(*a)
-    )
-
-    poling.monte_carlo_efficiency(0.015, 0.735, 130, [0.0, 1.0, 2.0], samples=50, reorder="allow")
-    biphoton.entanglement_vs_fabrication(2.0, 0.735, 8, [0.0, 10.0, 20.0], samples=50)
-
-    caller = threading.current_thread()
-    assert {"coexpm.poling.monte_carlo_efficiency", "coexpm.biphoton.entanglement_vs_fabrication"} <= {
-        name for name, _ in calls
-    }
-    assert [name for name, thread in calls if thread is not caller] == []
-    assert any(thread is not caller for thread in workers)  # the pool did run
+    monkeypatch.setattr(poling, "_block_eta", lambda *a: ran_on.append(threading.current_thread()) or block_eta(*a))
+    poling.efficiency_samples(0.015, 0.735, 1066, [0.0, 1.0, 2.0], 300, reorder="allow")
+    assert len(poling._blocks(300, 1066)) == 5
+    assert ran_on == [threading.current_thread()] * 5
+    assert started == []
 
 
 @pytest.mark.parametrize("reorder, samples", [("allow", 2000), ("allow", 8000), ("resample", 2000)])
-def test_grid_memory_is_a_few_blocks_per_worker(reorder, samples):
+def test_grid_memory_is_a_few_blocks(reorder, samples):
     # the 11-sigma grid at 1066 domains; under "resample" about 60% of the
     # rows cross at 1 um on the first draw and are redrawn, over some 17 rounds
     domains = 1066
     sigmas = np.linspace(0.0, 100.0 if reorder == "allow" else 1.0, 11)
-    workers = min(poling._usable_cpus(), len(poling._blocks(samples, domains)))
     blocks = 10 * poling._BLOCK_CELLS * 8  # z, phases, kernel work, scans and redraws
     etas = 2 * len(sigmas) * samples * 8  # the eta table and one block's results per row
     tracemalloc.start()
@@ -933,15 +826,14 @@ def test_grid_memory_is_a_few_blocks_per_worker(reorder, samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= workers * blocks + etas + 2**20
+    assert peak <= blocks + etas + 2**20
 
 
-def test_long_grating_memory_is_a_few_rows_per_worker():
+def test_long_grating_memory_is_a_few_rows():
     # above 2^14 domains one row outgrows a kernel chunk and a block is one
     # row; the kernel still runs a chunk of cells at a time
     domains, samples = 70000, 2
     sigmas = [0.125 * k for k in range(11)]
-    workers = min(poling._usable_cpus(), len(poling._blocks(samples, domains)))
     blocks = 10 * domains * 8  # the bound above, for a block of one row
     tracemalloc.start()
     try:
@@ -949,7 +841,7 @@ def test_long_grating_memory_is_a_few_rows_per_worker():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= workers * blocks + 2**20
+    assert peak <= blocks + 2**20
 
 
 @pytest.mark.parametrize(
