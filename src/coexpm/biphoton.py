@@ -27,7 +27,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitError, ValidationError
 from .poling import efficiency_ratio, efficiency_samples
@@ -248,7 +247,7 @@ class AnalyzerSetting:
         ti = np.deg2rad(self.theta_idler_deg)
         ks = np.array([np.cos(ts), np.sin(ts)], dtype=complex)
         ki = np.array([np.cos(ti), np.sin(ti)], dtype=complex)
-        return np.kron(ks, ki)
+        return (ks[:, None] * ki).ravel()
 
 
 def _probabilities(state, kets) -> np.ndarray:
@@ -359,9 +358,10 @@ def tomography_settings() -> list[tuple[str, str]]:
 def _label_ket(label_signal: str, label_idler: str) -> np.ndarray:
     """Two-photon ket |l_s l_i> of labeled analyzer settings (any case)."""
     try:
-        return np.kron(SINGLE_KETS[label_signal.upper()], SINGLE_KETS[label_idler.upper()])
+        ks, ki = SINGLE_KETS[label_signal.upper()], SINGLE_KETS[label_idler.upper()]
     except KeyError as exc:
         raise ValidationError(f"unknown analyzer label {exc.args[0]!r}; use H/V/D/A/R/L") from None
+    return (ks[:, None] * ki).ravel()
 
 
 def _setting_pairs(settings) -> list[tuple[str, str]]:
@@ -555,6 +555,8 @@ def reconstruct_state(records: list[dict], subtract_accidentals: bool = True) ->
         shape = np.clip(np.real(amat @ rho.ravel()), 1e-12, None) * weights
         mu = np.clip(counts.sum() / shape.sum() * shape, 1e-12, None)
         return float(np.sum(mu - counts * np.log(mu)))
+
+    from scipy.optimize import minimize
 
     res = minimize(
         _profiled_nll,

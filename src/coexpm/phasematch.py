@@ -21,7 +21,8 @@ Signal solves bracket the mismatch on the nondegenerate-signal window
 (Adv. Eng. Softw. 28, 145 (1997): inverse quadratic interpolation guarded by
 bisection), vectorized over pumps, to residuals far below 1e-10 rad/um.
 Brent's method is used only for the scalar pump searches: the degeneracy
-cutoff and the pump of a given coexistence period.
+cutoff and the pump of a given coexistence period. It is scipy's, imported on
+first use, so importing this module loads no ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import _wavevector, ktp_axes, wavevector
 from .errors import SolverError, ValidationError
@@ -346,6 +346,15 @@ def _bracket(name: str, bracket) -> tuple[float, float]:
     if ends.size != 2:
         raise ValidationError(f"{name} must have two entries (lo, hi), got {ends.size}")
     return float(ends[0]), float(ends[1])
+
+
+# A module-level function, not an import inside each solver: perfbench's span
+# tracer wraps phasematch.brentq by identity, one span per Brent solve.
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on the first pump search."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, **kwargs)
 
 
 def solve_pump_for_period(

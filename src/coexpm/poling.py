@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import wofz
 
 from .errors import SolverError, ValidationError
 from .util import _check_array, _check_cells, _check_int, _check_real, sinc, spawn_rng
@@ -134,6 +132,8 @@ def solve_balanced_duty_cycle(order: int = 1) -> float:
             f"the balanced duty cycle of order m={m} lies in (0.5, 0.5 + 1/(2m)), "
             "which double precision does not resolve"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(g, lo, hi, xtol=1e-14, maxiter=200))
 
 
@@ -588,6 +588,8 @@ def _cf_deficit(s) -> np.ndarray:
     exp(-s^2/2) has underflowed, so s is capped there before it is squared.
     The clip to [0, 2], the range of 1 - chi, absorbs the last rounding.
     """
+    from scipy.special import wofz
+
     t = _TRUNCATION_SIGMAS
 
     def tail(x):

@@ -201,6 +201,17 @@ def test_analyzer_halfwave_plate_angles():
     assert s.hwp_idler_deg == 11.25
 
 
+def test_two_photon_kets_are_the_kronecker_product_bit_for_bit():
+    rng = spawn_rng(11)
+    for ts, ti in rng.uniform(-360.0, 360.0, size=(500, 2)):
+        a, b = (np.array([np.cos(t), np.sin(t)], dtype=complex) for t in map(np.deg2rad, (ts, ti)))
+        assert bp.AnalyzerSetting(ts, ti).ket().tobytes() == np.kron(a, b).tobytes()
+    for ls in bp.SINGLE_KETS:
+        for li in bp.SINGLE_KETS:
+            want = np.kron(bp.SINGLE_KETS[ls], bp.SINGLE_KETS[li])
+            assert bp._label_ket(ls, li).tobytes() == want.tobytes()
+
+
 def test_correlation_closed_form_for_bell_state():
     bell = bp.bell_psi_plus()
     rng = spawn_rng(3)

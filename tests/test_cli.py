@@ -1,8 +1,13 @@
 """Command-line interface: artifacts, determinism, config validation, exit codes."""
 
 import argparse
+import ast
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,17 @@ def _write_config(path, payload):
 
 def _tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(args, cwd):
+    """Run Python in a new interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_design_writes_curve_point_and_meta(tmp_path, capsys):
@@ -674,3 +690,66 @@ def test_json_table_format(tmp_path):
     first = dict(zip(table["columns"], table["rows"][0]))
     assert first["mean_eta"] == pytest.approx(1.0)
     assert not (tmp_path / "montecarlo.csv").exists()
+
+
+# ------------------------------------------------------------------ cold start
+
+_SCIPY_LOADED = """
+import json, sys
+from coexpm import cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+seen = {"import coexpm.cli": loaded()}
+for name, argv in json.loads(sys.argv[1]).items():
+    assert cli.main(argv) == 0, name
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_light_commands_start_and_run_without_scipy(tmp_path):
+    chsh = _write_config(tmp_path / "chsh.json", {"schema_version": 1, "chsh": {"mode": "sampled"}})
+    grating = {"schema_version": 1, "jspd": {"process": "grating", "period_mm": 2.0}}
+    jspd = _write_config(tmp_path / "jspd.json", grating)
+    runs = {
+        "stats": ["stats"],
+        "chsh expectation": ["chsh"],
+        "chsh sampled": ["chsh", "--config", chsh],
+        "fringes": ["fringes"],
+        "jspd birefringent": ["jspd"],
+        "jspd grating": ["jspd", "--config", jspd],
+    }
+    runs = {name: [*argv, "--out", str(tmp_path / f"out{i}")] for i, (name, argv) in enumerate(runs.items())}
+    done = _fresh_python(["-c", _SCIPY_LOADED, json.dumps(runs)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {name: [] for name in ["import coexpm.cli", *runs]}
+
+
+@pytest.mark.parametrize("command", ["design", "dutycycle", "montecarlo", "tomography"])
+def test_scipy_commands_load_it_on_demand_in_a_fresh_interpreter(tmp_path, command):
+    done = _fresh_python(["-m", "coexpm.cli", command, "--out", str(tmp_path / "out")], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def _run_on_import(nodes):
+    """The statements Python runs on import: all but the bodies of functions."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _run_on_import(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    for path in sorted((SRC / "coexpm").glob("*.py")):
+        for node in _run_on_import(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), (path.name, node.lineno)
