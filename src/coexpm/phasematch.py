@@ -21,8 +21,9 @@ Signal solves bracket the mismatch on the nondegenerate-signal window
 (Adv. Eng. Softw. 28, 145 (1997): inverse quadratic interpolation guarded by
 bisection), vectorized over pumps, to residuals far below 1e-10 rad/um.
 Brent's method is used only for the scalar pump searches: the degeneracy
-cutoff and the pump of a given coexistence period. It is scipy's, imported on
-first use, so importing this module loads no ``scipy.optimize``.
+cutoff and the pump of a given coexistence period. It is the package's port of
+scipy's brentq.c (``util._brentq``), root for root bit-identical to
+``scipy.optimize.brentq``, so no pump search loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .dispersion import _wavevector, ktp_axes, wavevector
 from .errors import SolverError, ValidationError
-from .util import _check_array, _check_int, _check_real, _check_text, _real
+from .util import _brentq, _check_array, _check_int, _check_real, _check_text, _real
 
 __all__ = [
     "ProcessSpec",
@@ -348,13 +349,12 @@ def _bracket(name: str, bracket) -> tuple[float, float]:
     return float(ends[0]), float(ends[1])
 
 
-# A module-level function, not an import inside each solver: perfbench's span
-# tracer wraps phasematch.brentq by identity, one span per Brent solve.
-def brentq(f, a, b, **kwargs):
-    """scipy.optimize.brentq, imported on the first pump search."""
-    from scipy.optimize import brentq
-
-    return brentq(f, a, b, **kwargs)
+# A function of this module, not a name bound to util._brentq: perfbench's span
+# tracer wraps phasematch.brentq by identity, one span per Brent solve, and
+# must not wrap poling's solve with it.
+def brentq(f, a, b, xtol, maxiter):
+    """Brent's method, util._brentq, for the pump searches."""
+    return _brentq(f, a, b, xtol, maxiter)
 
 
 def solve_pump_for_period(
@@ -395,7 +395,7 @@ def solve_pump_for_period(
             f"target period {period_mm} mm not bracketed: period({lo:.3f} nm) = "
             f"{coexistence(lo)[0]:.4f} mm, period({hi:.3f} nm) = {coexistence(hi)[0]:.4f} mm"
         )
-    pump = float(brentq(g, lo, hi, xtol=1e-9, maxiter=200))
+    pump = brentq(g, lo, hi, xtol=1e-9, maxiter=200)
     return pump, coexistence(pump)[1]
 
 
@@ -420,7 +420,7 @@ def degeneracy_pump_nm(
         raise SolverError(
             f"no degeneracy cutoff in [{lo}, {hi}] nm: g({lo}) = {g_lo:.6g}, g({hi}) = {g_hi:.6g}"
         )
-    return float(brentq(g, lo, hi, xtol=1e-10, maxiter=200))
+    return brentq(g, lo, hi, xtol=1e-10, maxiter=200)
 
 
 def period_sweep(

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .util import _check_array, _check_cells, _check_int, _check_real, sinc, spawn_rng
+from .util import _brentq, _check_array, _check_cells, _check_int, _check_real, sinc, spawn_rng
 
 __all__ = [
     "fourier_coefficient",
@@ -132,9 +132,7 @@ def solve_balanced_duty_cycle(order: int = 1) -> float:
             f"the balanced duty cycle of order m={m} lies in (0.5, 0.5 + 1/(2m)), "
             "which double precision does not resolve"
         )
-    from scipy.optimize import brentq
-
-    return float(brentq(g, lo, hi, xtol=1e-14, maxiter=200))
+    return _brentq(g, lo, hi, 1e-14, 200)
 
 
 def efficiency_penalty(duty_cycle: float) -> float:

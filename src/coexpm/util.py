@@ -7,7 +7,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
 __all__ = ["sinc", "spawn_rng", "fwhm_of_profile"]
 
@@ -19,6 +19,8 @@ _CELL_BUDGET = 1 << 24
 # For the float and the complex number rule: the numbers taken, what they are
 # called, and the ndarray dtype kinds taken.
 _NUMBERS = {float: (numbers.Real, "real", "iuf"), complex: (numbers.Complex, "complex", "iufc")}
+# Brent's relative tolerance: scipy.optimize.brentq's default, 4 machine epsilons.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
 
 
 def _real(name: str, value, dtype: type = float) -> float | complex:
@@ -145,6 +147,68 @@ def spawn_rng(seed: int | None, *key: int) -> np.random.Generator:
         0 if seed is None else _check_int("seed", seed, 0), spawn_key=[_check_int("key", k, 0) for k in key]
     )
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _brentq(f, a, b, xtol: float, maxiter: int) -> float:
+    """Root of f between a and b by Brent's method (R. P. Brent, Algorithms
+    for Minimization without Derivatives (1973), ch. 4).
+
+    A statement-for-statement port of scipy's brentq.c at scipy's default
+    rtol: the same bracket swaps, interpolate/extrapolate step test, delta =
+    (xtol + rtol |x|)/2 and exits, with f called on Python floats and its
+    values taken as floats, so each root equals scipy.optimize.brentq(f, a, b,
+    xtol=xtol, maxiter=maxiter) bit for bit. Raises SolverError where scipy
+    raises: f(a) and f(b) of the same sign, a NaN value of f, or no
+    convergence in maxiter iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SolverError(f"the function value at x={x!r} is NaN; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError(f"f(a) and f(b) must have different signs: f({xpre!r}) = {fpre!r}, f({xcur!r}) = {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # den underflows to 0 when f is tiny (|f| ~ 1e-120): C's step
+                # is then inf or NaN, which the test below bisects, where
+                # Python would raise ZeroDivisionError.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverError(f"Brent's method did not converge in {maxiter} iterations; last x = {xcur!r}")
 
 
 def fwhm_of_profile(x: np.ndarray, y: np.ndarray) -> float:

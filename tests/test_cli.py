@@ -709,30 +709,44 @@ print(json.dumps(seen))
 """
 
 
-def test_light_commands_start_and_run_without_scipy(tmp_path):
-    chsh = _write_config(tmp_path / "chsh.json", {"schema_version": 1, "chsh": {"mode": "sampled"}})
-    grating = {"schema_version": 1, "jspd": {"process": "grating", "period_mm": 2.0}}
-    jspd = _write_config(tmp_path / "jspd.json", grating)
-    runs = {
-        "stats": ["stats"],
-        "chsh expectation": ["chsh"],
-        "chsh sampled": ["chsh", "--config", chsh],
-        "fringes": ["fringes"],
-        "jspd birefringent": ["jspd"],
-        "jspd grating": ["jspd", "--config", jspd],
-    }
+def _scipy_loaded(tmp_path, runs: dict) -> dict:
+    """The scipy modules loaded after import and after each run of the CLI
+    (name -> argv), in one fresh interpreter."""
     runs = {name: [*argv, "--out", str(tmp_path / f"out{i}")] for i, (name, argv) in enumerate(runs.items())}
     done = _fresh_python(["-c", _SCIPY_LOADED, json.dumps(runs)], tmp_path)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {name: [] for name in ["import coexpm.cli", *runs]}
-
-
-@pytest.mark.parametrize("command", ["design", "dutycycle", "montecarlo", "tomography"])
-def test_scipy_commands_load_it_on_demand_in_a_fresh_interpreter(tmp_path, command):
-    done = _fresh_python(["-m", "coexpm.cli", command, "--out", str(tmp_path / "out")], tmp_path)
-    assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_light_commands_start_and_run_without_scipy(tmp_path):
+    def config(name, section):
+        return _write_config(tmp_path / f"{name}.json", {"schema_version": 1, name: section})
+
+    runs = {
+        "stats": ["stats"],
+        "chsh expectation": ["chsh"],
+        "chsh sampled": ["chsh", "--config", config("chsh", {"mode": "sampled"})],
+        "fringes": ["fringes"],
+        "jspd birefringent": ["jspd"],
+        "jspd grating": ["jspd", "--config", config("jspd", {"process": "grating", "period_mm": 2.0})],
+        "design": ["design"],
+        "dutycycle order 1": ["dutycycle"],
+        "dutycycle order 3": ["dutycycle", "--config", config("dutycycle", {"qpm_order": 3})],
+        "montecarlo without comparison": ["montecarlo", "--config", config("montecarlo", {"comparison": None})],
+    }
+    assert _scipy_loaded(tmp_path, runs) == {name: [] for name in ["import coexpm.cli", *runs]}
+
+
+# montecarlo's comparison grating needs scipy.special's wofz, and tomography's
+# fit scipy.optimize's minimize, which loads scipy.special too.
+_SCIPY_NEEDED = {"montecarlo": ["scipy.special"], "tomography": ["scipy.optimize", "scipy.special"]}
+
+
+@pytest.mark.parametrize("command", sorted(_SCIPY_NEEDED))
+def test_scipy_commands_load_it_on_demand_in_a_fresh_interpreter(tmp_path, command):
+    seen = _scipy_loaded(tmp_path, {command: [command]})
+    assert seen == {"import coexpm.cli": [], command: _SCIPY_NEEDED[command]}
 
 
 def _run_on_import(nodes):
@@ -741,6 +755,31 @@ def _run_on_import(nodes):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield node
             yield from _run_on_import(ast.iter_child_nodes(node))
+
+
+def _scipy_imports(node, function=None):
+    """(scipy module, enclosing function) of each scipy import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        yield from ((n, function) for n in names if n == "scipy" or n.startswith("scipy."))
+        yield from _scipy_imports(child, function)
+
+
+def test_scipy_is_imported_only_by_the_two_functions_that_call_it():
+    found = [
+        (path.stem, function, module)
+        for path in sorted((SRC / "coexpm").glob("*.py"))
+        for module, function in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("biphoton", "reconstruct_state", "scipy.optimize"), ("poling", "_cf_deficit", "scipy.special")]
 
 
 def test_no_module_imports_scipy_at_module_level():
